@@ -100,9 +100,7 @@ class Bus:
         self.slots = {r: None for r in Requester}
         self.grants = {r: 0 for r in Requester}
         self.stalls = {r: 0 for r in Requester}
-        self.completions = {r: 0 for r in Requester}
         self.register_accesses = 0
-        self.reserved_writes = 0
 
     def post(self, tx):
         if self.slots[tx.requester] is not None:
@@ -120,7 +118,6 @@ class Bus:
         tx.rdata = u32(rdata)
         tx.error = error
         tx.state = TxState.DONE
-        self.completions[tx.requester] += 1
         self.slots[tx.requester] = None
         if tx.requester in (Requester.CONV, Requester.DOT):
             dsp = self.conv if tx.requester is Requester.CONV else self.dot
@@ -169,8 +166,6 @@ class Bus:
             elif region is Region.DOT_REGS:
                 self._route_register(tx, self.dot)
             elif region is Region.RESERVED:
-                if tx.write:
-                    self.reserved_writes += 1
                 self._finish(tx, rdata=0)
             else:
                 self._finish(tx, error=f"unmapped address 0x{tx.addr:08x}")

@@ -21,9 +21,10 @@ from .bits import s32, s64
 from .isa import listing
 from .memmap import (DATA_BASE, HexwordsError, INST_BASE, dump_hexwords,
                      parse_hexwords)
-from .perfmodel import (CnnLayerShape, ConvWorkload, cnn_layer_cycles,
-                        cnn_layer_macs, conv_speedup, dense_layer_macs,
-                        dot_speedup, dsp_conv_cycles, dsp_dot_cycles,
+from .perfmodel import (DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW, CnnLayerShape,
+                        ConvWorkload, cnn_layer_cycles, cnn_layer_macs,
+                        conv_speedup, dense_layer_macs, dot_speedup,
+                        dsp_conv_busy_cycles, dsp_conv_cycles, dsp_dot_cycles,
                         dsp_dot_cycles_rounded, latency_seconds,
                         sw_conv_cycles, sw_dot_cycles, sw_dot_cycles_rounded)
 from .scenario import Kind, Mode, Scenario, ScenarioError, load_scenario
@@ -92,7 +93,7 @@ def _cmd_model(args):
             return EXIT_CONFIG
         c_sw, c_dsp = sw_conv_cycles(w), dsp_conv_cycles(w)
         print(f"C_SW   = {c_sw}")
-        print(f"C_DSP  = {c_dsp}  (incl. {10} config cycles)")
+        print(f"C_DSP  = {c_dsp}  (incl. {DEFAULT_C_CFG} config cycles)")
         print(f"speedup = {conv_speedup(w):.4f}")
         if freq:
             print(f"latency_sw  = {latency_seconds(c_sw, freq) * 1e3:.5f} ms")
@@ -123,8 +124,8 @@ def _cmd_model(args):
     else:  # dense
         macs = dense_layer_macs(args.in_features, args.out_features)
         print(f"macs = {macs}")
-        print(f"sw_cycles  = {10 * macs}")
-        print(f"dsp_cycles = {3 * macs}")
+        print(f"sw_cycles  = {PER_MAC_SW * macs}")
+        print(f"dsp_cycles = {PER_MAC_DSP * macs}")
     return EXIT_OK
 
 
@@ -149,7 +150,7 @@ def _cmd_compare(args):
         return EXIT_CONFIG
     c_sw = sw_conv_cycles(w)
     c_dsp = dsp_conv_cycles(w)
-    busy_model = c_dsp - 10
+    busy_model = dsp_conv_busy_cycles(w)
 
     results = {}
     mismatches = []
@@ -173,7 +174,8 @@ def _cmd_compare(args):
     print(f"Convolution comparison, N={n} K={k} ({w.outputs} outputs)")
     print(f"{'quantity':<34}{'software':>14}{'dsp':>14}")
     print(f"{'analytic cycles':<34}{c_sw:>14}{c_dsp:>14}")
-    print(f"{'  (dsp = busy + 10 config)':<34}{'':>14}{busy_model:>10} + 10")
+    print(f"{f'  (dsp = busy + {DEFAULT_C_CFG} config)':<34}{'':>14}"
+          f"{busy_model:>10} + {DEFAULT_C_CFG}")
     print(f"{'simulated busy (testbench)':<34}{'-':>14}{tb['conv']['busy_cycles']:>14}")
     print(f"{'simulated busy (full-system)':<34}{'-':>14}{fs['conv']['busy_cycles']:>14}")
     print(f"{'measured config-write cycles':<34}{'-':>14}{fs['cpu']['config_write_cycles']:>14}")

@@ -1,4 +1,4 @@
-"""1D convolution accelerator: register file, FSM, MAC datapath, MMI master.
+"""1D convolution accelerator: register layout, start checks, MAC datapath.
 
 Per-tap cycle budget (uncontended): cycle 1 posts the x read, cycle 2
 captures x and posts the h read, cycle 3 captures h and runs the MAC.
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 
-from .bits import s32, s64, u32
-from .bus import MmiPort, RegisterAccessError
+from .accel import DspState, MmioAccelerator
+from .bits import s32, s64
 from .mac import Truncation, truncate_accumulator
-from .memmap import DATA_BASE, DATA_END
+from .memmap import buffer_in_datamem
 
 OFF_IN_ADDR = 0x00
 OFF_KERN_ADDR = 0x04
@@ -25,13 +25,7 @@ OFF_CONTROL = 0x14
 OFF_STATUS = 0x18
 OFF_IRQ_CLEAR = 0x1C
 
-_CONFIG_OFFSETS = (OFF_IN_ADDR, OFF_KERN_ADDR, OFF_OUT_ADDR, OFF_IN_LEN, OFF_KERN_LEN)
-
-
-class ConvState(enum.Enum):
-    IDLE = "idle"
-    RUN = "run"
-    DONE = "done"
+ConvState = DspState
 
 
 class _Sub(enum.Enum):
@@ -41,133 +35,40 @@ class _Sub(enum.Enum):
     WAIT_Y = 3
 
 
-def buffer_in_datamem(base, length_words):
-    """True iff [base, base+4*length_words) is aligned and inside DataMem."""
-    if base % 4 != 0:
-        return False
-    if length_words == 0:
-        return True
-    return DATA_BASE <= base and base + 4 * length_words - 1 <= DATA_END
+class ConvDsp(MmioAccelerator):
+    NAME = "conv"
+    CONFIG = {OFF_IN_ADDR: "in_addr", OFF_KERN_ADDR: "kern_addr",
+              OFF_OUT_ADDR: "out_addr", OFF_IN_LEN: "in_len",
+              OFF_KERN_LEN: "kern_len"}
+    READ_ONLY = {OFF_STATUS: "status"}
+    CONTROL = OFF_CONTROL
+    IRQ_CLEAR = OFF_IRQ_CLEAR
 
-
-class ConvDsp:
     def __init__(self, truncation=Truncation.WRAP, trace=None):
+        super().__init__(trace)
         self.truncation = truncation
-        self.trace = trace
-        self.mmi = MmiPort()
-        # config registers
-        self.in_addr = 0
-        self.kern_addr = 0
-        self.out_addr = 0
-        self.in_len = 0
-        self.kern_len = 0
-        self.int_en = False
-        # status / interrupt
-        self.status_done = False
-        self.status_error = False
-        self.irq_line = False
-        # FSM
-        self.state = ConvState.IDLE
         self._sub = _Sub.POST_X
         self.out_idx = 0
         self.kern_idx = 0
-        self.accum = 0
-        self._cfg = None  # latched (in, kern, out, n, k) while running
         self._x_val = 0
-        # counters
-        self.busy_cycles = 0
-        self.macs = 0
-        self.ignored_writes = 0
-        self.readonly_write_warnings = 0
 
-    # ------------------------------------------------------------------ AXI
-    def axi_write(self, offset, value):
-        value = u32(value)
-        if offset == OFF_IRQ_CLEAR:
-            if value & 1:
-                self.irq_line = False
-                self.status_done = False
-                self.status_error = False
-                if self.state is ConvState.DONE:
-                    self.state = ConvState.IDLE
-            return
-        if offset == OFF_STATUS:
-            self.readonly_write_warnings += 1
-            return
-        if self.state is ConvState.RUN:
-            self.ignored_writes += 1
-            return
-        if offset == OFF_IN_ADDR:
-            self.in_addr = value
-        elif offset == OFF_KERN_ADDR:
-            self.kern_addr = value
-        elif offset == OFF_OUT_ADDR:
-            self.out_addr = value
-        elif offset == OFF_IN_LEN:
-            self.in_len = value
-        elif offset == OFF_KERN_LEN:
-            self.kern_len = value
-        elif offset == OFF_CONTROL:
-            self.int_en = bool(value & 2)
-            if value & 1:
-                if self.state is ConvState.IDLE:
-                    self._start()
-                else:
-                    self.ignored_writes += 1  # needs irq_clear first
-        else:
-            raise RegisterAccessError(f"conv: no register at offset 0x{offset:02x}")
-
-    def axi_read(self, offset):
-        if offset == OFF_IN_ADDR:
-            return self.in_addr
-        if offset == OFF_KERN_ADDR:
-            return self.kern_addr
-        if offset == OFF_OUT_ADDR:
-            return self.out_addr
-        if offset == OFF_IN_LEN:
-            return self.in_len
-        if offset == OFF_KERN_LEN:
-            return self.kern_len
-        if offset == OFF_CONTROL:
-            return int(self.int_en) << 1
-        if offset == OFF_STATUS:
-            return int(self.status_done) | (int(self.status_error) << 1)
-        if offset == OFF_IRQ_CLEAR:
-            return 0
-        raise RegisterAccessError(f"conv: no register at offset 0x{offset:02x}")
-
-    # ------------------------------------------------------------------ FSM
     def _start(self):
         n, k = self.in_len, self.kern_len
-        self.status_done = False
-        self.status_error = False
         if (k == 0 or n < k
                 or not buffer_in_datamem(self.in_addr, n)
                 or not buffer_in_datamem(self.kern_addr, k)
                 or not buffer_in_datamem(self.out_addr, n - k + 1)):
             self._finish(error=True)
             return
-        self._cfg = (self.in_addr, self.kern_addr, self.out_addr, n, k)
         self.out_idx = 0
         self.kern_idx = 0
-        self.accum = 0
         self._sub = _Sub.POST_X
-        self.state = ConvState.RUN
-        if self.trace:
-            self.trace("conv", f"start n={n} k={k}")
-
-    def _finish(self, error=False):
-        self.state = ConvState.DONE
-        self.status_done = True
-        self.status_error = error
-        self.irq_line = self.int_en
-        self.mmi.clear()
-        if self.trace:
-            self.trace("conv", "error" if error else "done")
+        self._run((self.in_addr, self.kern_addr, self.out_addr, n, k),
+                  f"n={n} k={k}")
 
     def step(self):
         """One global cycle; captures completions from the previous cycle."""
-        if self.state is not ConvState.RUN:
+        if self.state is not DspState.RUN:
             return
         self.busy_cycles += 1
         mmi = self.mmi
@@ -177,19 +78,13 @@ class ConvDsp:
             mmi.request_read(in_addr + 4 * (self.out_idx + self.kern_idx))
             self._sub = _Sub.WAIT_X
         elif sub is _Sub.WAIT_X:
-            if not mmi.done:
-                return
-            if mmi.error is not None:
-                self._finish(error=True)
+            if not self._landed():
                 return
             self._x_val = s32(mmi.rddata)
             mmi.request_read(kern_addr + 4 * self.kern_idx)
             self._sub = _Sub.WAIT_H
         elif sub is _Sub.WAIT_H:
-            if not mmi.done:
-                return
-            if mmi.error is not None:
-                self._finish(error=True)
+            if not self._landed():
                 return
             self.accum = s64(self.accum + self._x_val * s32(mmi.rddata))
             self.macs += 1
@@ -202,10 +97,7 @@ class ConvDsp:
                 mmi.clear()
                 self._sub = _Sub.POST_X
         else:  # WAIT_Y
-            if not mmi.done:
-                return
-            if mmi.error is not None:
-                self._finish(error=True)
+            if not self._landed():
                 return
             mmi.clear()
             self.out_idx += 1

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 
-from .bits import s32, s64, u32, u64
-from .bus import MmiPort, RegisterAccessError
-from .conv import buffer_in_datamem
+from .accel import DspState, MmioAccelerator
+from .bits import s32, s64, u64
+from .memmap import buffer_in_datamem
 
 OFF_VA_ADDR = 0x00
 OFF_VB_ADDR = 0x04
@@ -22,11 +22,7 @@ OFF_RESULT_LO = 0x14
 OFF_RESULT_HI = 0x18
 OFF_IRQ_CLEAR = 0x1C
 
-
-class DotState(enum.Enum):
-    IDLE = "idle"
-    RUN = "run"
-    DONE = "done"
+DotState = DspState
 
 
 class _Sub(enum.Enum):
@@ -36,109 +32,35 @@ class _Sub(enum.Enum):
     FINALIZE = 3
 
 
-class DotDsp:
+class DotDsp(MmioAccelerator):
+    NAME = "dot"
+    CONFIG = {OFF_VA_ADDR: "va_addr", OFF_VB_ADDR: "vb_addr", OFF_LEN: "length"}
+    READ_ONLY = {OFF_STATUS: "status", OFF_RESULT_LO: "result_lo",
+                 OFF_RESULT_HI: "result_hi"}
+    CONTROL = OFF_CONTROL
+    IRQ_CLEAR = OFF_IRQ_CLEAR
+
     def __init__(self, trace=None):
-        self.trace = trace
-        self.mmi = MmiPort()
-        self.va_addr = 0
-        self.vb_addr = 0
-        self.length = 0
-        self.int_en = False
-        self.status_done = False
-        self.status_error = False
-        self.irq_line = False
+        super().__init__(trace)
         self.result_lo = 0
         self.result_hi = 0
-        self.state = DotState.IDLE
         self._sub = _Sub.POST_A
         self.vec_idx = 0
-        self.accum = 0
-        self._cfg = None
         self._a_val = 0
-        self.busy_cycles = 0
-        self.macs = 0
-        self.ignored_writes = 0
-        self.readonly_write_warnings = 0
-
-    def axi_write(self, offset, value):
-        value = u32(value)
-        if offset == OFF_IRQ_CLEAR:
-            if value & 1:
-                self.irq_line = False
-                self.status_done = False
-                self.status_error = False
-                if self.state is DotState.DONE:
-                    self.state = DotState.IDLE
-            return
-        if offset in (OFF_STATUS, OFF_RESULT_LO, OFF_RESULT_HI):
-            self.readonly_write_warnings += 1
-            return
-        if self.state is DotState.RUN:
-            self.ignored_writes += 1
-            return
-        if offset == OFF_VA_ADDR:
-            self.va_addr = value
-        elif offset == OFF_VB_ADDR:
-            self.vb_addr = value
-        elif offset == OFF_LEN:
-            self.length = value
-        elif offset == OFF_CONTROL:
-            self.int_en = bool(value & 2)
-            if value & 1:
-                if self.state is DotState.IDLE:
-                    self._start()
-                else:
-                    self.ignored_writes += 1
-        else:
-            raise RegisterAccessError(f"dot: no register at offset 0x{offset:02x}")
-
-    def axi_read(self, offset):
-        if offset == OFF_VA_ADDR:
-            return self.va_addr
-        if offset == OFF_VB_ADDR:
-            return self.vb_addr
-        if offset == OFF_LEN:
-            return self.length
-        if offset == OFF_CONTROL:
-            return int(self.int_en) << 1
-        if offset == OFF_STATUS:
-            return int(self.status_done) | (int(self.status_error) << 1)
-        if offset == OFF_RESULT_LO:
-            return self.result_lo
-        if offset == OFF_RESULT_HI:
-            return self.result_hi
-        if offset == OFF_IRQ_CLEAR:
-            return 0
-        raise RegisterAccessError(f"dot: no register at offset 0x{offset:02x}")
 
     def _start(self):
         length = self.length
-        self.status_done = False
-        self.status_error = False
         if not (buffer_in_datamem(self.va_addr, length)
                 and buffer_in_datamem(self.vb_addr, length)):
             self._finish(error=True)
             return
-        self._cfg = (self.va_addr, self.vb_addr, length)
         self.vec_idx = 0
-        self.accum = 0
         # empty vectors skip straight to the finalize cycle (result 0)
         self._sub = _Sub.FINALIZE if length == 0 else _Sub.POST_A
-        self.state = DotState.RUN
-        if self.trace:
-            self.trace("dot", f"start l={length}")
-
-    def _finish(self, error=False):
-        self.state = DotState.DONE
-        self.status_done = True
-        self.status_error = error
-        self.irq_line = self.int_en
-        self.mmi.clear()
-        if self.trace:
-            self.trace("dot", "error" if error else "done")
+        self._run((self.va_addr, self.vb_addr, length), f"l={length}")
 
     def step(self):
-        if self.state is not DotState.RUN:
+        if self.state is not DspState.RUN:
             return
         self.busy_cycles += 1
         mmi = self.mmi
@@ -148,19 +70,13 @@ class DotDsp:
             mmi.request_read(va + 4 * self.vec_idx)
             self._sub = _Sub.WAIT_A
         elif sub is _Sub.WAIT_A:
-            if not mmi.done:
-                return
-            if mmi.error is not None:
-                self._finish(error=True)
+            if not self._landed():
                 return
             self._a_val = s32(mmi.rddata)
             mmi.request_read(vb + 4 * self.vec_idx)
             self._sub = _Sub.WAIT_B
         elif sub is _Sub.WAIT_B:
-            if not mmi.done:
-                return
-            if mmi.error is not None:
-                self._finish(error=True)
+            if not self._landed():
                 return
             self.accum = s64(self.accum + self._a_val * s32(mmi.rddata))
             self.macs += 1

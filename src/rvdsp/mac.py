@@ -1,12 +1,13 @@
-"""Shared multiply-accumulate arithmetic for both accelerators.
+"""Accumulator truncation shared by both accelerators.
 
-Operands are signed 32-bit; the product is the exact 64-bit signed
-value (no intermediate truncation) and accumulation wraps at 64 bits.
+The datapaths multiply signed 32-bit operands into the exact 64-bit
+signed product (no intermediate truncation) and accumulate with 64-bit
+wrap-around; a convolution output is then narrowed to one 32-bit word.
 """
 
 import enum
 
-from .bits import s32, s64, u32
+from .bits import u32
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -15,11 +16,6 @@ INT32_MAX = (1 << 31) - 1
 class Truncation(enum.Enum):
     WRAP = "wrap"
     SATURATE = "saturate"
-
-
-def mac(accum, a, b):
-    """accum + a*b with signed 32-bit operands, wrapped to signed 64-bit."""
-    return s64(accum + s32(a) * s32(b))
 
 
 def truncate_accumulator(accum, policy):

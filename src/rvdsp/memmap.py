@@ -66,6 +66,15 @@ def decode_address(addr):
     return Region.UNMAPPED, addr
 
 
+def buffer_in_datamem(base, length_words):
+    """True iff [base, base+4*length_words) is aligned and inside DataMem."""
+    if base % 4 != 0:
+        return False
+    if length_words == 0:
+        return True
+    return DATA_BASE <= base and base + 4 * length_words - 1 <= DATA_END
+
+
 class Rom:
     """Single-port 32 KB instruction ROM; writable only through load()."""
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .memmap import DATA_BASE, DATA_END
-from .conv import buffer_in_datamem
+from .memmap import DATA_BASE, DATA_END, buffer_in_datamem
 
 # default buffer placement mirrors the register-map usage example
 DEFAULT_IN_ADDR = 0x0000_8000

@@ -9,19 +9,24 @@ bus completions at the start of their next step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import conv as conv_regs
+from . import dotprod as dot_regs
+from .accel import DspState
 from .bits import u32
 from .bus import Bus, BusTransaction, Requester
-from .conv import ConvDsp, ConvState
+from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
-from .dotprod import DotDsp, DotState
+from .dotprod import DotDsp
 from .mac import Truncation
 from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, Rom, Sram
-from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, cnn_layer_macs,
-                        CnnLayerShape, conv_speedup, dense_layer_macs,
-                        dsp_conv_cycles, dsp_dot_cycles, dot_speedup,
-                        latency_seconds, sw_conv_cycles, sw_dot_cycles)
+from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW,
+                        CnnLayerShape, cnn_layer_macs, conv_speedup,
+                        dense_layer_macs, dot_speedup, dsp_conv_cycles,
+                        dsp_dot_cycles, dsp_dot_cycles_rounded,
+                        latency_seconds, sw_conv_cycles, sw_dot_cycles,
+                        sw_dot_cycles_rounded)
 from .prng import SplitMix64
 from .programs import conv_driver, conv_sw_kernel, dot_driver
 from .scenario import Kind, Mode, Scenario
@@ -158,17 +163,8 @@ def _cpu_counters(cpu):
     }
 
 
-def _base_report(scenario, world, status):
+def _world_counters(world):
     return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": {
-            "kind": scenario.kind.value,
-            "mode": scenario.mode.value,
-            "seed": scenario.seed,
-            "name": scenario.name,
-        },
-        "status": status,
-        "total_cycles": world.cycle,
         "cpu": _cpu_counters(world.cpu),
         "bus": _bus_counters(world),
         "conv": _dsp_counters(world.conv),
@@ -176,85 +172,103 @@ def _base_report(scenario, world, status):
     }
 
 
-def _run_conv(scenario, config):
-    world = World(config, with_cpu=scenario.mode is Mode.FULL_SYSTEM)
-    x, h = scenario_data(scenario)
-    world.write_words(scenario.in_addr, x)
-    world.write_words(scenario.kern_addr, h)
-
-    if scenario.mode is Mode.TESTBENCH:
-        base = CONV_BASE
-        from . import conv as regs
-
-        world.reg_write(base + regs.OFF_IN_ADDR, scenario.in_addr)
-        world.reg_write(base + regs.OFF_KERN_ADDR, scenario.kern_addr)
-        world.reg_write(base + regs.OFF_OUT_ADDR, scenario.out_addr)
-        world.reg_write(base + regs.OFF_IN_LEN, scenario.n)
-        world.reg_write(base + regs.OFF_KERN_LEN, scenario.k)
-        world.reg_write(base + regs.OFF_CONTROL, 1)
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
-    else:
-        world.rom.load(conv_driver(scenario.n, scenario.k, scenario.in_addr,
-                                   scenario.kern_addr, scenario.out_addr))
-        world.run_until_halt()
-
-    outputs = scenario.n - scenario.k + 1
-    y = world.read_words(scenario.out_addr, outputs)
-    report = _base_report(scenario, world, "ok")
-    report["scenario"].update({"n": scenario.n, "k": scenario.k})
-    w = ConvWorkload(scenario.n, scenario.k)
-    report["model"] = {
-        "sw_cycles": sw_conv_cycles(w),
-        "dsp_cycles": dsp_conv_cycles(w),
-        "c_cfg": DEFAULT_C_CFG,
-        "speedup": conv_speedup(w),
-    }
-    report["derived"] = {
+def _derived(config, model):
+    """Latencies of the model's software and accelerator cycle counts."""
+    return {
         "freq_hz": config.freq_hz,
-        "latency_sw_s": latency_seconds(sw_conv_cycles(w), config.freq_hz),
-        "latency_dsp_s": latency_seconds(dsp_conv_cycles(w), config.freq_hz),
+        "latency_sw_s": latency_seconds(model["sw_cycles"], config.freq_hz),
+        "latency_dsp_s": latency_seconds(model["dsp_cycles"], config.freq_hz),
     }
-    report["output"] = {"addr": scenario.out_addr, "words": y}
-    return report, world
 
 
-def _run_dot(scenario, config):
+def _report(scenario, mode, shape, total_cycles, model, config, **parts):
+    """The fields every report kind shares, plus the kind's own parts."""
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "scenario": {"kind": scenario.kind.value, "mode": mode.value,
+                     "seed": scenario.seed, "name": scenario.name, **shape},
+        "status": "ok",
+        "total_cycles": total_cycles,
+        "model": model,
+        "derived": _derived(config, model),
+        **parts,
+    }
+
+
+def _drive(scenario, config, dsp_name, base, writes, driver):
+    """Preload the scenario's two vectors, then start the DSP with host
+    register writes (testbench) or by running its ROM driver (full system)."""
     world = World(config, with_cpu=scenario.mode is Mode.FULL_SYSTEM)
     a, b = scenario_data(scenario)
     world.write_words(scenario.in_addr, a)
     world.write_words(scenario.kern_addr, b)
-
     if scenario.mode is Mode.TESTBENCH:
-        from . import dotprod as regs
-
-        base = DOT_BASE
-        world.reg_write(base + regs.OFF_VA_ADDR, scenario.in_addr)
-        world.reg_write(base + regs.OFF_VB_ADDR, scenario.kern_addr)
-        world.reg_write(base + regs.OFF_LEN, scenario.length)
-        world.reg_write(base + regs.OFF_CONTROL, 1)
-        world.run_until(lambda: world.dot.state is not DotState.RUN)
+        for offset, value in writes:
+            world.reg_write(base + offset, value)
+        dsp = getattr(world, dsp_name)
+        world.run_until(lambda: dsp.state is not DspState.RUN)
     else:
-        world.rom.load(dot_driver(scenario.length, scenario.in_addr,
-                                  scenario.kern_addr))
+        world.rom.load(driver())
         world.run_until_halt()
+    return world
 
-    report = _base_report(scenario, world, "ok")
-    report["scenario"].update({"l": scenario.length})
+
+def _run_conv(scenario, config):
+    n, k = scenario.n, scenario.k
+    addrs = (scenario.in_addr, scenario.kern_addr, scenario.out_addr)
+    world = _drive(scenario, config, "conv", CONV_BASE, (
+        (conv_regs.OFF_IN_ADDR, scenario.in_addr),
+        (conv_regs.OFF_KERN_ADDR, scenario.kern_addr),
+        (conv_regs.OFF_OUT_ADDR, scenario.out_addr),
+        (conv_regs.OFF_IN_LEN, n),
+        (conv_regs.OFF_KERN_LEN, k),
+        (conv_regs.OFF_CONTROL, 1)), lambda: conv_driver(n, k, *addrs))
+    w = ConvWorkload(n, k)
+    model = {"sw_cycles": sw_conv_cycles(w), "dsp_cycles": dsp_conv_cycles(w),
+             "c_cfg": DEFAULT_C_CFG, "speedup": conv_speedup(w)}
+    output = {"addr": scenario.out_addr,
+              "words": world.read_words(scenario.out_addr, w.outputs)}
+    return _report(scenario, scenario.mode, {"n": n, "k": k}, world.cycle,
+                   model, config, output=output, **_world_counters(world)), world
+
+
+def _run_dot(scenario, config):
     length = scenario.length
-    report["model"] = {
-        "sw_cycles": sw_dot_cycles(length),
-        "dsp_cycles": dsp_dot_cycles(length),
-        "sw_cycles_per_element_only": 10 * length,
-        "dsp_cycles_per_element_only": 3 * length,
-        "speedup": dot_speedup(length) if length else None,
-    }
-    report["derived"] = {
-        "freq_hz": config.freq_hz,
-        "latency_sw_s": latency_seconds(sw_dot_cycles(length), config.freq_hz),
-        "latency_dsp_s": latency_seconds(dsp_dot_cycles(length), config.freq_hz),
-    }
-    report["result"] = {"lo": world.dot.result_lo, "hi": world.dot.result_hi}
-    return report, world
+    world = _drive(scenario, config, "dot", DOT_BASE, (
+        (dot_regs.OFF_VA_ADDR, scenario.in_addr),
+        (dot_regs.OFF_VB_ADDR, scenario.kern_addr),
+        (dot_regs.OFF_LEN, length),
+        (dot_regs.OFF_CONTROL, 1)),
+        lambda: dot_driver(length, scenario.in_addr, scenario.kern_addr))
+    model = {"sw_cycles": sw_dot_cycles(length),
+             "dsp_cycles": dsp_dot_cycles(length),
+             "sw_cycles_per_element_only": sw_dot_cycles_rounded(length),
+             "dsp_cycles_per_element_only": dsp_dot_cycles_rounded(length),
+             "speedup": dot_speedup(length) if length else None}
+    result = {"lo": world.dot.result_lo, "hi": world.dot.result_hi}
+    return _report(scenario, scenario.mode, {"l": length}, world.cycle,
+                   model, config, result=result, **_world_counters(world)), world
+
+
+def _run_layer(scenario, config, shape, subs, dsp_name, macs):
+    """Run a layer as testbench sub-scenarios under one cycle budget for
+    the whole layer; the report sums their busy cycles, MACs and cycles."""
+    busy = done = cycles = 0
+    for sub in subs:
+        budget = replace(config, max_cycles=config.max_cycles - cycles)
+        try:
+            _, world = run_scenario(sub, budget)
+        except SimulationTimeout:
+            raise SimulationTimeout(f"exceeded {config.max_cycles} cycles") from None
+        dsp = getattr(world, dsp_name)
+        busy += dsp.busy_cycles
+        done += dsp.macs
+        cycles += world.cycle
+    model = {"macs": macs, "sw_cycles": PER_MAC_SW * macs,
+             "dsp_cycles": PER_MAC_DSP * macs}
+    return _report(scenario, Mode.TESTBENCH, shape, cycles, model, config,
+                   calls=len(subs),
+                   **{dsp_name: {"busy_cycles": busy, "macs": done}}), None
 
 
 def _run_cnn(scenario, config):
@@ -268,76 +282,25 @@ def _run_cnn(scenario, config):
     in_addr = DATA_BASE
     kern_addr = in_addr + 4 * n_pad
     out_addr = kern_addr + 4 * shape.k
-    total_busy = 0
-    total_macs = 0
-    total_cycles = 0
-    calls = []
-    for call in range(shape.c * shape.k_out):
-        sub = Scenario(kind=Kind.CONV, mode=Mode.TESTBENCH, n=n_pad,
-                       k=shape.k, seed=scenario.seed + call,
-                       in_addr=in_addr, kern_addr=kern_addr, out_addr=out_addr)
-        sub.validate()
-        report, world = _run_conv(sub, config)
-        total_busy += world.conv.busy_cycles
-        total_macs += world.conv.macs
-        total_cycles += world.cycle
-        calls.append({"busy_cycles": world.conv.busy_cycles,
-                      "macs": world.conv.macs})
-    sw_cycles, dsp_cycles = (10 * cnn_layer_macs(shape), 3 * cnn_layer_macs(shape))
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": {"kind": "cnn", "mode": "testbench", "seed": scenario.seed,
-                     "n": shape.n, "k": shape.k, "c": shape.c,
-                     "k_out": shape.k_out, "name": scenario.name},
-        "status": "ok",
-        "calls": len(calls),
-        "total_cycles": total_cycles,
-        "conv": {"busy_cycles": total_busy, "macs": total_macs},
-        "model": {"macs": cnn_layer_macs(shape), "sw_cycles": sw_cycles,
-                  "dsp_cycles": dsp_cycles},
-        "derived": {
-            "freq_hz": config.freq_hz,
-            "latency_sw_s": latency_seconds(sw_cycles, config.freq_hz),
-            "latency_dsp_s": latency_seconds(dsp_cycles, config.freq_hz),
-        },
-    }, None
+    subs = [Scenario(kind=Kind.CONV, n=n_pad, k=shape.k, seed=scenario.seed + call,
+                     in_addr=in_addr, kern_addr=kern_addr, out_addr=out_addr)
+            for call in range(shape.c * shape.k_out)]
+    return _run_layer(scenario, config, {"n": shape.n, "k": shape.k, "c": shape.c,
+                                         "k_out": shape.k_out},
+                      subs, "conv", cnn_layer_macs(shape))
 
 
 def _run_dense(scenario, config):
     """A dense layer is out_features dot products of length in_features."""
     va = DATA_BASE
     vb = va + 4 * scenario.in_features
-    total_busy = 0
-    total_macs = 0
-    total_cycles = 0
-    for call in range(scenario.out_features):
-        sub = Scenario(kind=Kind.DOT, mode=Mode.TESTBENCH,
-                       length=scenario.in_features,
-                       seed=scenario.seed + call, in_addr=va, kern_addr=vb)
-        sub.validate()
-        report, world = _run_dot(sub, config)
-        total_busy += world.dot.busy_cycles
-        total_macs += world.dot.macs
-        total_cycles += world.cycle
-    macs = dense_layer_macs(scenario.in_features, scenario.out_features)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": {"kind": "dense", "mode": "testbench",
-                     "seed": scenario.seed,
-                     "in_features": scenario.in_features,
-                     "out_features": scenario.out_features,
-                     "name": scenario.name},
-        "status": "ok",
-        "calls": scenario.out_features,
-        "total_cycles": total_cycles,
-        "dot": {"busy_cycles": total_busy, "macs": total_macs},
-        "model": {"macs": macs, "sw_cycles": 10 * macs, "dsp_cycles": 3 * macs},
-        "derived": {
-            "freq_hz": config.freq_hz,
-            "latency_sw_s": latency_seconds(10 * macs, config.freq_hz),
-            "latency_dsp_s": latency_seconds(3 * macs, config.freq_hz),
-        },
-    }, None
+    subs = [Scenario(kind=Kind.DOT, length=scenario.in_features,
+                     seed=scenario.seed + call, in_addr=va, kern_addr=vb)
+            for call in range(scenario.out_features)]
+    return _run_layer(scenario, config, {"in_features": scenario.in_features,
+                                         "out_features": scenario.out_features},
+                      subs, "dot",
+                      dense_layer_macs(scenario.in_features, scenario.out_features))
 
 
 def run_scenario(scenario, config=None):

@@ -1,6 +1,6 @@
 import json
 
-from rvdsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from rvdsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VALIDATION, main
 
 
 def write_scenario(tmp_path, body, name="scenario.cfg"):
@@ -108,6 +108,32 @@ seed = 2
         assert main(["run", "--scenario", path]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["dot"]["busy_cycles"] == 16
+
+    def test_max_cycles_bounds_whole_layer(self, tmp_path, capsys):
+        # cnn: 6 conv calls of 214 cycles; dense: 4 dot calls of 29 cycles.
+        # Every call fits the budget on its own, the layer does not.
+        cnn = write_scenario(tmp_path, """
+[scenario]
+kind = "cnn"
+n = 16
+k = 4
+c = 2
+k_out = 3
+""", "cnn.cfg")
+        dense = write_scenario(tmp_path, """
+[scenario]
+kind = "dense"
+in_features = 8
+out_features = 4
+""", "dense.cfg")
+        assert main(["run", "--scenario", cnn, "--max-cycles", "300"]) == EXIT_TIMEOUT
+        assert "exceeded 300 cycles" in capsys.readouterr().err
+        assert main(["run", "--scenario", dense, "--max-cycles", "60"]) == EXIT_TIMEOUT
+        assert main(["run", "--scenario", cnn, "--max-cycles", "1283"]) == EXIT_TIMEOUT
+        capsys.readouterr()
+        assert main(["run", "--scenario", cnn, "--max-cycles", "1284"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["total_cycles"] == 1284
+        assert main(["run", "--scenario", dense, "--max-cycles", "116"]) == EXIT_OK
 
 
 class TestModel:

@@ -58,7 +58,10 @@ class TestRegisterFile:
         world = World(SimConfig())
         world.reg_write(CONV_BASE + regs.OFF_STATUS, 5)
         assert world.reg_read(CONV_BASE + regs.OFF_STATUS) == 0
-        assert world.conv.readonly_write_warnings == 1
+        world, _ = run_conv([1, 2], [1])
+        world.reg_write(CONV_BASE + regs.OFF_STATUS, 0)
+        assert world.reg_read(CONV_BASE + regs.OFF_STATUS) == 0b01
+        assert world.conv.state is ConvState.DONE
 
     def test_irq_clear_reads_zero(self):
         world = World(SimConfig())
@@ -167,7 +170,8 @@ class TestLifecycle:
         world = World(SimConfig())
         start_conv(world, list(range(20)), [1, 2, 3, 4])
         world.reg_write(CONV_BASE + regs.OFF_IN_LEN, 9999)
-        assert world.conv.ignored_writes == 1
+        assert world.conv.state is ConvState.RUN
+        assert world.reg_read(CONV_BASE + regs.OFF_IN_LEN) == 20
         world.run_until(lambda: world.conv.state is not ConvState.RUN)
         assert world.read_words(OUT, 17) == conv1d(list(range(20)), [1, 2, 3, 4])
 

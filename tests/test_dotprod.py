@@ -48,7 +48,12 @@ class TestRegisterFile:
         world.reg_write(DOT_BASE + regs.OFF_RESULT_HI, 0x5678)
         assert world.reg_read(DOT_BASE + regs.OFF_RESULT_LO) == 0
         assert world.reg_read(DOT_BASE + regs.OFF_RESULT_HI) == 0
-        assert world.dot.readonly_write_warnings == 2
+        world, result = run_dot([-3], [5])
+        world.reg_write(DOT_BASE + regs.OFF_RESULT_LO, 0x1234)
+        world.reg_write(DOT_BASE + regs.OFF_RESULT_HI, 0x5678)
+        assert world.reg_read(DOT_BASE + regs.OFF_RESULT_LO) == u64(-15) & 0xFFFF_FFFF
+        assert world.reg_read(DOT_BASE + regs.OFF_RESULT_HI) == u64(-15) >> 32
+        assert result == u64(-15)
 
     def test_unknown_offset_is_bus_error(self):
         world = World(SimConfig())
@@ -131,7 +136,8 @@ class TestLifecycle:
         world = World(SimConfig())
         start_dot(world, list(range(16)), list(range(16)))
         world.reg_write(DOT_BASE + regs.OFF_LEN, 1)
-        assert world.dot.ignored_writes == 1
+        assert world.dot.state is DotState.RUN
+        assert world.reg_read(DOT_BASE + regs.OFF_LEN) == 16
         world.run_until(lambda: world.dot.state is not DotState.RUN)
         assert world.dot.macs == 16
 
