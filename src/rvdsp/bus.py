@@ -3,16 +3,20 @@
 DataMem is single-port, so at most one DataMem transaction completes
 per cycle; the arbiter is fixed-priority CPU > conv DSP > dot DSP.
 Register-space (AXI-Lite) accesses bypass the arbiter and always
-complete in the cycle they are posted.
+complete in the cycle they are posted.  The CPU posts a
+``BusTransaction``; each DSP's ``MmiPort`` is served in place while
+``req and not done``.  Word-aligned DataMem addresses index the SRAM
+directly; only other addresses go through ``decode_address``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bits import u32
-from .memmap import MisalignedAddressError, Region, decode_address
+from .memmap import (DATA_BASE, DATA_END, MisalignedAddressError, Region,
+                     decode_address)
 
 
 class Requester(enum.Enum):
@@ -21,10 +25,13 @@ class Requester(enum.Enum):
     DOT = "dot"
 
 
+_CPU, _CONV = Requester.CPU, Requester.CONV
+_MASK = 0xFFFF_FFFF
+
+
 class TxState(enum.Enum):
     PENDING = 0
-    GRANTED = 1
-    DONE = 2
+    DONE = 1
 
 
 @dataclass
@@ -41,24 +48,21 @@ class BusTransaction:
 
 @dataclass
 class MmiPort:
-    """DSP-side memory master handshake (request/ready/done)."""
+    """DSP-side memory master handshake (request/done)."""
 
     req: bool = False
     addr: int = 0
     wr_en: bool = False
     wrdata: int = 0
-    ready: bool = False
     rddata: int = 0
     done: bool = False
     error: str | None = None
-    inflight: bool = field(default=False, repr=False)
 
     def request_read(self, addr):
         self.req = True
         self.wr_en = False
         self.addr = addr
         self.done = False
-        self.ready = False
         self.error = None
 
     def request_write(self, addr, wdata):
@@ -67,13 +71,11 @@ class MmiPort:
         self.addr = addr
         self.wrdata = u32(wdata)
         self.done = False
-        self.ready = False
         self.error = None
 
     def clear(self):
         self.req = False
         self.done = False
-        self.ready = False
 
 
 class RegisterAccessError(Exception):
@@ -97,94 +99,99 @@ class Bus:
         self.sram = sram
         self.conv = conv
         self.dot = dot
-        self.slots = {r: None for r in Requester}
-        self.grants = {r: 0 for r in Requester}
-        self.stalls = {r: 0 for r in Requester}
+        self._ports = (conv.mmi, dot.mmi)
+        self._cpu_tx = None
+        self._grants = [0, 0, 0]  # indexed in priority order: CPU, conv, dot
+        self._stalls = [0, 0, 0]
         self.register_accesses = 0
 
+    # DataMem grants and lost arbitration cycles, keyed by Requester
+    grants = property(lambda self: dict(zip(Requester, self._grants)))
+    stalls = property(lambda self: dict(zip(Requester, self._stalls)))
+
     def post(self, tx):
-        if self.slots[tx.requester] is not None:
-            raise RuntimeError(f"{tx.requester.value} already has a transaction in flight")
-        self.slots[tx.requester] = tx
+        """Post the CPU's transaction; DSPs request through their MmiPort."""
+        if self._cpu_tx is not None:
+            raise RuntimeError("cpu already has a transaction in flight")
+        self._cpu_tx = tx
 
-    def _pull_mmi(self):
-        for requester, dsp in ((Requester.CONV, self.conv), (Requester.DOT, self.dot)):
-            port = dsp.mmi
-            if port.req and not port.inflight and not port.done:
-                self.post(BusTransaction(requester, port.addr, port.wr_en, port.wrdata))
-                port.inflight = True
-
-    def _finish(self, tx, rdata=0, error=None):
-        tx.rdata = u32(rdata)
-        tx.error = error
-        tx.state = TxState.DONE
-        self.slots[tx.requester] = None
-        if tx.requester in (Requester.CONV, Requester.DOT):
-            dsp = self.conv if tx.requester is Requester.CONV else self.dot
-            port = dsp.mmi
-            port.inflight = False
-            port.ready = True
-            port.done = True
-            port.rddata = tx.rdata
-            port.error = error
-
-    def _route_register(self, tx, dsp):
-        _, offset = decode_address(tx.addr)
-        offset &= 0xFF
-        self.register_accesses += 1
+    def _route(self, addr, write, wdata):
+        """Serve an access outside DataMem this cycle: (rdata, error)."""
         try:
-            if tx.write:
-                dsp.axi_write(offset, tx.wdata)
-                self._finish(tx)
-            else:
-                self._finish(tx, rdata=dsp.axi_read(offset))
-        except RegisterAccessError as exc:
-            self._finish(tx, error=str(exc))
+            region, offset = decode_address(addr)
+        except MisalignedAddressError as exc:
+            return 0, str(exc)
+        if region is Region.INST_MEM:
+            if write:
+                return 0, f"write to ROM at 0x{addr:08x}"
+            return self.rom.read_word(offset), None
+        if region is Region.CONV_REGS or region is Region.DOT_REGS:
+            dsp = self.conv if region is Region.CONV_REGS else self.dot
+            self.register_accesses += 1
+            try:
+                if write:
+                    dsp.axi_write(offset, wdata)
+                    return 0, None
+                return dsp.axi_read(offset), None
+            except RegisterAccessError as exc:
+                return 0, str(exc)
+        if region is Region.RESERVED:
+            return 0, None
+        return 0, f"unmapped address 0x{addr:08x}"
 
     def step(self):
         """Resolve one bus cycle: route register space, arbitrate DataMem."""
-        self._pull_mmi()
-        datamem = []
-        for requester in Requester:
-            tx = self.slots[requester]
-            if tx is None:
-                continue
-            try:
-                region, offset = decode_address(tx.addr)
-            except MisalignedAddressError as exc:
-                self._finish(tx, error=str(exc))
-                continue
-            if region is Region.DATA_MEM:
-                datamem.append((requester, tx, offset))
-            elif region is Region.INST_MEM:
-                if tx.write:
-                    self._finish(tx, error=f"write to ROM at 0x{tx.addr:08x}")
-                else:
-                    self._finish(tx, rdata=self.rom.read_word(offset))
-            elif region is Region.CONV_REGS:
-                self._route_register(tx, self.conv)
-            elif region is Region.DOT_REGS:
-                self._route_register(tx, self.dot)
-            elif region is Region.RESERVED:
-                self._finish(tx, rdata=0)
-            else:
-                self._finish(tx, error=f"unmapped address 0x{tx.addr:08x}")
-
-        if not datamem:
+        cpu = conv = dot = False  # word-aligned DataMem requests this cycle
+        tx = self._cpu_tx
+        if tx is not None:
+            cpu_addr = tx.addr & _MASK
+            cpu = not cpu_addr & 3 and DATA_BASE <= cpu_addr <= DATA_END
+            if not cpu:
+                tx.rdata, tx.error = self._route(cpu_addr, tx.write, tx.wdata)
+                self._cpu_tx, tx.state = None, TxState.DONE
+        conv_port, dot_port = self._ports
+        if conv_port.req and not conv_port.done:
+            conv_addr = conv_port.addr & _MASK
+            conv = not conv_addr & 3 and DATA_BASE <= conv_addr <= DATA_END
+            if not conv:
+                conv_port.rddata, conv_port.error = self._route(
+                    conv_addr, conv_port.wr_en, conv_port.wrdata)
+                conv_port.done = True
+        if dot_port.req and not dot_port.done:
+            dot_addr = dot_port.addr & _MASK
+            dot = not dot_addr & 3 and DATA_BASE <= dot_addr <= DATA_END
+            if not dot:
+                dot_port.rddata, dot_port.error = self._route(
+                    dot_addr, dot_port.wr_en, dot_port.wrdata)
+                dot_port.done = True
+        if not (cpu or conv or dot):
             return
-        pending = {r: False for r in Requester}
-        for requester, _, _ in datamem:
-            pending[requester] = True
-        winner = arbitrate(pending[Requester.CPU], pending[Requester.CONV], pending[Requester.DOT])
-        for requester, tx, offset in datamem:
-            if requester is not winner:
-                tx.state = TxState.PENDING
-                self.stalls[requester] += 1
-                continue
-            tx.state = TxState.GRANTED
-            self.grants[requester] += 1
-            if tx.write:
-                self.sram.write_word(offset, tx.wdata, tx.wstrb)
-                self._finish(tx)
+
+        winner = arbitrate(cpu, conv, dot)
+        words = self.sram.words
+        if winner is _CPU:
+            self._grants[0] += 1
+            self._stalls[1] += conv
+            self._stalls[2] += dot
+            offset = cpu_addr - DATA_BASE
+            if not tx.write:
+                tx.rdata = words[offset >> 2]
+            elif tx.wstrb == 0b1111:
+                words[offset >> 2] = tx.wdata & _MASK
             else:
-                self._finish(tx, rdata=self.sram.read_word(offset))
+                self.sram.write_word(offset, tx.wdata, tx.wstrb)
+            self._cpu_tx, tx.state = None, TxState.DONE
+            return
+        if winner is _CONV:
+            self._grants[1] += 1
+            self._stalls[2] += dot
+            port, addr = conv_port, conv_addr
+        else:
+            self._grants[2] += 1
+            port, addr = dot_port, dot_addr
+        if port.wr_en:
+            words[(addr - DATA_BASE) >> 2] = port.wrdata
+            port.rddata = 0
+        else:
+            port.rddata = words[(addr - DATA_BASE) >> 2]
+        port.done = True

@@ -4,15 +4,18 @@ File grammar (a strict TOML subset, documented in the README):
   - `[section]` lines open a section; keys before any section are an error
   - `key = value` with value one of: integer (decimal or 0x hex), `true`,
     `false`, or a double-quoted string
-  - `#` starts a comment; blank lines are ignored
+  - `#` outside a double-quoted string starts a comment; blank lines
+    are ignored
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import combinations
 
-from .memmap import DATA_BASE, DATA_END, buffer_in_datamem
+from .memmap import DATA_BASE, DATA_END, buffer_in_datamem, parse_hexwords
 
 # default buffer placement mirrors the register-map usage example
 DEFAULT_IN_ADDR = 0x0000_8000
@@ -74,6 +77,8 @@ class Scenario:
                 e if e is not None else p for e, p in zip(explicit, packed))
 
     def validate(self):
+        if self.kind in (Kind.CNN_LAYER, Kind.DENSE_LAYER) and self.mode is Mode.FULL_SYSTEM:
+            raise ScenarioError(f"{self.kind.value} layers run in testbench mode only")
         if self.kind is Kind.CONV:
             if not 1 <= self.k <= self.n:
                 raise ScenarioError(f"conv needs 1 <= k <= n, got k={self.k} n={self.n}")
@@ -92,6 +97,9 @@ class Scenario:
                 raise ScenarioError("dense layer needs positive in/out features")
 
     def _check_buffers(self, len_a, len_b, len_out, dot=False):
+        for name, words, want in (("x", self.x_data, len_a), ("h", self.h_data, len_b)):
+            if words is not None and len(words) != want:
+                raise ScenarioError(f"{name} data has {len(words)} words, needs {want}")
         buffers = [("a", self.in_addr, len_a), ("b", self.kern_addr, len_b)]
         if not dot:
             buffers.append(("out", self.out_addr, len_out))
@@ -100,14 +108,10 @@ class Scenario:
             if not buffer_in_datamem(base, words):
                 raise ScenarioError(
                     f"{name} buffer [0x{base:08x}, +{4 * words}) not in DataMem")
-            ranges.append((base, base + 4 * max(words, 1)))
-        for i in range(len(ranges)):
-            for j in range(i + 1, len(ranges)):
-                a0, a1 = ranges[i]
-                b0, b1 = ranges[j]
-                if a0 < b1 and b0 < a1:
-                    raise ScenarioError(
-                        f"{buffers[i][0]} and {buffers[j][0]} buffers overlap")
+            ranges.append((name, base, base + 4 * max(words, 1)))
+        for (p, a0, a1), (q, b0, b1) in combinations(ranges, 2):
+            if a0 < b1 and b0 < a1:
+                raise ScenarioError(f"{p} and {q} buffers overlap")
 
 
 def _parse_value(raw, lineno):
@@ -122,12 +126,16 @@ def _parse_value(raw, lineno):
         raise ScenarioError(f"line {lineno}: cannot parse value {raw!r}") from None
 
 
+# a line up to its first '#' outside a double-quoted string
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*")*')
+
+
 def parse_flat_config(text):
     """Parse the sectioned key-value grammar into nested dicts."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -173,8 +181,6 @@ def load_scenario(path):
     data = sections.get("data", {})
     for key, attr in (("x_file", "x_data"), ("h_file", "h_data")):
         if key in data:
-            from .memmap import parse_hexwords
-
             with open(data[key], encoding="utf-8") as fh:
                 setattr(sc, attr, [w for _, w in parse_hexwords(fh.read())])
     sc.validate()

@@ -136,8 +136,8 @@ def scenario_data(scenario):
 
 def _bus_counters(world):
     return {
-        "datamem_grants": {r.value: world.bus.grants[r] for r in Requester},
-        "datamem_stalls": {r.value: world.bus.stalls[r] for r in Requester},
+        "datamem_grants": {r.value: n for r, n in world.bus.grants.items()},
+        "datamem_stalls": {r.value: n for r, n in world.bus.stalls.items()},
         "register_accesses": world.bus.register_accesses,
     }
 

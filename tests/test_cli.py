@@ -75,6 +75,51 @@ h_file = "{h_path}"
         report = json.loads(capsys.readouterr().out)
         assert report["output"]["words"] == [3, 5, 7]
 
+    def test_data_file_lengths_must_match(self, tmp_path, capsys):
+        # conv n=4 k=2 needs 4 x words and 2 h words; dot l=8 needs 8 and 8
+        def hexfile(name, count):
+            path = tmp_path / name
+            path.write_text("".join(f"{i + 1:08X}\n" for i in range(count)))
+            return path
+
+        def run(kind_lines, x_words, h_words):
+            body = f"""
+[scenario]
+{kind_lines}
+
+[data]
+x_file = "{hexfile("x.hex", x_words)}"
+h_file = "{hexfile("h.hex", h_words)}"
+"""
+            return main(["run", "--scenario", write_scenario(tmp_path, body)])
+
+        conv = 'kind = "conv"\nn = 4\nk = 2'
+        dot = 'kind = "dot"\nl = 8'
+        for lines, x_words, h_words in ((conv, 1, 2), (conv, 5, 2), (conv, 4, 1),
+                                        (conv, 4, 3), (dot, 1, 2), (dot, 8, 7),
+                                        (dot, 9, 8), (dot, 8, 9)):
+            assert run(lines, x_words, h_words) == EXIT_VALIDATION, (lines, x_words, h_words)
+            assert "data has" in capsys.readouterr().err
+        assert run(conv, 4, 2) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["output"]["words"] == [5, 8, 11]
+        assert run(dot, 8, 8) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["lo"] == 204
+
+    def test_layers_reject_full_system_mode(self, tmp_path, capsys):
+        for body in ('kind = "cnn"\nn = 16\nk = 4\nc = 2\nk_out = 3',
+                     'kind = "dense"\nin_features = 8\nout_features = 4'):
+            path = write_scenario(tmp_path, f'[scenario]\n{body}\nmode = "full_system"\n')
+            assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+            assert "testbench mode only" in capsys.readouterr().err
+            path = write_scenario(tmp_path, f'[scenario]\n{body}\n')
+            assert main(["run", "--scenario", path]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["scenario"]["mode"] == "testbench"
+
+    def test_hash_inside_quoted_value(self, tmp_path, capsys):
+        body = CONV_SCENARIO + 'name = "a#b"   # trailing comment "x#y"\n'
+        assert main(["run", "--scenario", write_scenario(tmp_path, body)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scenario"]["name"] == "a#b"
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.cfg"]) == EXIT_CONFIG
 

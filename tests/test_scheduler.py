@@ -1,10 +1,16 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import conv1d, conv_partial_accum, dot
+from rvdsp import conv as conv_regs
+from rvdsp import dotprod as dot_regs
+from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u64
-from rvdsp.bus import BusTransaction, Requester
+from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
-from rvdsp.memmap import DATA_BASE
+from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
 from rvdsp.prng import SplitMix64
 from rvdsp.scenario import Kind, Mode, Scenario
 from rvdsp.scheduler import (SimConfig, World, report_to_json, run_scenario,
@@ -125,6 +131,85 @@ class TestContention:
         y = world.read_words(sc.out_addr, sc.n - sc.k + 1)
         expect = conv1d([s32(v) for v in x], [s32(v) for v in h])
         assert y == expect  # results unaffected, only timing
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_cpu_traffic_only_adds_stalls(self, data):
+        # A random per-cycle pattern of CPU DataMem reads and (strobed)
+        # writes to a scratch block, posted while a DSP runs: every CPU
+        # post is granted at once, each lost DSP arbitration costs exactly
+        # one busy cycle, and the DSP output is unaffected.
+        if data.draw(st.booleans(), label="conv"):
+            n = data.draw(st.integers(1, 20), label="n")
+            k = data.draw(st.integers(1, n), label="k")
+            sc = Scenario(kind=Kind.CONV, n=n, k=k, seed=data.draw(st.integers(0, 99)))
+            sc.validate()
+            unit, base, form = "conv", CONV_BASE, (n - k + 1) * (3 * k + 1)
+            grants = 2 * (n - k + 1) * k + (n - k + 1)
+            writes = ((conv_regs.OFF_IN_ADDR, sc.in_addr),
+                      (conv_regs.OFF_KERN_ADDR, sc.kern_addr),
+                      (conv_regs.OFF_OUT_ADDR, sc.out_addr),
+                      (conv_regs.OFF_IN_LEN, n), (conv_regs.OFF_KERN_LEN, k),
+                      (conv_regs.OFF_CONTROL, 1))
+        else:
+            length = data.draw(st.integers(0, 20), label="l")
+            sc = Scenario(kind=Kind.DOT, length=length,
+                          seed=data.draw(st.integers(0, 99)))
+            sc.validate()
+            unit, base, form, grants = "dot", DOT_BASE, 3 * length + 1, 2 * length
+            writes = ((dot_regs.OFF_VA_ADDR, sc.in_addr),
+                      (dot_regs.OFF_VB_ADDR, sc.kern_addr),
+                      (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1))
+        write_op = st.tuples(st.integers(0, 0xFFFF_FFFF), st.integers(1, 15))
+        pattern = data.draw(st.lists(
+            st.none() | st.tuples(st.integers(0, 15), st.none() | write_op),
+            max_size=300), label="pattern")
+
+        world = World(SimConfig())
+        a, b = scenario_data(sc)
+        world.write_words(sc.in_addr, a)
+        world.write_words(sc.kern_addr, b)
+        for offset, value in writes:
+            world.reg_write(base + offset, value)
+        dsp = getattr(world, unit)
+        scratch_base = DATA_BASE + 0x4000
+        scratch = [0] * 16
+        posts = cycle = 0
+        while dsp.state is DspState.RUN:
+            op = pattern[cycle] if cycle < len(pattern) else None
+            cycle += 1
+            if op is None:
+                world.step()
+                continue
+            word, write = op
+            if write is None:
+                tx = BusTransaction(Requester.CPU, scratch_base + 4 * word)
+                expect = scratch[word]
+            else:
+                value, strobe = write
+                mask = sum(0xFF << (8 * lane) for lane in range(4) if strobe >> lane & 1)
+                scratch[word] = (scratch[word] & ~mask) | (value & mask)
+                tx = BusTransaction(Requester.CPU, scratch_base + 4 * word,
+                                    write=True, wdata=value, wstrb=strobe)
+                expect = 0
+            world.bus.post(tx)
+            posts += 1
+            world.step()
+            assert tx.state is TxState.DONE and tx.error is None
+            assert tx.rdata == expect
+        assert dsp.state is DspState.DONE and not dsp.status_error
+        assert world.read_words(scratch_base, 16) == scratch
+
+        stalls = world.bus.stalls[Requester(unit)]
+        assert dsp.busy_cycles == form + stalls
+        assert world.bus.grants[Requester(unit)] == grants
+        assert world.bus.grants[Requester.CPU] == posts
+        assert world.bus.stalls[Requester.CPU] == 0
+        if unit == "conv":
+            assert world.read_words(sc.out_addr, sc.n - sc.k + 1) == conv1d(a, b)
+        else:
+            got = (world.dot.result_hi << 32) | world.dot.result_lo
+            assert got == u64(dot(a, b))
 
 
 class TestTrace:
