@@ -10,7 +10,9 @@ clears STATUS and returns a DONE unit to IDLE.
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
 its configuration in ``_start``, and implements the per-cycle datapath
-in ``step``.
+in ``step``.  Beside it, ``output_span`` and ``run_output`` perform one
+whole output at once for ``World.run_until`` when the unit is the only
+DataMem requester; the result is exactly that of stepping those cycles.
 """
 
 from __future__ import annotations

@@ -109,6 +109,17 @@ class Bus:
     grants = property(lambda self: dict(zip(Requester, self._grants)))
     stalls = property(lambda self: dict(zip(Requester, self._stalls)))
 
+    @property
+    def cpu_posted(self):
+        """True while a CPU transaction waits on the bus."""
+        return self._cpu_tx is not None
+
+    def credit_grants(self, port, count):
+        """Count `count` DataMem grants to the DSP behind `port` whose
+        accesses were served without arbitration (a lone requester
+        fast-forwarded by ``World.run_until``)."""
+        self._grants[1 + self._ports.index(port)] += count
+
     def post(self, tx):
         """Post the CPU's transaction; DSPs request through their MmiPort."""
         if self._cpu_tx is not None:

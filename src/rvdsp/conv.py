@@ -10,11 +10,12 @@ folded into the output-write cycle, so there is no separate init state.
 from __future__ import annotations
 
 import enum
+from operator import mul
 
 from .accel import DspState, MmioAccelerator
 from .bits import s32, s64
 from .mac import Truncation, truncate_accumulator
-from .memmap import buffer_in_datamem
+from .memmap import DATA_BASE, buffer_in_datamem
 
 OFF_IN_ADDR = 0x00
 OFF_KERN_ADDR = 0x04
@@ -107,3 +108,37 @@ class ConvDsp(MmioAccelerator):
                 self._finish()
             else:
                 self._sub = _Sub.POST_X
+
+    def output_span(self):
+        """Cycles of the next whole output, 3K+1, at an output boundary;
+        0 anywhere else."""
+        if self._sub is _Sub.POST_X and self.kern_idx == 0:
+            return 3 * self._cfg[4] + 1
+        return 0
+
+    def run_output(self, words):
+        """The K taps and the output write that ``step`` performs over the
+        next 3K+1 cycles when no other requester touches DataMem, read from
+        and written to the SRAM `words` directly.  All reads precede the
+        write, so an output buffer overlapping the input reads what the
+        stepped path reads.  Returns the DataMem grants used, 2K+1."""
+        in_addr, kern_addr, out_addr, n, k = self._cfg
+        x0 = ((in_addr - DATA_BASE) >> 2) + self.out_idx
+        h0 = (kern_addr - DATA_BASE) >> 2
+        xs = [s32(w) for w in words[x0:x0 + k]]
+        accum = s64(self.accum + sum(map(mul, xs, map(s32, words[h0:h0 + k]))))
+        value = truncate_accumulator(accum, self.truncation)
+        out = out_addr + 4 * self.out_idx
+        words[(out - DATA_BASE) >> 2] = value
+        mmi = self.mmi
+        mmi.request_write(out, value)
+        mmi.rddata = 0  # the bus answers a write with 0
+        mmi.clear()
+        self._x_val = xs[-1]
+        self.busy_cycles += 3 * k + 1
+        self.macs += k
+        self.out_idx += 1
+        if self.out_idx == n - k + 1:
+            self._sub = _Sub.WAIT_Y
+            self._finish()
+        return 2 * k + 1

@@ -8,10 +8,11 @@ Same memory-master timing as the convolution unit: 3 cycles per element
 from __future__ import annotations
 
 import enum
+from operator import mul
 
 from .accel import DspState, MmioAccelerator
 from .bits import s32, s64, u64
-from .memmap import buffer_in_datamem
+from .memmap import DATA_BASE, buffer_in_datamem
 
 OFF_VA_ADDR = 0x00
 OFF_VB_ADDR = 0x04
@@ -83,8 +84,41 @@ class DotDsp(MmioAccelerator):
             self.vec_idx += 1
             mmi.clear()
             self._sub = _Sub.FINALIZE if self.vec_idx == length else _Sub.POST_A
-        else:  # FINALIZE: latch the architectural 64-bit result
-            bits = u64(self.accum)
-            self.result_lo = bits & 0xFFFF_FFFF
-            self.result_hi = bits >> 32
-            self._finish()
+        else:
+            self._finalize()
+
+    def _finalize(self):
+        """Latch the architectural 64-bit result and finish."""
+        bits = u64(self.accum)
+        self.result_lo = bits & 0xFFFF_FFFF
+        self.result_hi = bits >> 32
+        self._finish()
+
+    def output_span(self):
+        """Cycles of the whole product plus FINALIZE, 3L+1, before its first
+        element (L > 0: an empty product starts in FINALIZE); 0 after."""
+        if self._sub is _Sub.POST_A and self.vec_idx == 0:
+            return 3 * self._cfg[2] + 1
+        return 0
+
+    def run_output(self, words):
+        """The L MACs and FINALIZE that ``step`` performs over the next
+        3L+1 cycles when no other requester touches DataMem, read from the
+        SRAM `words` directly.  Returns the DataMem grants used, 2L."""
+        va, vb, length = self._cfg
+        a0 = (va - DATA_BASE) >> 2
+        b0 = (vb - DATA_BASE) >> 2
+        a = words[a0:a0 + length]
+        b = words[b0:b0 + length]
+        self.accum = s64(self.accum + sum(map(mul, map(s32, a), map(s32, b))))
+        mmi = self.mmi
+        mmi.request_read(vb + 4 * (length - 1))
+        mmi.rddata = b[-1]
+        mmi.clear()
+        self._a_val = s32(a[-1])
+        self.busy_cycles += 3 * length + 1
+        self.macs += length
+        self.vec_idx = length
+        self._sub = _Sub.FINALIZE
+        self._finalize()
+        return 2 * length

@@ -6,6 +6,8 @@ File grammar (a strict TOML subset, documented in the README):
     `false`, or a double-quoted string
   - `#` outside a double-quoted string starts a comment; blank lines
     are ignored
+  - only the sections and keys in `SCENARIO_KEYS` are accepted, each at
+    most once, and each value must have the type listed there
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ class Kind(enum.Enum):
     DOT = "dot"
     CNN_LAYER = "cnn"
     DENSE_LAYER = "dense"
+
+
+# the integer [scenario] keys each kind reads besides seed
+_KIND_KEYS = {
+    Kind.CONV: {"n", "k", "in_addr", "kern_addr", "out_addr"},
+    Kind.DOT: {"l", "length", "in_addr", "kern_addr"},
+    Kind.CNN_LAYER: {"n", "k", "c", "k_out"},
+    Kind.DENSE_LAYER: {"in_features", "out_features"},
+}
+
+# every section and key a scenario file may set, with its value's type
+SCENARIO_KEYS = {
+    "scenario": {"kind": str, "mode": str, "name": str, "seed": int,
+                 **{key: int for keys in _KIND_KEYS.values() for key in keys}},
+    "data": {"x_file": str, "h_file": str},
+}
 
 
 class ScenarioError(Exception):
@@ -77,8 +95,12 @@ class Scenario:
                 e if e is not None else p for e, p in zip(explicit, packed))
 
     def validate(self):
-        if self.kind in (Kind.CNN_LAYER, Kind.DENSE_LAYER) and self.mode is Mode.FULL_SYSTEM:
-            raise ScenarioError(f"{self.kind.value} layers run in testbench mode only")
+        if self.kind in (Kind.CNN_LAYER, Kind.DENSE_LAYER):
+            if self.mode is Mode.FULL_SYSTEM:
+                raise ScenarioError(f"{self.kind.value} layers run in testbench mode only")
+            if self.x_data is not None or self.h_data is not None:
+                raise ScenarioError(f"{self.kind.value} layers generate their own data; "
+                                    "x_file/h_file apply to conv and dot only")
         if self.kind is Kind.CONV:
             if not 1 <= self.k <= self.n:
                 raise ScenarioError(f"conv needs 1 <= k <= n, got k={self.k} n={self.n}")
@@ -130,8 +152,14 @@ def _parse_value(raw, lineno):
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*")*')
 
 
-def parse_flat_config(text):
-    """Parse the sectioned key-value grammar into nested dicts."""
+def parse_flat_config(text, schema):
+    """Parse the sectioned key-value grammar into nested dicts.
+
+    `schema` maps each allowed section to its allowed keys and their value
+    types; an unknown section or key, a section or key given twice, or a
+    value of another type (``true`` is not an integer) is rejected with
+    its line.
+    """
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,43 +168,63 @@ def parse_flat_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
+            if name not in schema:
+                raise ScenarioError(f"line {lineno}: unknown section [{name}]")
+            if name in sections:
+                raise ScenarioError(f"line {lineno}: duplicate section [{name}]")
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key = value")
         if current is None:
             raise ScenarioError(f"line {lineno}: key before any [section]")
-        key, raw_value = line.split("=", 1)
-        current[key.strip()] = _parse_value(raw_value, lineno)
+        key, raw_value = (part.strip() for part in line.split("=", 1))
+        want = schema[name].get(key)
+        if want is None:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{name}]")
+        if key in current:
+            raise ScenarioError(f"line {lineno}: duplicate key {key!r} in [{name}]")
+        value = _parse_value(raw_value, lineno)
+        if type(value) is not want:
+            raise ScenarioError(
+                f"line {lineno}: {key} must be "
+                f"{'an integer' if want is int else 'a string'}, got {raw_value}")
+        current[key] = value
     return sections
 
 
 def load_scenario(path):
     with open(path, encoding="utf-8") as fh:
-        sections = parse_flat_config(fh.read())
+        sections = parse_flat_config(fh.read(), SCENARIO_KEYS)
     body = sections.get("scenario")
     if body is None:
         raise ScenarioError("missing [scenario] section")
+    if "l" in body and "length" in body:
+        raise ScenarioError("l and length name the same key; set one")
     try:
         kind = Kind(body.get("kind", "conv"))
         mode = Mode(body.get("mode", "testbench"))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+    unused = set(body) - {"kind", "mode", "name", "seed"} - _KIND_KEYS[kind]
+    if unused:
+        raise ScenarioError(f"{kind.value} scenarios do not use "
+                            f"{', '.join(sorted(unused))}")
     sc = Scenario(
         kind=kind,
         mode=mode,
-        n=int(body.get("n", 0)),
-        k=int(body.get("k", 0)),
-        length=int(body.get("l", body.get("length", 0))),
-        c=int(body.get("c", 0)),
-        k_out=int(body.get("k_out", 0)),
-        in_features=int(body.get("in_features", 0)),
-        out_features=int(body.get("out_features", 0)),
-        seed=int(body.get("seed", 1)),
+        n=body.get("n", 0),
+        k=body.get("k", 0),
+        length=body.get("l", body.get("length", 0)),
+        c=body.get("c", 0),
+        k_out=body.get("k_out", 0),
+        in_features=body.get("in_features", 0),
+        out_features=body.get("out_features", 0),
+        seed=body.get("seed", 1),
         in_addr=body.get("in_addr"),
         kern_addr=body.get("kern_addr"),
         out_addr=body.get("out_addr"),
-        name=str(body.get("name", "")),
+        name=body.get("name", ""),
     )
     data = sections.get("data", {})
     for key, attr in (("x_file", "x_data"), ("h_file", "h_data")):

@@ -85,10 +85,44 @@ class World:
             cpu.observe()
 
     def run_until(self, predicate):
+        """Advance until predicate() holds.
+
+        ``step()`` is the single-cycle reference.  While one DSP is the
+        only possible DataMem requester (no CPU or a halted one), a call
+        at that DSP's output boundary advances the whole output instead
+        (``_fast_forward``), with the same cycle count, counters, memory
+        and trace as stepping it; predicate() is then evaluated at output
+        boundaries only, so it should depend on state that changes there
+        (a DSP's state, the CPU's halt), not on the cycle number.
+        """
+        cpu = self.cpu
         while not predicate():
+            if (cpu is None or cpu.halted) and self._fast_forward():
+                continue
             self.step()
-            if self.cpu is not None and self.cpu.fault is not None:
-                raise SimulationFault(self.cpu.fault)
+            if cpu is not None and cpu.fault is not None:
+                raise SimulationFault(cpu.fault)
+
+    def _fast_forward(self):
+        """Run one whole output of the only running DSP in one call, if it
+        sits at an output boundary, no CPU transaction is posted and the
+        output ends within max_cycles; False, with nothing done, otherwise."""
+        conv, dot = self.conv, self.dot
+        if conv.state is DspState.RUN:
+            if dot.state is DspState.RUN:
+                return False
+            dsp = conv
+        elif dot.state is DspState.RUN:
+            dsp = dot
+        else:
+            return False
+        span = dsp.output_span()
+        if (not span or self.cycle + span > self.config.max_cycles
+                or self.bus.cpu_posted):
+            return False
+        self.cycle += span  # first, so a `done` trace line shows the last cycle
+        self.bus.credit_grants(dsp.mmi, dsp.run_output(self.sram.words))
+        return True
 
     def run_until_halt(self):
         self.run_until(lambda: self.cpu.halted)

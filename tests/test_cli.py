@@ -115,6 +115,59 @@ h_file = "{hexfile("h.hex", h_words)}"
             assert main(["run", "--scenario", path]) == EXIT_OK
             assert json.loads(capsys.readouterr().out)["scenario"]["mode"] == "testbench"
 
+    def test_layers_reject_data_files(self, tmp_path, capsys):
+        x_path = tmp_path / "x.hex"
+        x_path.write_text("00000001\n")
+        body = f"""
+[scenario]
+kind = "cnn"
+n = 4
+k = 2
+c = 1
+k_out = 1
+
+[data]
+x_file = "{x_path}"
+"""
+        assert main(["run", "--scenario", write_scenario(tmp_path, body)]) == EXIT_VALIDATION
+        assert "x_file/h_file apply to conv and dot only" in capsys.readouterr().err
+
+    def _rejected(self, tmp_path, capsys, body):
+        assert main(["run", "--scenario", write_scenario(tmp_path, body)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "dot"\nlen = 8\n')
+        assert "line 3: unknown key 'len' in [scenario]" in err
+        err = self._rejected(tmp_path, capsys, CONV_SCENARIO + '[data]\nxfile = "x.hex"\n')
+        assert "line 9: unknown key 'xfile' in [data]" in err
+        # a key another kind reads: a dot has no n, so it would run l = 0
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "dot"\nn = 8\nk = 2\n')
+        assert "dot scenarios do not use k, n" in err
+
+    def test_unknown_section_rejected(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, CONV_SCENARIO + "[dsp]\nk = 3\n")
+        assert "line 8: unknown section [dsp]" in err
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "dot"\nl = 8\nl = 9\n')
+        assert "line 4: duplicate key 'l' in [scenario]" in err
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "dot"\nl = 8\nlength = 8\n')
+        assert "l and length" in err
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "dot"\n[scenario]\nl = 8\n')
+        assert "line 3: duplicate section [scenario]" in err
+
+    def test_value_types_checked(self, tmp_path, capsys):
+        for line, message in (('n = "abc"', 'n must be an integer, got "abc"'),
+                              ('in_addr = "0x8000"', 'in_addr must be an integer'),
+                              ("seed = true", "seed must be an integer, got true"),
+                              ("name = 5", "name must be a string, got 5"),
+                              ("kind = 3", "kind must be a string")):
+            err = self._rejected(tmp_path, capsys, f"[scenario]\n{line}\n")
+            assert f"line 2: {message}" in err, err
+
     def test_hash_inside_quoted_value(self, tmp_path, capsys):
         body = CONV_SCENARIO + 'name = "a#b"   # trailing comment "x#y"\n'
         assert main(["run", "--scenario", write_scenario(tmp_path, body)]) == EXIT_OK

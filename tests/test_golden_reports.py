@@ -17,8 +17,10 @@ import pytest
 
 from rvdsp import conv as conv_regs
 from rvdsp import dotprod as dot_regs
+from rvdsp.accel import DspState
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
+from rvdsp.prng import SplitMix64
 from rvdsp.scenario import Kind, Mode, Scenario
 from rvdsp.scheduler import (SimConfig, SimulationFault, SimulationTimeout,
                              World, report_to_json, run_scenario,
@@ -69,6 +71,57 @@ def _timeout():
         run_scenario(Scenario(kind=Kind.CONV, n=64, k=8, seed=1),
                      SimConfig(max_cycles=100, trace=lines.append))
     return str(info.value) + "\n" + "\n".join(lines)
+
+
+def _conv_world(config, n, k, in_addr, kern_addr, out_addr, seed=4):
+    """A testbench World with a random x/h preloaded and conv started by
+    register writes (six cycles)."""
+    world = World(config)
+    rng = SplitMix64(seed)
+    world.write_words(in_addr, rng.words(n))
+    world.write_words(kern_addr, rng.words(k))
+    for off, value in ((conv_regs.OFF_IN_ADDR, in_addr),
+                       (conv_regs.OFF_KERN_ADDR, kern_addr),
+                       (conv_regs.OFF_OUT_ADDR, out_addr),
+                       (conv_regs.OFF_IN_LEN, n), (conv_regs.OFF_KERN_LEN, k),
+                       (conv_regs.OFF_CONTROL, 1)):
+        world.reg_write(CONV_BASE + off, value)
+    return world
+
+
+def _conv_state(world):
+    conv = world.conv
+    return (f"cycle={world.cycle} grants={world.bus.grants} "
+            f"stalls={world.bus.stalls} busy={conv.busy_cycles} "
+            f"macs={conv.macs} out_idx={conv.out_idx} kern_idx={conv.kern_idx} "
+            f"accum={conv.accum} x={conv._x_val} mmi={conv.mmi} "
+            f"sram={hashlib.sha256(repr(world.sram.words).encode()).hexdigest()}")
+
+
+def _timeout_mid_output():
+    # conv n=40 k=5 starts at cycle 6 and takes 16 cycles per output; the
+    # budget ends 7 cycles into the fourth output
+    lines = []
+    world = _conv_world(SimConfig(max_cycles=6 + 3 * 16 + 7, trace=lines.append),
+                        40, 5, DATA_BASE, DATA_BASE + 0x100, DATA_BASE + 0x200)
+    with pytest.raises(SimulationTimeout) as info:
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
+    return "\n".join([str(info.value), _conv_state(world)] + lines)
+
+
+def _conv_overlapping(shift):
+    """Register-driven conv n=24 k=4 whose output buffer starts `shift`
+    words into its input (the scenario checks reject such a layout)."""
+    def run():
+        lines = []
+        in_addr = DATA_BASE + 0x40
+        world = _conv_world(SimConfig(trace=lines.append), 24, 4,
+                            in_addr, DATA_BASE, in_addr + 4 * shift)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
+        readback = [world.reg_read(CONV_BASE + off) for off in range(0, 0x20, 4)]
+        return "\n".join([_conv_state(world), f"regs={readback}",
+                          f"mem={world.read_words(in_addr, 24 + shift)}"] + lines)
+    return run
 
 
 def _fault():
@@ -165,6 +218,11 @@ CASES = {
     "conv_fs_saturate": _conv(FS, SAT),
     "conv_tb_n1_k1": _conv(TB, WRAP, n=1, k=1),
     "conv_fs_n1_k1": _conv(FS, WRAP, n=1, k=1),
+    "conv_tb_k1": _conv(TB, WRAP, n=20, k=1),
+    "conv_tb_k_eq_n": _conv(TB, SAT, n=20, k=20),
+    "conv_in_place_registers": _conv_overlapping(0),
+    # each output lands on an input word that the next output still reads
+    "conv_out_feeds_input_registers": _conv_overlapping(1),
     "conv_tb_explicit_data": _conv(TB, SAT, n=5, k=2, x_data=[2**31 - 1, 5, -7, 3, 0],
                                    h_data=[2, -2**31], in_addr=0x9000,
                                    kern_addr=0x9100, out_addr=0x9200),
@@ -178,6 +236,7 @@ CASES = {
     "dense_8x4": _dense,
     "sw_kernel_24_5": _sw_kernel,
     "timeout_conv": _timeout,
+    "timeout_conv_mid_output": _timeout_mid_output,
     "fault_illegal_instruction": _fault,
     "conv_register_protocol": _conv_registers,
     "dot_register_protocol": _dot_registers,
@@ -189,8 +248,12 @@ GOLDEN = {
     "conv_fs_n1_k1": "70b4f38ecd9ddf6937ee767d89de0b478aed3fd4ae3d66ba00f5d9ba9eb10628",
     "conv_fs_saturate": "e79b0cb6eab87d74946b53268a6479a8f45f3584d6617ee8c509facaa5c096fc",
     "conv_fs_wrap": "3f464eedc29c54780a0417dc0e0e4fe0f519070e8c9bcb0b933f76e62564402b",
+    "conv_in_place_registers": "09fc973ac025e0ae6d95035cdc9e3e9c693cc0d17ab1eaf57bec85ba1c55b54d",
+    "conv_out_feeds_input_registers": "f10758541c5bd5b12e0a175df9b022022b2d25b9629b38fc0025d1cc8693a682",
     "conv_register_protocol": "a26fd7b29f66d3fc81963c65717ad67867bdf5ce9d93a115244657d26402df28",
     "conv_tb_explicit_data": "e78df7a66852e692cc2f4e5c980cc19155ede6fc132ebcf77a6f5018614faf2e",
+    "conv_tb_k1": "54170fbce8fd5d2a954b59b397977e942b7db32d916db1d861be40b406f99f31",
+    "conv_tb_k_eq_n": "08c1893723fc6fefe399379b824e65b3230e775304a89f0ac55777417360c55c",
     "conv_tb_n1_k1": "3e313d96cc8cc58ce92be648dc81c48510d5aa07d763b45db131075bbb12e3b7",
     "conv_tb_saturate": "5f0ba21abc5aa80acd1e01d241430ee1657433126f0cf1569674ae57ec3c489c",
     "conv_tb_wrap": "9735f7dd230d9359e82ad0f49cbe918e3662755246761b3cab47d17c2b8d1643",
@@ -206,6 +269,7 @@ GOLDEN = {
     "rejected_starts": "c37a0dfe3517b2975e06ab8b3390e75e640d0c0d8b94a2a64f4af2a352b2c1e0",
     "sw_kernel_24_5": "be84b2116f588874190cb5474d17f43d6c7beb959b41f9dc9a4b0d7c70e84bd6",
     "timeout_conv": "4eff1c2d8280ba115b91d81ba8f11fc487f6159c882224c706362def7f0b1294",
+    "timeout_conv_mid_output": "b8c7ca268caa600ba74449e00b8517018d90af19846fada1b00006ffe652fbcb",
 }
 
 

@@ -10,11 +10,13 @@ from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
+from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
 from rvdsp.prng import SplitMix64
+from rvdsp.programs import conv_sw_kernel
 from rvdsp.scenario import Kind, Mode, Scenario
-from rvdsp.scheduler import (SimConfig, World, report_to_json, run_scenario,
-                             run_sw_conv_benchmark, scenario_data)
+from rvdsp.scheduler import (SimConfig, SimulationTimeout, World, report_to_json,
+                             run_scenario, run_sw_conv_benchmark, scenario_data)
 
 
 def conv_scenario(n, k, mode=Mode.TESTBENCH, seed=1):
@@ -210,6 +212,143 @@ class TestContention:
         else:
             got = (world.dot.result_hi << 32) | world.dot.result_lo
             assert got == u64(dot(a, b))
+
+
+_EXTREME = st.sampled_from([0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF])
+_CONV_X, _CONV_H, _DOT_A, _DOT_B = (DATA_BASE + off for off in
+                                    (0x1000, 0x0800, 0x2000, 0x2400))
+_SW_X, _SW_H, _SW_Y = (DATA_BASE + off for off in (0x3000, 0x3100, 0x3200))
+
+
+def _words(data, count):
+    """`count` splitmix64 words, or words near the int32 limits (saturation)."""
+    if data.draw(st.booleans(), label="extreme"):
+        return data.draw(st.lists(_EXTREME, min_size=count, max_size=count))
+    return SplitMix64(data.draw(st.integers(0, 2**32), label="seed")).words(count)
+
+
+def _lockstep_case(data):
+    """A random conv and/or dot started by register writes, optionally
+    beside a CPU running a small software conv on other buffers, or after
+    a host DataMem read posted on the bus."""
+    units = data.draw(st.sampled_from(["conv", "dot", "both"]), label="units")
+    case = {"truncation": data.draw(st.sampled_from(list(Truncation))),
+            "preload": [], "starts": [], "cpu": None, "posted": False}
+    if units != "dot":
+        n = data.draw(st.integers(1, 64), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        # the output buffer may overlap the input or the kernel, often
+        # within the K words an output reads
+        near = data.draw(st.sampled_from([None, _CONV_X, _CONV_H]), label="out near")
+        out = (DATA_BASE + 0x1800 if near is None else near + 4 * data.draw(
+            st.integers(0, k - 1) | st.integers(-(n - k + 1), n), label="out shift"))
+        case["preload"] += [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
+        case["starts"].append(("conv", CONV_BASE, (
+            (conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
+            (conv_regs.OFF_OUT_ADDR, out), (conv_regs.OFF_IN_LEN, n),
+            (conv_regs.OFF_KERN_LEN, k), (conv_regs.OFF_CONTROL, 1))))
+    if units != "conv":
+        length = data.draw(st.integers(0, 64), label="l")
+        vb = data.draw(st.sampled_from([_DOT_A, _DOT_B]), label="vb")
+        case["preload"] += [(_DOT_A, _words(data, length)), (_DOT_B, _words(data, length))]
+        case["starts"].append(("dot", DOT_BASE, (
+            (dot_regs.OFF_VA_ADDR, _DOT_A), (dot_regs.OFF_VB_ADDR, vb),
+            (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1))))
+    if data.draw(st.booleans(), label="cpu"):
+        sw_n = data.draw(st.integers(1, 6), label="sw n")
+        sw_k = data.draw(st.integers(1, sw_n), label="sw k")
+        case["cpu"] = (sw_n, sw_k, _SW_X, _SW_H, _SW_Y)
+        case["preload"] += [(_SW_X, SplitMix64(sw_n).words(sw_n)),
+                            (_SW_H, SplitMix64(sw_k).words(sw_k))]
+    else:
+        case["posted"] = data.draw(st.booleans(), label="posted")
+    return case
+
+
+def _lockstep_run(case, max_cycles, fast):
+    """Build the case's World and run it to the end, through run_until if
+    `fast`, else one step() per cycle; returns (world, trace, outcome)."""
+    lines = []
+    world = World(SimConfig(truncation=case["truncation"], max_cycles=max_cycles,
+                            trace=lines.append), with_cpu=case["cpu"] is not None)
+    for addr, words in case["preload"]:
+        world.write_words(addr, words)
+    cpu = world.cpu
+
+    def finished():
+        return ((cpu is None or cpu.halted) and world.conv.state is not DspState.RUN
+                and world.dot.state is not DspState.RUN)
+
+    try:
+        if cpu is not None:
+            # the CPU owns the bus's host slot, so start the units directly
+            world.rom.load(conv_sw_kernel(*case["cpu"]))
+            for name, _, writes in case["starts"]:
+                for offset, value in writes:
+                    getattr(world, name).axi_write(offset, value)
+        else:
+            for _, base, writes in case["starts"]:
+                for offset, value in writes:
+                    world.reg_write(base + offset, value)
+        if case["posted"]:
+            world.bus.post(BusTransaction(Requester.CPU, _CONV_X))
+        if fast:
+            world.run_until(finished)
+        else:
+            while not finished():
+                world.step()
+        outcome = "finished"
+    except SimulationTimeout as exc:
+        outcome = str(exc)
+    return world, lines, outcome
+
+
+def _observable(world):
+    """Every counter, register and datapath field the two paths must agree on."""
+    def fields(obj, skip):
+        return {key: value for key, value in vars(obj).items() if key not in skip}
+
+    bus = world.bus
+    return {"cycle": world.cycle, "sram": world.sram.words,
+            "grants": bus.grants, "stalls": bus.stalls,
+            "register_accesses": bus.register_accesses, "cpu_posted": bus.cpu_posted,
+            "conv": fields(world.conv, {"trace"}), "dot": fields(world.dot, {"trace"}),
+            "cpu": world.cpu and fields(world.cpu, {"rom", "bus", "sram"})}
+
+
+class TestFastForwardLockstep:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_run_until_matches_stepping(self, data):
+        # World.step() is the reference; run_until may advance a lone DSP by
+        # whole outputs.  Both must reach the same state, trace and timeout,
+        # also for a budget that ends in the middle of an output.
+        case = _lockstep_case(data)
+        unlimited = SimConfig().max_cycles
+        stepped, lines, outcome = _lockstep_run(case, unlimited, fast=False)
+        assert outcome == "finished"
+        budget = data.draw(st.none() | st.integers(1, stepped.cycle), label="max_cycles")
+        if budget is not None:
+            stepped, lines, outcome = _lockstep_run(case, budget, fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, budget or unlimited, fast=True)
+        assert fast_outcome == outcome
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
+    def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
+        # testbench runs step only for their register writes; a CPU that
+        # polls STATUS keeps every cycle stepped
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        run_scenario(conv_scenario(40, 5))
+        assert len(steps) == 6
+        steps.clear()
+        run_scenario(Scenario(kind=Kind.DOT, length=30))
+        assert len(steps) == 4
+        steps.clear()
+        report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
+        assert len(steps) == report["total_cycles"]
 
 
 class TestTrace:
