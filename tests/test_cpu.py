@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
+from iss_ref import RefCpu
+from random_programs import rv_programs
 from rvdsp.bits import u32
 from rvdsp.cpu import CycleCostTable, SYSCALL_ADDR
 from rvdsp.isa import encode
@@ -177,3 +180,32 @@ class TestDeterminism:
                     tuple(world.sram.words))
 
         assert run() == run()
+
+
+
+class TestReferenceIss:
+    @settings(max_examples=100, deadline=None)
+    @given(words=rv_programs())
+    def test_random_programs_match_reference(self, words):
+        # lockstep co-simulation, offline: the same ROM through World and
+        # through tests/iss_ref.py, which shares no code with the CPU,
+        # compared after every instruction and at the end
+        world = World(SimConfig(max_cycles=100_000), with_cpu=True)
+        world.rom.load(words)
+        cpu, ref = world.cpu, RefCpu(words)
+        while not (cpu.halted or cpu.fault):
+            retired = cpu.retired
+            try:
+                world.run_until(lambda: cpu.retired != retired or cpu.halted)
+            except SimulationFault:
+                pass
+            ref.step()
+            assert (cpu.pc, cpu.regs) == (ref.pc, ref.x)
+        assert world.sram.words == ref.sram
+        assert cpu.retired == ref.retired
+        assert cpu.halted == ref.halted
+        assert (cpu.fault and (cpu.fault.kind, cpu.fault.pc)) == ref.fault
+        # every completed instruction costs its class; a faulting one a cycle
+        costs = CycleCostTable()
+        assert cpu.cycles == sum(getattr(costs, c) for c in ref.classes) + bool(ref.fault)
+        assert world.cycle == cpu.cycles
