@@ -3,8 +3,10 @@
 DataMem is single-port, so at most one DataMem transaction completes
 per cycle; the arbiter is fixed-priority CPU > conv DSP > dot DSP.
 Register-space (AXI-Lite) accesses bypass the arbiter and always
-complete in the cycle they are posted.  The CPU posts a
-``BusTransaction``; each DSP's ``MmiPort`` is served in place while
+complete in the cycle they are posted.  The CPU serves its own DataMem
+accesses at issue, since it always wins arbitration, and reports each
+with ``serve_cpu``; its other accesses and host accesses are posted as a
+``BusTransaction``.  Each DSP's ``MmiPort`` is served in place while
 ``req and not done``.  Word-aligned DataMem addresses index the SRAM
 directly; only other addresses go through ``decode_address``.
 """
@@ -101,6 +103,9 @@ class Bus:
         self.dot = dot
         self._ports = (conv.mmi, dot.mmi)
         self._cpu_tx = None
+        # the CPU's DataMem access of this cycle was served at issue;
+        # step() stalls the DSPs that request DataMem and clears it
+        self.cpu_served = False
         self._grants = [0, 0, 0]  # indexed in priority order: CPU, conv, dot
         self._stalls = [0, 0, 0]
         self.register_accesses = 0
@@ -125,6 +130,13 @@ class Bus:
         if self._cpu_tx is not None:
             raise RuntimeError("cpu already has a transaction in flight")
         self._cpu_tx = tx
+
+    def serve_cpu(self):
+        """Grant DataMem to a CPU access served at its issue, in this cycle."""
+        if self._cpu_tx is not None:
+            raise RuntimeError("cpu already has a transaction in flight")
+        self._grants[0] += 1
+        self.cpu_served = True
 
     def _route(self, addr, write, wdata):
         """Serve an access outside DataMem this cycle: (rdata, error)."""
@@ -152,9 +164,12 @@ class Bus:
 
     def step(self):
         """Resolve one bus cycle: route register space, arbitrate DataMem."""
-        cpu = conv = dot = False  # word-aligned DataMem requests this cycle
+        cpu = self.cpu_served  # word-aligned DataMem requests this cycle
+        conv = dot = False
         tx = self._cpu_tx
-        if tx is not None:
+        if cpu:
+            self.cpu_served = False
+        elif tx is not None:
             cpu_addr = tx.addr & _MASK
             cpu = not cpu_addr & 3 and DATA_BASE <= cpu_addr <= DATA_END
             if not cpu:
@@ -181,9 +196,11 @@ class Bus:
         winner = arbitrate(cpu, conv, dot)
         words = self.sram.words
         if winner is _CPU:
-            self._grants[0] += 1
             self._stalls[1] += conv
             self._stalls[2] += dot
+            if tx is None:  # served at issue
+                return
+            self._grants[0] += 1
             offset = cpu_addr - DATA_BASE
             if not tx.write:
                 tx.rdata = words[offset >> 2]

@@ -1,23 +1,26 @@
 """In-order RV32I + MUL-family interpreter with a per-class cycle cost model.
 
 Instruction fetch is folded into the per-class costs (the table holds
-fully loaded per-instruction cycles).  Loads and stores post word
-transactions on the bus in their first cycle; sub-word accesses are
-lane-extracted (loads) or byte-strobed (stores) so the bus only ever
-sees word traffic.
+fully loaded per-instruction cycles).  A ROM word is decoded on its first
+fetch into a handler-table entry kept in ``Rom.decoded``.  The CPU wins
+DataMem arbitration, so it serves its DataMem loads and stores from
+``sram.words`` in their issue cycle (``Bus.serve_cpu``); other addresses
+get a word ``BusTransaction`` with byte strobes for sub-word stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, and_, eq, ge, lt, mul, ne, or_, sub, xor
 
 from .bits import s32, sext, u32
 from .bus import BusTransaction, Requester, TxState
 from .isa import IllegalInstructionError, cost_class, decode
-from .memmap import DATA_BASE, Region, decode_address
+from .memmap import DATA_BASE, DATA_END, INST_END, Region, decode_address
 
 # ECALL scratch word: last word of DataMem, receives x17 (a7) on syscall halt
 SYSCALL_ADDR = 0x0000_FFFC
+_MASK = 0xFFFF_FFFF
 
 
 @dataclass
@@ -42,20 +45,13 @@ class Fault:
     detail: str = ""
 
 
-@dataclass
-class _PendingLoad:
-    rd: int
-    mnemonic: str
-    lane: int
-
-
 class Cpu:
-    def __init__(self, rom, bus, costs=None, sram=None):
+    def __init__(self, rom, bus, costs=None):
         self.rom = rom
         self.bus = bus
-        self.sram = sram  # only for the ECALL scratch write
+        self.sram = bus.sram
         self.costs = costs or CycleCostTable()
-        self.regs = [0] * 32
+        self.regs = [0] * 32  # regs[0] is never written
         self.pc = 0
         self.halted = False
         self.fault = None
@@ -65,15 +61,7 @@ class Cpu:
         self.config_write_cycles = 0
         self._wait = 0
         self._tx = None
-        self._load = None
-
-    # register helpers keep the x0-is-zero invariant
-    def _read(self, idx):
-        return self.regs[idx] if idx else 0
-
-    def _write(self, idx, value):
-        if idx:
-            self.regs[idx] = u32(value)
+        self._load = None  # (entry, addr) of a posted load
 
     def step(self):
         """Advance one cycle: issue a new instruction or burn a wait cycle."""
@@ -89,14 +77,14 @@ class Cpu:
         self._issue()
 
     def observe(self):
-        """After the bus step: retire memory transactions, write back loads."""
+        """After the bus step: retire a posted transaction, write back a load."""
         tx = self._tx
         if tx is None or tx.state is not TxState.DONE:
             return
         if tx.error is not None:
             self.fault = Fault("bus", self.pc, tx.error)
         elif self._load is not None:
-            self._write(self._load.rd, _extract_lane(tx.rdata, self._load))
+            _write_back(self, *self._load, tx.rdata)
         self._tx = None
         self._load = None
 
@@ -104,162 +92,171 @@ class Cpu:
         self.fault = Fault(kind, self.pc, detail)
 
     def _issue(self):
-        try:
-            region, offset = decode_address(self.pc)
-        except Exception:
-            self._fault("fetch", f"misaligned pc 0x{self.pc:08x}")
+        pc = self.pc
+        if pc & 3 or pc > INST_END:
+            self._fault("fetch", f"misaligned pc 0x{pc:08x}" if pc & 3
+                        else f"pc outside InstMem: 0x{pc:08x}")
             return
-        if region is not Region.INST_MEM:
-            self._fault("fetch", f"pc outside InstMem: 0x{self.pc:08x}")
-            return
-        word = self.rom.read_word(offset)
-        try:
-            instr = decode(word)
-        except IllegalInstructionError as exc:
-            self._fault("illegal", str(exc))
-            return
+        entry = self.rom.decoded[pc >> 2]
+        if entry is None:
+            try:
+                instr = decode(self.rom.words[pc >> 2])
+            except IllegalInstructionError as exc:
+                self._fault("illegal", str(exc))
+                return
+            entry = self.rom.decoded[pc >> 2] = self._predecode(instr, pc)
         self.retired += 1
-        taken = self._execute(instr)
-        if self.fault is not None:
-            return
-        self._wait = self.costs.cycles(cost_class(instr, taken)) - 1
+        self._wait = entry[0](self, entry)
 
-    def _execute(self, instr):
-        m = instr.mnemonic
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        a = self._read(rs1)
-        b = self._read(rs2)
-        next_pc = u32(self.pc + 4)
-        taken = False
+    def _predecode(self, instr, pc):
+        """The handler-table entry of `instr` at `pc`; pc-relative targets
+        and the wait cycles after the issue cycle are resolved here."""
+        m, rd, rs1, rs2, imm = instr.mnemonic, instr.rd, instr.rs1, instr.rs2, instr.imm
+        wait = self.costs.cycles(cost_class(instr)) - 1
+        if m in _OPS:
+            handler, op = _OPS[m]
+            if m in ("lui", "auipc"):  # rd <- x0 + constant
+                rs1, imm = 0, imm + pc * (m == "auipc")
+            return (handler if rd else _next, rd, rs1, rs2, u32(imm), op, wait)
+        if m in _BRANCHES:
+            taken = self.costs.cycles(cost_class(instr, True)) - 1
+            return (_branch, rd, rs1, rs2, u32(pc + imm), _BRANCHES[m], taken, wait)
+        if m in _WIDTHS:
+            handler = _store if m[0] == "s" else _load
+            return (handler, rd, rs1, rs2, imm, _WIDTHS[m], wait, m, m in ("lb", "lh"))
+        if m == "jal":
+            imm = u32(pc + imm)
+        return (_OTHERS[m], rd, rs1, rs2, imm, None, wait)
 
-        if m == "addi":
-            self._write(rd, a + imm)
-        elif m == "add":
-            self._write(rd, a + b)
-        elif m == "sub":
-            self._write(rd, a - b)
-        elif m == "slti":
-            self._write(rd, int(s32(a) < imm))
-        elif m == "sltiu":
-            self._write(rd, int(a < u32(imm)))
-        elif m == "slt":
-            self._write(rd, int(s32(a) < s32(b)))
-        elif m == "sltu":
-            self._write(rd, int(a < b))
-        elif m == "xori":
-            self._write(rd, a ^ u32(imm))
-        elif m == "ori":
-            self._write(rd, a | u32(imm))
-        elif m == "andi":
-            self._write(rd, a & u32(imm))
-        elif m == "xor":
-            self._write(rd, a ^ b)
-        elif m == "or":
-            self._write(rd, a | b)
-        elif m == "and":
-            self._write(rd, a & b)
-        elif m == "slli":
-            self._write(rd, a << imm)
-        elif m == "srli":
-            self._write(rd, a >> imm)
-        elif m == "srai":
-            self._write(rd, s32(a) >> imm)
-        elif m == "sll":
-            self._write(rd, a << (b & 31))
-        elif m == "srl":
-            self._write(rd, a >> (b & 31))
-        elif m == "sra":
-            self._write(rd, s32(a) >> (b & 31))
-        elif m == "lui":
-            self._write(rd, imm)
-        elif m == "auipc":
-            self._write(rd, self.pc + imm)
-        elif m == "mul":
-            self._write(rd, s32(a) * s32(b))
-        elif m == "mulh":
-            self._write(rd, (s32(a) * s32(b)) >> 32)
-        elif m == "mulhu":
-            self._write(rd, (a * b) >> 32)
-        elif m == "mulhsu":
-            self._write(rd, (s32(a) * b) >> 32)
-        elif m == "jal":
-            self._write(rd, next_pc)
-            next_pc = u32(self.pc + imm)
-        elif m == "jalr":
-            self._write(rd, next_pc)
-            next_pc = u32(a + imm) & ~1
-        elif m in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            taken = _branch_taken(m, a, b)
-            if taken:
-                next_pc = u32(self.pc + imm)
-        elif m in ("lb", "lh", "lw", "lbu", "lhu"):
-            self._memory_op(m, rd, u32(a + imm), None)
-        elif m in ("sb", "sh", "sw"):
-            self._memory_op(m, rd, u32(a + imm), b)
-        elif m == "fence":
-            pass
-        elif m == "ebreak":
-            self.halted = True
-        elif m == "ecall":
-            if self.sram is not None:
-                self.sram.write_word(SYSCALL_ADDR - DATA_BASE, self._read(17))
-            self.halted = True
-        else:  # pragma: no cover - decode only yields known mnemonics
-            self._fault("illegal", m)
-        if self.fault is None:
-            self.pc = next_pc
-        return taken
 
-    def _memory_op(self, m, rd, addr, store_value):
-        width = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4,
-                 "sb": 1, "sh": 2, "sw": 4}[m]
-        if addr % width:
-            self._fault("misaligned", f"{m} at 0x{addr:08x}")
-            return
+# Handlers: each executes a predecoded entry (handler, rd, rs1, rs2, imm,
+# ...) on the CPU and returns the wait cycles after the issue cycle.
+
+def _op_reg(cpu, e):
+    regs = cpu.regs
+    regs[e[1]] = e[5](regs[e[2]], regs[e[3]]) & _MASK
+    cpu.pc += 4
+    return e[6]
+
+
+def _op_imm(cpu, e):
+    regs = cpu.regs
+    regs[e[1]] = e[5](regs[e[2]], e[4]) & _MASK
+    cpu.pc += 4
+    return e[6]
+
+
+def _next(cpu, e):
+    """fence, and any register operation whose rd is x0."""
+    cpu.pc += 4
+    return e[6]
+
+
+def _branch(cpu, e):
+    regs = cpu.regs
+    if e[5](regs[e[2]], regs[e[3]]):
+        cpu.pc = e[4]
+        return e[6]
+    cpu.pc += 4
+    return e[7]
+
+
+def _jal(cpu, e):
+    if e[1]:
+        cpu.regs[e[1]] = cpu.pc + 4
+    cpu.pc = e[4]
+    return e[6]
+
+
+def _jalr(cpu, e):
+    target = (cpu.regs[e[2]] + e[4]) & _MASK & ~1
+    if e[1]:
+        cpu.regs[e[1]] = cpu.pc + 4
+    cpu.pc = target
+    return e[6]
+
+
+def _ebreak(cpu, e):
+    cpu.halted = True
+    cpu.pc += 4
+    return e[6]
+
+
+def _ecall(cpu, e):
+    cpu.sram.words[(SYSCALL_ADDR - DATA_BASE) >> 2] = cpu.regs[17]
+    return _ebreak(cpu, e)
+
+
+def _load(cpu, e):
+    """(_load, rd, rs1, rs2, imm, width, wait, mnemonic, signed)"""
+    addr = (cpu.regs[e[2]] + e[4]) & _MASK
+    if addr & (e[5] - 1):
+        cpu._fault("misaligned", f"{e[7]} at 0x{addr:08x}")
+        return 0
+    if DATA_BASE <= addr <= DATA_END:
+        cpu.bus.serve_cpu()
+        _write_back(cpu, e, addr, cpu.sram.words[(addr - DATA_BASE) >> 2])
+    else:
+        cpu._tx, cpu._load = BusTransaction(Requester.CPU, addr & ~3), (e, addr)
+        cpu.bus.post(cpu._tx)
+    cpu.pc += 4
+    return e[6]
+
+
+def _write_back(cpu, e, addr, word):
+    """Write the loaded lane of `word` to rd, as entry `e` at `addr` reads it."""
+    width = e[5]
+    if width != 4:
+        word = word >> 8 * (addr & 3) & (1 << 8 * width) - 1
+        if e[8]:
+            word = u32(sext(word, 8 * width))
+    if e[1]:
+        cpu.regs[e[1]] = word
+
+
+def _store(cpu, e):
+    """(_store, rd, rs1, rs2, imm, width, wait, mnemonic, False)"""
+    addr = (cpu.regs[e[2]] + e[4]) & _MASK
+    width = e[5]
+    if addr & (width - 1):
+        cpu._fault("misaligned", f"{e[7]} at 0x{addr:08x}")
+        return 0
+    lane = 8 * (addr & 3)
+    mask = (1 << 8 * width) - 1 << lane
+    value = cpu.regs[e[3]] << lane & mask
+    if DATA_BASE <= addr <= DATA_END:
+        cpu.bus.serve_cpu()
+        words, idx = cpu.sram.words, (addr - DATA_BASE) >> 2
+        words[idx] = words[idx] & ~mask | value
+    else:
         word_addr = addr & ~3
-        lane = addr & 3
-        is_store = m[0] == "s"
-        if is_store:
-            if width == 4:
-                wdata, wstrb = store_value, 0b1111
-            elif width == 2:
-                wdata = (store_value & 0xFFFF) << (8 * lane)
-                wstrb = 0b0011 << lane
-            else:
-                wdata = (store_value & 0xFF) << (8 * lane)
-                wstrb = 0b0001 << lane
-            tx = BusTransaction(Requester.CPU, word_addr, write=True,
-                                wdata=u32(wdata), wstrb=wstrb)
-            region, _ = decode_address(word_addr)
-            if region in (Region.CONV_REGS, Region.DOT_REGS):
-                self.config_write_cycles += self.costs.store
-        else:
-            tx = BusTransaction(Requester.CPU, word_addr)
-            self._load = _PendingLoad(rd, m, lane)
-        self._tx = tx
-        self.bus.post(tx)
+        if decode_address(word_addr)[0] in (Region.CONV_REGS, Region.DOT_REGS):
+            cpu.config_write_cycles += cpu.costs.store
+        cpu._tx = BusTransaction(Requester.CPU, word_addr, write=True, wdata=value,
+                                 wstrb=((1 << width) - 1) << (addr & 3))
+        cpu.bus.post(cpu._tx)
+    cpu.pc += 4
+    return e[6]
 
 
-def _branch_taken(m, a, b):
-    if m == "beq":
-        return a == b
-    if m == "bne":
-        return a != b
-    if m == "blt":
-        return s32(a) < s32(b)
-    if m == "bge":
-        return s32(a) >= s32(b)
-    if m == "bltu":
-        return a < b
-    return a >= b  # bgeu
-
-
-def _extract_lane(word, load):
-    m, lane = load.mnemonic, load.lane
-    if m == "lw":
-        return word
-    if m in ("lh", "lhu"):
-        half = (word >> (8 * lane)) & 0xFFFF
-        return sext(half, 16) if m == "lh" else half
-    byte = (word >> (8 * lane)) & 0xFF
-    return sext(byte, 8) if m == "lb" else byte
+# rd <- f(rs1, rs2), and in the immediate form named second, if any,
+# rd <- f(rs1, unsigned imm); the handler masks the result to 32 bits
+_ALU = (
+    ("add", "addi", add), ("sub", None, sub), ("xor", "xori", xor),
+    ("or", "ori", or_), ("and", "andi", and_), ("sltu", "sltiu", lt),
+    ("slt", "slti", lambda a, b: s32(a) < s32(b)),
+    ("sll", "slli", lambda a, b: a << (b & 31)),
+    ("srl", "srli", lambda a, b: a >> (b & 31)),
+    ("sra", "srai", lambda a, b: s32(a) >> (b & 31)),
+    ("mul", None, mul), ("mulh", None, lambda a, b: s32(a) * s32(b) >> 32),
+    ("mulhsu", None, lambda a, b: s32(a) * b >> 32),
+    ("mulhu", None, lambda a, b: a * b >> 32),
+)
+_OPS = {reg: (_op_reg, f) for reg, _, f in _ALU}
+_OPS.update({imm: (_op_imm, f) for _, imm, f in _ALU if imm})
+_OPS.update(lui=(_op_imm, add), auipc=(_op_imm, add))
+_BRANCHES = {"beq": eq, "bne": ne, "blt": _OPS["slt"][1], "bltu": lt, "bgeu": ge,
+             "bge": lambda a, b: s32(a) >= s32(b)}
+_WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "sb": 1, "sh": 2, "sw": 4}
+_OTHERS = {"jal": _jal, "jalr": _jalr, "fence": _next, "ecall": _ecall,
+           "ebreak": _ebreak}

@@ -76,17 +76,24 @@ def buffer_in_datamem(base, length_words):
 
 
 class Rom:
-    """Single-port 32 KB instruction ROM; writable only through load()."""
+    """Single-port 32 KB instruction ROM; writable only through load().
+
+    ``decoded`` holds the CPU's predecoded entry of each word, filled on
+    the word's first fetch; load() clears the entries of the words it
+    writes.
+    """
 
     def __init__(self, base=INST_BASE):
         self.base = base
         self.words = [0] * MEM_WORDS
+        self.decoded = [None] * MEM_WORDS
 
     def load(self, words, word_offset=0):
-        if word_offset + len(words) > MEM_WORDS:
+        end = word_offset + len(words)
+        if end > MEM_WORDS:
             raise MemoryAccessError("ROM image does not fit")
-        for i, w in enumerate(words):
-            self.words[word_offset + i] = u32(w)
+        self.words[word_offset:end] = [u32(w) for w in words]
+        self.decoded[word_offset:end] = [None] * len(words)
 
     def read_word(self, byte_offset):
         idx = byte_offset >> 2
@@ -114,6 +121,29 @@ class Sram:
 
     def read_word(self, byte_offset):
         return self.words[self._index(byte_offset)]
+
+    def read_words(self, byte_offset, count):
+        """`count` words from `byte_offset` on, checked as read_word checks
+        each of them."""
+        if not count:
+            return []
+        idx = self._span(byte_offset, count)
+        return self.words[idx:idx + count]
+
+    def write_words(self, byte_offset, words):
+        """Write `words` from `byte_offset` on, checked as write_word checks
+        each of them; nothing is written if one of them fails the check."""
+        if words:
+            idx = self._span(byte_offset, len(words))
+            self.words[idx:idx + len(words)] = [u32(w) for w in words]
+
+    def _span(self, byte_offset, count):
+        """Index of the first of `count` words, raising the error that the
+        first bad word would raise in read_word/write_word."""
+        idx = self._index(byte_offset)
+        if idx + count > MEM_WORDS:
+            self._index(4 * MEM_WORDS)
+        return idx
 
     def write_word(self, byte_offset, value, strobe=0b1111):
         idx = self._index(byte_offset)
@@ -179,7 +209,7 @@ def load_image(text, rom, sram):
     for addr, word in parse_hexwords(text):
         region, offset = decode_address(addr)
         if region is Region.INST_MEM:
-            rom.words[offset >> 2] = u32(word)
+            rom.load([word], offset >> 2)
         elif region is Region.DATA_MEM:
             sram.write_word(offset, word)
         else:

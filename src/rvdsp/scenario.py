@@ -7,7 +7,8 @@ File grammar (a strict TOML subset, documented in the README):
   - `#` outside a double-quoted string starts a comment; blank lines
     are ignored
   - only the sections and keys in `SCENARIO_KEYS` are accepted, each at
-    most once, and each value must have the type listed there
+    most once, and each value must have the type listed there (a string
+    for an enum: one of its values)
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ _KIND_KEYS = {
 
 # every section and key a scenario file may set, with its value's type
 SCENARIO_KEYS = {
-    "scenario": {"kind": str, "mode": str, "name": str, "seed": int,
+    "scenario": {"kind": Kind, "mode": Mode, "name": str, "seed": int,
                  **{key: int for keys in _KIND_KEYS.values() for key in keys}},
     "data": {"x_file": str, "h_file": str},
 }
@@ -156,9 +157,9 @@ def parse_flat_config(text, schema):
     """Parse the sectioned key-value grammar into nested dicts.
 
     `schema` maps each allowed section to its allowed keys and their value
-    types; an unknown section or key, a section or key given twice, or a
-    value of another type (``true`` is not an integer) is rejected with
-    its line.
+    types; a string naming a member of an enum type becomes that member.
+    An unknown section or key, a section or key given twice, or a value of
+    another type (``true`` is not an integer) is rejected with its line.
     """
     sections = {}
     current = None
@@ -185,6 +186,13 @@ def parse_flat_config(text, schema):
         if key in current:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r} in [{name}]")
         value = _parse_value(raw_value, lineno)
+        if issubclass(want, enum.Enum) and type(value) is str:
+            try:
+                value = want(value)
+            except ValueError:
+                raise ScenarioError(
+                    f"line {lineno}: {key} must be one of "
+                    f"{', '.join(m.value for m in want)}, got {raw_value}") from None
         if type(value) is not want:
             raise ScenarioError(
                 f"line {lineno}: {key} must be "
@@ -201,11 +209,8 @@ def load_scenario(path):
         raise ScenarioError("missing [scenario] section")
     if "l" in body and "length" in body:
         raise ScenarioError("l and length name the same key; set one")
-    try:
-        kind = Kind(body.get("kind", "conv"))
-        mode = Mode(body.get("mode", "testbench"))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    kind = body.get("kind", Kind.CONV)
+    mode = body.get("mode", Mode.TESTBENCH)
     unused = set(body) - {"kind", "mode", "name", "seed"} - _KIND_KEYS[kind]
     if unused:
         raise ScenarioError(f"{kind.value} scenarios do not use "

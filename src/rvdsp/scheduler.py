@@ -1,9 +1,10 @@
 """Global cycle loop and scenario execution.
 
-Intra-cycle order is fixed for reproducibility: the CPU posts or
-continues its transaction, then both DSP FSMs, then the bus arbitrates
-and completes, and finally the CPU observes completions.  DSPs observe
-bus completions at the start of their next step.
+Intra-cycle order is fixed for reproducibility: the CPU issues (serving
+a DataMem access at once, or posting any other), waits or stalls, then
+both DSP FSMs step, then the bus arbitrates and completes, and finally
+the CPU observes completions.  DSPs observe bus completions at the start
+of their next step.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class World:
         self.conv = ConvDsp(truncation=self.config.truncation, trace=trace)
         self.dot = DotDsp(trace=trace)
         self.bus = Bus(self.rom, self.sram, self.conv, self.dot)
-        self.cpu = Cpu(self.rom, self.bus, costs=self.config.costs,
-                       sram=self.sram) if with_cpu else None
+        self.cpu = Cpu(self.rom, self.bus, costs=self.config.costs) if with_cpu else None
 
     def _trace(self, component, event):
         self.config.trace(f"cycle {self.cycle} | {component} | {event}")
@@ -87,21 +87,56 @@ class World:
     def run_until(self, predicate):
         """Advance until predicate() holds.
 
-        ``step()`` is the single-cycle reference.  While one DSP is the
-        only possible DataMem requester (no CPU or a halted one), a call
-        at that DSP's output boundary advances the whole output instead
-        (``_fast_forward``), with the same cycle count, counters, memory
-        and trace as stepping it; predicate() is then evaluated at output
+        ``step()`` is the single-cycle reference.  Two faster paths give
+        the same cycle count, counters, memory and trace as stepping:
+        - while one DSP is the only possible DataMem requester (no CPU or
+          a halted one), a call at that DSP's output boundary advances the
+          whole output (``_fast_forward``);
+        - while the CPU is the only possible requester (neither DSP in
+          RUN, no transaction posted on the bus), a call at an
+          instruction boundary retires the whole instruction
+          (``_retire``).
+        On these paths predicate() is evaluated at output or instruction
         boundaries only, so it should depend on state that changes there
         (a DSP's state, the CPU's halt), not on the cycle number.
         """
-        cpu = self.cpu
+        cpu, bus, conv, dot = self.cpu, self.bus, self.conv, self.dot
+        max_cycles, run = self.config.max_cycles, DspState.RUN
         while not predicate():
-            if (cpu is None or cpu.halted) and self._fast_forward():
+            if cpu is None or cpu.halted:
+                if self._fast_forward():
+                    continue
+            elif (not cpu._wait and cpu.fault is None and self.cycle < max_cycles
+                  and not bus.cpu_posted and conv.state is not run
+                  and dot.state is not run):
+                self._retire()
                 continue
             self.step()
             if cpu is not None and cpu.fault is not None:
                 raise SimulationFault(cpu.fault)
+
+    def _retire(self):
+        """The CPU's issue cycle, run as step() runs it, then a jump over
+        the instruction's wait cycles, up to max_cycles.  There is no
+        jump after an instruction that started a DSP or halted."""
+        cpu, bus = self.cpu, self.bus
+        self.cycle += 1
+        cpu.cycles += 1
+        cpu._issue()
+        bus.cpu_served = False  # no DSP runs, so none lost arbitration
+        if cpu._tx is not None:  # not DataMem: served in this cycle's bus step
+            bus.step()
+            cpu.observe()
+        if cpu.fault is not None:
+            raise SimulationFault(cpu.fault)
+        if cpu.halted or DspState.RUN in (self.conv.state, self.dot.state):
+            return
+        jump = cpu._wait
+        if self.cycle + jump > self.config.max_cycles:
+            jump = self.config.max_cycles - self.cycle
+        self.cycle += jump
+        cpu.cycles += jump
+        cpu._wait -= jump
 
     def _fast_forward(self):
         """Run one whole output of the only running DSP in one call, if it
@@ -146,12 +181,10 @@ class World:
 
     def write_words(self, byte_addr, words):
         """Host preload of DataMem (not cycle-counted)."""
-        for i, w in enumerate(words):
-            self.sram.write_word(byte_addr - DATA_BASE + 4 * i, w)
+        self.sram.write_words(byte_addr - DATA_BASE, words)
 
     def read_words(self, byte_addr, count):
-        return [self.sram.read_word(byte_addr - DATA_BASE + 4 * i)
-                for i in range(count)]
+        return self.sram.read_words(byte_addr - DATA_BASE, count)
 
 
 def scenario_data(scenario):

@@ -168,6 +168,13 @@ x_file = "{x_path}"
             err = self._rejected(tmp_path, capsys, f"[scenario]\n{line}\n")
             assert f"line 2: {message}" in err, err
 
+    def test_bad_kind_or_mode_names_its_line(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, '[scenario]\nkind = "convv"\n')
+        assert 'line 2: kind must be one of conv, dot, cnn, dense, got "convv"' in err
+        err = self._rejected(tmp_path, capsys,
+                             CONV_SCENARIO.replace('"testbench"', '"bench"'))
+        assert 'line 4: mode must be one of testbench, full_system, got "bench"' in err
+
     def test_hash_inside_quoted_value(self, tmp_path, capsys):
         body = CONV_SCENARIO + 'name = "a#b"   # trailing comment "x#y"\n'
         assert main(["run", "--scenario", write_scenario(tmp_path, body)]) == EXIT_OK

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from iss_ref import RefCpu
 from random_programs import rv_programs
 from rvdsp.bits import u32
+from rvdsp.bus import BusTransaction, Requester
 from rvdsp.cpu import CycleCostTable, SYSCALL_ADDR
 from rvdsp.isa import encode
-from rvdsp.memmap import DATA_BASE
+from rvdsp.memmap import DATA_BASE, load_image
 from rvdsp.programs import Assembler, I
 from rvdsp.scheduler import SimConfig, SimulationFault, World
 
@@ -150,6 +151,19 @@ class TestFaults:
             world.run_until_halt()
         assert exc.value.fault.kind == "bus"
 
+    def test_host_access_beside_a_cpu_access_is_refused(self):
+        # the CPU serves its DataMem load at issue, but still refuses to
+        # share the cycle with a host transaction, as the bus slot did
+        asm = Assembler()
+        asm.li(3, DATA_BASE)
+        asm.emit(I("lw", rd=2, rs1=3, imm=0), I("ebreak"))
+        world = World(SimConfig(), with_cpu=True)
+        world.rom.load(asm.words())
+        world.step()  # the li
+        world.bus.post(BusTransaction(Requester.CPU, DATA_BASE))
+        with pytest.raises(RuntimeError, match="already has a transaction in flight"):
+            world.step()
+
     def test_timeout_is_distinct(self):
         from rvdsp.scheduler import SimulationTimeout
 
@@ -157,6 +171,17 @@ class TestFaults:
         world.rom.load([encode(I("jal", rd=0, imm=0))])  # spin forever
         with pytest.raises(SimulationTimeout):
             world.run_until_halt()
+
+
+class TestPredecode:
+    def test_load_image_replaces_a_predecoded_word(self):
+        world = run_program([I("addi", rd=1, imm=7), I("ebreak")])
+        assert world.cpu.regs[1] == 7
+        load_image(f"@00000000\n{encode(I('addi', rd=1, imm=9)):08X}\n",
+                   world.rom, world.sram)
+        world.cpu.pc, world.cpu.halted = 0, False
+        world.run_until_halt()
+        assert world.cpu.regs[1] == 9
 
 
 class TestDeterminism:

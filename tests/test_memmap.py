@@ -72,6 +72,29 @@ class TestSram:
         mem.write_word(4 * word_idx, value)
         assert mem.read_word(4 * word_idx) == value
 
+    @given(st.integers(-12, 0x8008) | st.integers(0x7FE0, 0x8008),
+           st.lists(st.integers(-1, 0xFFFF_FFFF), max_size=12))
+    def test_buffer_access_matches_word_access(self, offset, words):
+        # read_words/write_words check a whole buffer once, and must raise
+        # what the first bad word raises in read_word/write_word
+        def outcome(call):
+            try:
+                return call()
+            except (MisalignedAddressError, MemoryAccessError) as exc:
+                return type(exc), str(exc)
+
+        by_word, buffer = Sram(), Sram()
+        each = outcome(lambda: [by_word.write_word(offset + 4 * i, w)
+                                for i, w in enumerate(words)])
+        whole = outcome(lambda: buffer.write_words(offset, words))
+        if isinstance(each, tuple):
+            assert whole == each
+            assert buffer.words == Sram().words  # nothing written
+        else:
+            assert whole is None and buffer.words == by_word.words
+        assert outcome(lambda: buffer.read_words(offset, len(words))) == outcome(
+            lambda: [by_word.read_word(offset + 4 * i) for i in range(len(words))])
+
 
 class TestRom:
     def test_load_and_read(self):

@@ -4,19 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum, dot
+from random_programs import rv_programs
 from rvdsp import conv as conv_regs
 from rvdsp import dotprod as dot_regs
 from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
+from rvdsp.cpu import CycleCostTable
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
 from rvdsp.prng import SplitMix64
-from rvdsp.programs import conv_sw_kernel
+from rvdsp.programs import conv_driver, conv_sw_kernel, dot_driver
 from rvdsp.scenario import Kind, Mode, Scenario
-from rvdsp.scheduler import (SimConfig, SimulationTimeout, World, report_to_json,
-                             run_scenario, run_sw_conv_benchmark, scenario_data)
+from rvdsp.scheduler import (SimConfig, SimulationFault, SimulationTimeout, World,
+                             report_to_json, run_scenario, run_sw_conv_benchmark,
+                             scenario_data)
 
 
 def conv_scenario(n, k, mode=Mode.TESTBENCH, seed=1):
@@ -228,13 +231,22 @@ def _words(data, count):
 
 
 def _lockstep_case(data):
-    """A random conv and/or dot started by register writes, optionally
-    beside a CPU running a small software conv on other buffers, or after
-    a host DataMem read posted on the bus."""
-    units = data.draw(st.sampled_from(["conv", "dot", "both"]), label="units")
-    case = {"truncation": data.draw(st.sampled_from(list(Truncation))),
-            "preload": [], "starts": [], "cpu": None, "posted": False}
-    if units != "dot":
+    """A random conv and/or dot started by register writes, beside a CPU
+    that runs a small software conv or a random program, or after a host
+    DataMem read posted on the bus; or a CPU driver that configures and
+    starts one unit itself."""
+    cpu = data.draw(st.sampled_from([None, "sw kernel", "program", "driver"]), label="cpu")
+    units = data.draw(st.sampled_from(
+        {None: ["conv", "dot", "both"], "driver": ["conv", "dot"]}.get(
+            cpu, ["none", "conv", "dot", "both"])), label="units")
+    int_en = cpu == "driver" and data.draw(st.booleans(), label="int_en")
+    costs = CycleCostTable()
+    if cpu and data.draw(st.booleans(), label="other costs"):
+        costs = CycleCostTable(*data.draw(st.lists(st.integers(1, 4), min_size=8,
+                                                   max_size=8), label="costs"))
+    case = {"truncation": data.draw(st.sampled_from(list(Truncation))), "costs": costs,
+            "preload": [], "starts": [], "rom": None, "posted": False}
+    if units in ("conv", "both"):
         n = data.draw(st.integers(1, 64), label="n")
         k = data.draw(st.integers(1, n), label="k")
         # the output buffer may overlap the input or the kernel, often
@@ -247,17 +259,25 @@ def _lockstep_case(data):
             (conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
             (conv_regs.OFF_OUT_ADDR, out), (conv_regs.OFF_IN_LEN, n),
             (conv_regs.OFF_KERN_LEN, k), (conv_regs.OFF_CONTROL, 1))))
-    if units != "conv":
+        if cpu == "driver":
+            case["rom"] = conv_driver(n, k, _CONV_X, _CONV_H, out, int_en=int_en)
+    if units in ("dot", "both"):
         length = data.draw(st.integers(0, 64), label="l")
         vb = data.draw(st.sampled_from([_DOT_A, _DOT_B]), label="vb")
         case["preload"] += [(_DOT_A, _words(data, length)), (_DOT_B, _words(data, length))]
         case["starts"].append(("dot", DOT_BASE, (
             (dot_regs.OFF_VA_ADDR, _DOT_A), (dot_regs.OFF_VB_ADDR, vb),
             (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1))))
-    if data.draw(st.booleans(), label="cpu"):
+        if cpu == "driver":
+            case["rom"] = dot_driver(length, _DOT_A, vb, int_en=int_en)
+    if cpu == "driver":
+        case["starts"] = []
+    elif cpu == "program":
+        case["rom"] = data.draw(rv_programs(), label="program")
+    elif cpu == "sw kernel":
         sw_n = data.draw(st.integers(1, 6), label="sw n")
         sw_k = data.draw(st.integers(1, sw_n), label="sw k")
-        case["cpu"] = (sw_n, sw_k, _SW_X, _SW_H, _SW_Y)
+        case["rom"] = conv_sw_kernel(sw_n, sw_k, _SW_X, _SW_H, _SW_Y)
         case["preload"] += [(_SW_X, SplitMix64(sw_n).words(sw_n)),
                             (_SW_H, SplitMix64(sw_k).words(sw_k))]
     else:
@@ -269,8 +289,9 @@ def _lockstep_run(case, max_cycles, fast):
     """Build the case's World and run it to the end, through run_until if
     `fast`, else one step() per cycle; returns (world, trace, outcome)."""
     lines = []
-    world = World(SimConfig(truncation=case["truncation"], max_cycles=max_cycles,
-                            trace=lines.append), with_cpu=case["cpu"] is not None)
+    world = World(SimConfig(costs=case["costs"], truncation=case["truncation"],
+                            max_cycles=max_cycles, trace=lines.append),
+                  with_cpu=case["rom"] is not None)
     for addr, words in case["preload"]:
         world.write_words(addr, words)
     cpu = world.cpu
@@ -282,7 +303,7 @@ def _lockstep_run(case, max_cycles, fast):
     try:
         if cpu is not None:
             # the CPU owns the bus's host slot, so start the units directly
-            world.rom.load(conv_sw_kernel(*case["cpu"]))
+            world.rom.load(case["rom"])
             for name, _, writes in case["starts"]:
                 for offset, value in writes:
                     getattr(world, name).axi_write(offset, value)
@@ -297,9 +318,11 @@ def _lockstep_run(case, max_cycles, fast):
         else:
             while not finished():
                 world.step()
+                if cpu is not None and cpu.fault is not None:
+                    raise SimulationFault(cpu.fault)
         outcome = "finished"
-    except SimulationTimeout as exc:
-        outcome = str(exc)
+    except (SimulationTimeout, SimulationFault) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
     return world, lines, outcome
 
 
@@ -312,6 +335,7 @@ def _observable(world):
     return {"cycle": world.cycle, "sram": world.sram.words,
             "grants": bus.grants, "stalls": bus.stalls,
             "register_accesses": bus.register_accesses, "cpu_posted": bus.cpu_posted,
+            "cpu_served": bus.cpu_served,
             "conv": fields(world.conv, {"trace"}), "dot": fields(world.dot, {"trace"}),
             "cpu": world.cpu and fields(world.cpu, {"rom", "bus", "sram"})}
 
@@ -321,12 +345,13 @@ class TestFastForwardLockstep:
     @given(data=st.data())
     def test_run_until_matches_stepping(self, data):
         # World.step() is the reference; run_until may advance a lone DSP by
-        # whole outputs.  Both must reach the same state, trace and timeout,
-        # also for a budget that ends in the middle of an output.
+        # whole outputs, or a lone CPU by whole instructions.  Both must
+        # reach the same state, trace, fault and timeout, also for a budget
+        # that ends inside an output or a multi-cycle instruction.
         case = _lockstep_case(data)
         unlimited = SimConfig().max_cycles
         stepped, lines, outcome = _lockstep_run(case, unlimited, fast=False)
-        assert outcome == "finished"
+        assert not outcome.startswith("SimulationTimeout")
         budget = data.draw(st.none() | st.integers(1, stepped.cycle), label="max_cycles")
         if budget is not None:
             stepped, lines, outcome = _lockstep_run(case, budget, fast=False)
@@ -336,8 +361,9 @@ class TestFastForwardLockstep:
         assert _observable(fast) == _observable(stepped)
 
     def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
-        # testbench runs step only for their register writes; a CPU that
-        # polls STATUS keeps every cycle stepped
+        # testbench runs step only for their register writes; a full-system
+        # run retires the driver's instructions whole and steps only while
+        # the DSP runs beside the CPU's poll loop
         steps = []
         step = World.step
         monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
@@ -348,7 +374,7 @@ class TestFastForwardLockstep:
         assert len(steps) == 4
         steps.clear()
         report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
-        assert len(steps) == report["total_cycles"]
+        assert len(steps) == report["conv"]["busy_cycles"]
 
 
 class TestTrace:
