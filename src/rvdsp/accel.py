@@ -10,9 +10,10 @@ clears STATUS and returns a DONE unit to IDLE.
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
 its configuration in ``_start``, and implements the per-cycle datapath
-in ``step``.  Beside it, ``output_span`` and ``run_output`` perform one
-whole output at once for ``World.run_until`` when the unit is the only
-DataMem requester; the result is exactly that of stepping those cycles.
+in ``step``.  Beside it, for ``World.run_until`` while the unit is the
+only DataMem requester: ``cycles_left`` is the number of cycles to its
+finish, and ``output_span``/``run_output`` perform whole outputs at once,
+with exactly the result of stepping those cycles.
 """
 
 from __future__ import annotations

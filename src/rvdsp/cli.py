@@ -9,7 +9,8 @@ Subcommands:
   asm     disassemble a hexwords program image
 
 Exit codes: 0 ok, 2 config/usage error, 3 scenario validation error,
-4 simulation fault, 5 timeout.
+4 simulation fault (also a host register access the bus refuses),
+5 timeout.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .perfmodel import (DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW, CnnLayerShape,
                         dsp_dot_cycles_rounded, latency_seconds,
                         sw_conv_cycles, sw_dot_cycles, sw_dot_cycles_rounded)
 from .scenario import Kind, Mode, Scenario, ScenarioError, load_scenario
-from .scheduler import (SimConfig, SimulationFault, SimulationTimeout,
-                        report_to_json, run_scenario, scenario_data)
+from .scheduler import (HostAccessError, SimConfig, SimulationFault,
+                        SimulationTimeout, report_to_json, run_scenario,
+                        scenario_data)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +58,7 @@ def _cmd_run(args):
     except SimulationTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except SimulationFault as exc:
+    except (SimulationFault, HostAccessError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

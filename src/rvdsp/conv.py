@@ -36,6 +36,10 @@ class _Sub(enum.Enum):
     WAIT_Y = 3
 
 
+# cycles already spent on the current tap when a sub-state is next to step
+_PHASE = {_Sub.POST_X: 0, _Sub.WAIT_X: 1, _Sub.WAIT_H: 2, _Sub.WAIT_Y: 0}
+
+
 class ConvDsp(MmioAccelerator):
     NAME = "conv"
     CONFIG = {OFF_IN_ADDR: "in_addr", OFF_KERN_ADDR: "kern_addr",
@@ -109,36 +113,50 @@ class ConvDsp(MmioAccelerator):
             else:
                 self._sub = _Sub.POST_X
 
-    def output_span(self):
-        """Cycles of the next whole output, 3K+1, at an output boundary;
-        0 anywhere else."""
-        if self._sub is _Sub.POST_X and self.kern_idx == 0:
-            return 3 * self._cfg[4] + 1
-        return 0
+    def cycles_left(self):
+        """Cycles until and including the one that finishes the run, when
+        no other requester touches DataMem (in RUN)."""
+        _, _, _, n, k = self._cfg
+        mmi = self.mmi
+        done = 3 * self.kern_idx + _PHASE[self._sub]  # of the current output
+        return ((n - k + 1 - self.out_idx) * (3 * k + 1) - done
+                + (mmi.req and not mmi.done))  # a stalled request lands a cycle late
 
-    def run_output(self, words):
-        """The K taps and the output write that ``step`` performs over the
-        next 3K+1 cycles when no other requester touches DataMem, read from
-        and written to the SRAM `words` directly.  All reads precede the
-        write, so an output buffer overlapping the input reads what the
-        stepped path reads.  Returns the DataMem grants used, 2K+1."""
+    def output_span(self, limit):
+        """Cycles of the most whole outputs, 3K+1 each, that fit in `limit`
+        cycles, at an output boundary; 0 anywhere else."""
+        if self._sub is not _Sub.POST_X or self.kern_idx:
+            return 0
+        _, _, _, n, k = self._cfg
+        per = 3 * k + 1
+        return per * min(limit // per, n - k + 1 - self.out_idx)
+
+    def run_output(self, span, words):
+        """The outputs that ``step`` performs over the next `span` cycles
+        (a value of ``output_span``) when no other requester touches
+        DataMem, read from and written to the SRAM `words` directly.  Each
+        output's reads precede its write, so an output buffer overlapping
+        the input reads what the stepped path reads.  Returns the DataMem
+        grants used, 2K+1 per output."""
         in_addr, kern_addr, out_addr, n, k = self._cfg
-        x0 = ((in_addr - DATA_BASE) >> 2) + self.out_idx
         h0 = (kern_addr - DATA_BASE) >> 2
-        xs = [s32(w) for w in words[x0:x0 + k]]
-        accum = s64(self.accum + sum(map(mul, xs, map(s32, words[h0:h0 + k]))))
-        value = truncate_accumulator(accum, self.truncation)
-        out = out_addr + 4 * self.out_idx
-        words[(out - DATA_BASE) >> 2] = value
+        count = span // (3 * k + 1)
+        for _ in range(count):
+            x0 = ((in_addr - DATA_BASE) >> 2) + self.out_idx
+            xs = [s32(w) for w in words[x0:x0 + k]]
+            accum = s64(self.accum + sum(map(mul, xs, map(s32, words[h0:h0 + k]))))
+            value = truncate_accumulator(accum, self.truncation)
+            out = out_addr + 4 * self.out_idx
+            words[(out - DATA_BASE) >> 2] = value
+            self.out_idx += 1
         mmi = self.mmi
         mmi.request_write(out, value)
         mmi.rddata = 0  # the bus answers a write with 0
         mmi.clear()
         self._x_val = xs[-1]
-        self.busy_cycles += 3 * k + 1
-        self.macs += k
-        self.out_idx += 1
+        self.busy_cycles += span
+        self.macs += k * count
         if self.out_idx == n - k + 1:
             self._sub = _Sub.WAIT_Y
             self._finish()
-        return 2 * k + 1
+        return (2 * k + 1) * count

@@ -61,6 +61,7 @@ class Cpu:
         self.config_write_cycles = 0
         self._wait = 0
         self._tx = None
+        self._tx_pc = 0    # pc of the instruction that posted _tx
         self._load = None  # (entry, addr) of a posted load
 
     def step(self):
@@ -82,11 +83,33 @@ class Cpu:
         if tx is None or tx.state is not TxState.DONE:
             return
         if tx.error is not None:
-            self.fault = Fault("bus", self.pc, tx.error)
+            self.fault = Fault("bus", self._tx_pc, tx.error)
         elif self._load is not None:
             _write_back(self, *self._load, tx.rdata)
         self._tx = None
         self._load = None
+
+    def next_reads_only(self, lo, hi):
+        """True if the instruction at pc is decoded and makes no memory
+        access but a load from [lo, hi]: no store, no ``ecall`` (which
+        writes DataMem), no other load.  ``World.run_until`` checks a spin
+        loop with it."""
+        pc = self.pc
+        if pc & 3 or pc > INST_END:
+            return False
+        entry = self.rom.decoded[pc >> 2]
+        if entry is None:
+            return False
+        handler = entry[0]
+        if handler is _load:
+            return lo <= (self.regs[entry[2]] + entry[4]) & _MASK <= hi
+        return handler is not _store and handler is not _ecall
+
+    def _post(self, tx, load=None):
+        """Post the instruction at pc's access `tx`; ``observe`` writes
+        `load` back, or faults at this pc on a bus error."""
+        self._tx, self._tx_pc, self._load = tx, self.pc, load
+        self.bus.post(tx)
 
     def _fault(self, kind, detail=""):
         self.fault = Fault(kind, self.pc, detail)
@@ -197,8 +220,7 @@ def _load(cpu, e):
         cpu.bus.serve_cpu()
         _write_back(cpu, e, addr, cpu.sram.words[(addr - DATA_BASE) >> 2])
     else:
-        cpu._tx, cpu._load = BusTransaction(Requester.CPU, addr & ~3), (e, addr)
-        cpu.bus.post(cpu._tx)
+        cpu._post(BusTransaction(Requester.CPU, addr & ~3), (e, addr))
     cpu.pc += 4
     return e[6]
 
@@ -232,9 +254,8 @@ def _store(cpu, e):
         word_addr = addr & ~3
         if decode_address(word_addr)[0] in (Region.CONV_REGS, Region.DOT_REGS):
             cpu.config_write_cycles += cpu.costs.store
-        cpu._tx = BusTransaction(Requester.CPU, word_addr, write=True, wdata=value,
-                                 wstrb=((1 << width) - 1) << (addr & 3))
-        cpu.bus.post(cpu._tx)
+        cpu._post(BusTransaction(Requester.CPU, word_addr, write=True, wdata=value,
+                                 wstrb=((1 << width) - 1) << (addr & 3)))
     cpu.pc += 4
     return e[6]
 

@@ -33,6 +33,10 @@ class _Sub(enum.Enum):
     FINALIZE = 3
 
 
+# cycles already spent on the current element when a sub-state is next to step
+_PHASE = {_Sub.POST_A: 0, _Sub.WAIT_A: 1, _Sub.WAIT_B: 2, _Sub.FINALIZE: 0}
+
+
 class DotDsp(MmioAccelerator):
     NAME = "dot"
     CONFIG = {OFF_VA_ADDR: "va_addr", OFF_VB_ADDR: "vb_addr", OFF_LEN: "length"}
@@ -94,31 +98,45 @@ class DotDsp(MmioAccelerator):
         self.result_hi = bits >> 32
         self._finish()
 
-    def output_span(self):
-        """Cycles of the whole product plus FINALIZE, 3L+1, before its first
-        element (L > 0: an empty product starts in FINALIZE); 0 after."""
-        if self._sub is _Sub.POST_A and self.vec_idx == 0:
-            return 3 * self._cfg[2] + 1
-        return 0
+    def cycles_left(self):
+        """Cycles until and including FINALIZE, when no other requester
+        touches DataMem (in RUN)."""
+        mmi = self.mmi
+        return (3 * (self._cfg[2] - self.vec_idx) + 1 - _PHASE[self._sub]
+                + (mmi.req and not mmi.done))  # a stalled request lands a cycle late
 
-    def run_output(self, words):
-        """The L MACs and FINALIZE that ``step`` performs over the next
-        3L+1 cycles when no other requester touches DataMem, read from the
-        SRAM `words` directly.  Returns the DataMem grants used, 2L."""
+    def output_span(self, limit):
+        """Cycles of the most whole elements, 3 each, that fit in `limit`
+        cycles, plus FINALIZE if it fits after the last element, at an
+        element boundary; 0 anywhere else (an empty product starts in
+        FINALIZE)."""
+        if self._sub is not _Sub.POST_A:
+            return 0
+        rest = 3 * (self._cfg[2] - self.vec_idx)
+        return rest + 1 if limit > rest else limit - limit % 3
+
+    def run_output(self, span, words):
+        """The elements, and FINALIZE if `span` includes it, that ``step``
+        performs over the next `span` cycles (a value of ``output_span``)
+        when no other requester touches DataMem, read from the SRAM `words`
+        directly.  Returns the DataMem grants used, 2 per element."""
         va, vb, length = self._cfg
-        a0 = (va - DATA_BASE) >> 2
-        b0 = (vb - DATA_BASE) >> 2
-        a = words[a0:a0 + length]
-        b = words[b0:b0 + length]
+        count = span // 3
+        a0 = ((va - DATA_BASE) >> 2) + self.vec_idx
+        b0 = ((vb - DATA_BASE) >> 2) + self.vec_idx
+        a = words[a0:a0 + count]
+        b = words[b0:b0 + count]
         self.accum = s64(self.accum + sum(map(mul, map(s32, a), map(s32, b))))
         mmi = self.mmi
-        mmi.request_read(vb + 4 * (length - 1))
+        mmi.request_read(vb + 4 * (self.vec_idx + count - 1))
         mmi.rddata = b[-1]
         mmi.clear()
         self._a_val = s32(a[-1])
-        self.busy_cycles += 3 * length + 1
-        self.macs += length
-        self.vec_idx = length
-        self._sub = _Sub.FINALIZE
-        self._finalize()
-        return 2 * length
+        self.busy_cycles += span
+        self.macs += count
+        self.vec_idx += count
+        if self.vec_idx == length:
+            self._sub = _Sub.FINALIZE
+            if span % 3:
+                self._finalize()
+        return 2 * count

@@ -116,7 +116,8 @@ class Sram:
             raise MisalignedAddressError(self.base + byte_offset)
         idx = byte_offset >> 2
         if not 0 <= idx < MEM_WORDS:
-            raise MemoryAccessError(f"SRAM access out of range: offset 0x{byte_offset:x}")
+            raise MemoryAccessError("SRAM access out of range: address "
+                                    f"0x{u32(self.base + byte_offset):08x}")
         return idx
 
     def read_word(self, byte_offset):

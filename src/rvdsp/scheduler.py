@@ -21,7 +21,7 @@ from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
 from .mac import Truncation
-from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, Rom, Sram
+from .memmap import CONV_BASE, CONV_END, DATA_BASE, DOT_BASE, DOT_END, Rom, Sram
 from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW,
                         CnnLayerShape, cnn_layer_macs, conv_speedup,
                         dense_layer_macs, dot_speedup, dsp_conv_cycles,
@@ -46,6 +46,11 @@ class SimConfig:
 
 class SimulationTimeout(Exception):
     pass
+
+
+class HostAccessError(RuntimeError):
+    """A host register access (``World.reg_write``/``reg_read``) that the
+    bus answered with an error."""
 
 
 class SimulationFault(Exception):
@@ -87,33 +92,82 @@ class World:
     def run_until(self, predicate):
         """Advance until predicate() holds.
 
-        ``step()`` is the single-cycle reference.  Two faster paths give
+        ``step()`` is the single-cycle reference.  Three faster paths give
         the same cycle count, counters, memory and trace as stepping:
         - while one DSP is the only possible DataMem requester (no CPU or
-          a halted one), a call at that DSP's output boundary advances the
-          whole output (``_fast_forward``);
+          a halted one, nothing posted), one call advances it to the end
+          of its run, or to max_cycles (``_fast_forward``);
         - while the CPU is the only possible requester (neither DSP in
-          RUN, no transaction posted on the bus), a call at an
-          instruction boundary retires the whole instruction
-          (``_retire``).
-        On these paths predicate() is evaluated at output or instruction
-        boundaries only, so it should depend on state that changes there
-        (a DSP's state, the CPU's halt), not on the cycle number.
+          RUN, nothing posted), a call at an instruction boundary retires
+          the whole instruction (``_retire``);
+        - while exactly one DSP runs beside the CPU, a spin loop of the
+          CPU is jumped over whole iterations together with the DSP
+          (``_spin``).  Each instruction is checked before it issues: a
+          pure register operation passes, and so does a load from the
+          running unit's registers, which returns the same value until the
+          unit finishes; anything else fails.  At a backward-jump target
+          reached with every instruction since the last one passing, the
+          CPU's pc and registers are kept.  If they equal those kept at the
+          last one, the iteration between repeats exactly until the unit
+          finishes.  It is jumped as often as ends before the unit's
+          finishing cycle and within max_cycles, and the rest is stepped,
+          so the read that sees STATUS.done lands on its cycle.
+        On these paths predicate() is evaluated at the ends of runs,
+        instructions and jumps only, so it should depend on state that
+        changes there (a DSP's state, the CPU's halt), not on the cycle
+        number.
         """
         cpu, bus, conv, dot = self.cpu, self.bus, self.conv, self.dot
         max_cycles, run = self.config.max_cycles, DspState.RUN
+        spin = None  # (pc, unit, registers) at a backward-jump target, and counters
+        clean = True  # every instruction since the last such target passed
+        last_pc = -1
         while not predicate():
             if cpu is None or cpu.halted:
                 if self._fast_forward():
                     continue
-            elif (not cpu._wait and cpu.fault is None and self.cycle < max_cycles
-                  and not bus.cpu_posted and conv.state is not run
-                  and dot.state is not run):
-                self._retire()
-                continue
+            elif not cpu._wait and cpu.fault is None:  # an instruction boundary
+                conv_runs = conv.state is run
+                if conv_runs is (dot.state is run) or bus.cpu_posted:
+                    spin = None
+                    if not conv_runs and self.cycle < max_cycles and not bus.cpu_posted:
+                        self._retire()
+                        continue
+                else:
+                    pc = cpu.pc
+                    if pc <= last_pc:  # the target of a backward jump
+                        spin = self._spin(spin, conv if conv_runs else dot) if clean else None
+                        clean = True
+                    if clean:
+                        lo, hi = (CONV_BASE, CONV_END) if conv_runs else (DOT_BASE, DOT_END)
+                        clean = cpu.next_reads_only(lo, hi)
+                    last_pc = pc
             self.step()
             if cpu is not None and cpu.fault is not None:
                 raise SimulationFault(cpu.fault)
+
+    def _spin(self, head, dsp):
+        """At a backward-jump target beside the running `dsp`, reached with
+        every instruction since `head` passing the check: the new head of
+        a spin loop.  If `head` holds the same pc, unit and registers, the
+        CPU and `dsp` first jump together over as many whole iterations as
+        end before the unit's finishing cycle and within max_cycles."""
+        cpu, bus = self.cpu, self.bus
+        key = (cpu.pc, dsp, *cpu.regs)
+        if head is not None and head[0] == key:
+            before = head[1]
+            period = self.cycle - before[0]
+            jumps = min((dsp.cycles_left() - 1) // period,
+                        (self.config.max_cycles - self.cycle) // period)
+            if jumps > 0:
+                cpu.retired += jumps * (cpu.retired - before[1])
+                cpu.cycles += jumps * (cpu.cycles - before[2])
+                cpu.stall_cycles += jumps * (cpu.stall_cycles - before[3])
+                cpu.config_write_cycles += jumps * (cpu.config_write_cycles - before[4])
+                bus.register_accesses += jumps * (bus.register_accesses - before[5])
+                self._advance(dsp, jumps * period)
+        return key, (self.cycle, cpu.retired, cpu.cycles, cpu.stall_cycles,
+                     cpu.config_write_cycles, bus.register_accesses)
 
     def _retire(self):
         """The CPU's issue cycle, run as step() runs it, then a jump over
@@ -139,9 +193,9 @@ class World:
         cpu._wait -= jump
 
     def _fast_forward(self):
-        """Run one whole output of the only running DSP in one call, if it
-        sits at an output boundary, no CPU transaction is posted and the
-        output ends within max_cycles; False, with nothing done, otherwise."""
+        """Advance the only running DSP to the end of its run, or to
+        max_cycles, if no CPU transaction is posted; False, with nothing
+        done, otherwise."""
         conv, dot = self.conv, self.dot
         if conv.state is DspState.RUN:
             if dot.state is DspState.RUN:
@@ -151,32 +205,50 @@ class World:
             dsp = dot
         else:
             return False
-        span = dsp.output_span()
-        if (not span or self.cycle + span > self.config.max_cycles
-                or self.bus.cpu_posted):
+        cycles = min(dsp.cycles_left(), self.config.max_cycles - self.cycle)
+        if not cycles or self.bus.cpu_posted:
             return False
-        self.cycle += span  # first, so a `done` trace line shows the last cycle
-        self.bus.credit_grants(dsp.mmi, dsp.run_output(self.sram.words))
+        self._advance(dsp, cycles)
         return True
+
+    def _advance(self, dsp, cycles):
+        """Advance the running `dsp` by `cycles`, at most its cycles_left(),
+        as stepping does while it is the only DataMem requester: whole
+        outputs in closed form, and the DSP and the bus stepped alone up to
+        the first output boundary and after the last whole output."""
+        bus, words = self.bus, self.sram.words
+        end = self.cycle + cycles
+        while self.cycle < end:
+            span = dsp.output_span(end - self.cycle)
+            if span:
+                self.cycle += span  # first, so a `done` trace line shows the last cycle
+                bus.credit_grants(dsp.mmi, dsp.run_output(span, words))
+            else:
+                self.cycle += 1
+                dsp.step()
+                bus.step()
 
     def run_until_halt(self):
         self.run_until(lambda: self.cpu.halted)
 
     # -------------------------------------------------------- host access
     def reg_write(self, addr, value):
-        """Testbench-mode register write; advances one bus cycle."""
+        """Testbench-mode register write; advances one bus cycle.  Raises
+        HostAccessError if the bus answers with an error."""
         tx = BusTransaction(Requester.CPU, addr, write=True, wdata=u32(value))
         self.bus.post(tx)
         self.step()
         if tx.error is not None:
-            raise RuntimeError(tx.error)
+            raise HostAccessError(tx.error)
 
     def reg_read(self, addr):
+        """Testbench-mode register read; advances one bus cycle.  Raises
+        HostAccessError if the bus answers with an error."""
         tx = BusTransaction(Requester.CPU, addr)
         self.bus.post(tx)
         self.step()
         if tx.error is not None:
-            raise RuntimeError(tx.error)
+            raise HostAccessError(tx.error)
         return tx.rdata
 
     def write_words(self, byte_addr, words):

@@ -20,7 +20,8 @@ The simulated SoC's conventions it follows:
 - A load or store whose address is not a multiple of its width retires,
   then faults ``misaligned`` at its own pc.
 - A bus error is reported once the access completes, after the
-  instruction retired and pc moved on, so its fault pc is the next pc.
+  instruction retired and pc moved on, at the pc of the instruction that
+  made the access.
 - ``ecall`` writes x17 to the last DataMem word and halts; ``ebreak``
   halts. pc moves past both.
 """
@@ -162,7 +163,7 @@ class RefCpu:
                 return
             value = self._load_word(addr & ~3) >> shift & lane
         except _BusError:
-            self.fault = ("bus", nxt)
+            self.fault = ("bus", pc)
             return
         write_back(_signed(value, 8 * width) if signed_or_value else value)
         self.classes.append("load")

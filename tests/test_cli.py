@@ -1,6 +1,8 @@
 import json
 
-from rvdsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VALIDATION, main
+from rvdsp import conv as conv_regs
+from rvdsp.cli import (EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_TIMEOUT,
+                       EXIT_VALIDATION, main)
 
 
 def write_scenario(tmp_path, body, name="scenario.cfg"):
@@ -54,6 +56,16 @@ class TestRun:
         assert main(["run", "--scenario", path]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["cpu"]["retired"] > 0
+
+    def test_refused_host_register_access_is_a_fault(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a testbench run writes the unit's registers from the host; one the
+        # bus refuses ends the run as a fault, not a traceback
+        monkeypatch.setattr(conv_regs, "OFF_KERN_LEN", 0x40)
+        path = write_scenario(tmp_path, CONV_SCENARIO)
+        assert main(["run", "--scenario", path]) == EXIT_FAULT
+        assert capsys.readouterr().err == (
+            "fault: conv: no register at offset 0x40\n")
 
     def test_external_data_files(self, tmp_path, capsys):
         x_path = tmp_path / "x.hex"

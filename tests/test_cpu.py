@@ -151,6 +151,16 @@ class TestFaults:
             world.run_until_halt()
         assert exc.value.fault.kind == "bus"
 
+    def test_bus_fault_names_the_faulting_instruction(self):
+        asm = Assembler()
+        asm.emit(I("addi", rd=1, imm=5), I("sw", rs1=0, rs2=1, imm=16), I("ebreak"))
+        world = World(SimConfig(), with_cpu=True)
+        world.rom.load(asm.words())
+        with pytest.raises(SimulationFault) as exc:
+            world.run_until_halt()
+        assert str(exc.value) == "bus fault at pc=0x00000004: write to ROM at 0x00000010"
+        assert world.cpu.pc == 8  # the store retired and pc moved on
+
     def test_host_access_beside_a_cpu_access_is_refused(self):
         # the CPU serves its DataMem load at issue, but still refuses to
         # share the cycle with a host transaction, as the bus slot did

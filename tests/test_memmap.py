@@ -57,8 +57,10 @@ class TestSram:
         assert Sram().read_word(0x1ABC) == 0
 
     def test_out_of_range(self):
-        with pytest.raises(MemoryAccessError):
+        with pytest.raises(MemoryAccessError, match="address 0x00010000$"):
             Sram().write_word(0x8000, 1)  # one past DataMem end
+        with pytest.raises(MemoryAccessError, match="address 0x00007ffc$"):
+            Sram().read_words(-4, 1)  # the word before DataMem
 
     def test_byte_strobes_merge(self):
         mem = Sram()

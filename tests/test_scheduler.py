@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +13,15 @@ from rvdsp.bits import s32, s64, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
 from rvdsp.cpu import CycleCostTable
+from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
 from rvdsp.prng import SplitMix64
-from rvdsp.programs import conv_driver, conv_sw_kernel, dot_driver
+from rvdsp.programs import Assembler, I, conv_driver, conv_sw_kernel, dot_driver
 from rvdsp.scenario import Kind, Mode, Scenario
-from rvdsp.scheduler import (SimConfig, SimulationFault, SimulationTimeout, World,
-                             report_to_json, run_scenario, run_sw_conv_benchmark,
-                             scenario_data)
+from rvdsp.scheduler import (HostAccessError, SimConfig, SimulationFault,
+                             SimulationTimeout, World, report_to_json, run_scenario,
+                             run_sw_conv_benchmark, scenario_data)
 
 
 def conv_scenario(n, k, mode=Mode.TESTBENCH, seed=1):
@@ -223,6 +225,13 @@ _CONV_X, _CONV_H, _DOT_A, _DOT_B = (DATA_BASE + off for off in
 _SW_X, _SW_H, _SW_Y = (DATA_BASE + off for off in (0x3000, 0x3100, 0x3200))
 
 
+def _conv_start(n, k):
+    """The register writes that start a conv n/k on the lockstep buffers."""
+    return ((conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
+            (conv_regs.OFF_OUT_ADDR, DATA_BASE + 0x1800), (conv_regs.OFF_IN_LEN, n),
+            (conv_regs.OFF_KERN_LEN, k), (conv_regs.OFF_CONTROL, 1))
+
+
 def _words(data, count):
     """`count` splitmix64 words, or words near the int32 limits (saturation)."""
     if data.draw(st.booleans(), label="extreme"):
@@ -340,14 +349,76 @@ def _observable(world):
             "cpu": world.cpu and fields(world.cpu, {"rom", "bus", "sram"})}
 
 
+# A conv 40/5 started by the CPU, then a STATUS poll with one more
+# instruction in the loop, then IRQ_CLEAR and a halt, or a jump back to
+# start the unit again: (loop body, polled STATUS address, restart, jumped).
+# Each poll loop's pc and registers repeat, but only a plain one may be
+# jumped, and never across the restart.
+_CONV_START = _conv_start(40, 5)
+_CONV_STATUS = CONV_BASE + conv_regs.OFF_STATUS
+_POLL_LOOPS = {
+    "plain": ((), _CONV_STATUS, False, True),
+    "restarted": ((), _CONV_STATUS, True, True),  # until the timeout
+    "DataMem load": ((I("lw", rd=6, rs1=22),), _CONV_STATUS, False, False),
+    "store": ((I("sw", rs1=22, rs2=0),), _CONV_STATUS, False, False),
+    "running unit write": ((I("sw", rs1=20, rs2=0, imm=conv_regs.OFF_IN_LEN),),
+                           _CONV_STATUS, False, False),
+    "idle unit": ((), DOT_BASE + dot_regs.OFF_STATUS, False, False),  # until the timeout
+}
+
+
+def _poll_program(body, status, restart, lead):
+    asm = Assembler()
+    asm.li(20, CONV_BASE)
+    asm.li(22, _SW_Y)
+    asm.li(23, status)
+    asm.label("start")
+    for offset, value in _CONV_START:
+        asm.li(21, value)
+        asm.emit(I("sw", rs1=20, rs2=21, imm=offset))
+    asm.emit(*[I("addi")] * lead)
+    asm.label("poll")
+    asm.emit(*body, I("lw", rd=5, rs1=23), I("andi", rd=5, rs1=5, imm=1))
+    asm.branch("beq", 5, 0, "poll")
+    asm.emit(I("addi", rd=21, imm=1),
+             I("sw", rs1=20, rs2=21, imm=conv_regs.OFF_IRQ_CLEAR))
+    if restart:  # with the registers of the poll before
+        asm.emit(I("addi", rd=5, imm=0))
+        asm.branch("beq", 0, 0, "start")
+    asm.emit(I("ebreak"))
+    return asm.words()
+
+
+def _rom_word(draw):
+    """A random 32-bit word; a random instruction with small offsets, mostly
+    from x0 and the prologue's base registers; or a short backward jump."""
+    kind = draw(st.sampled_from(["word", "instruction", "instruction", "back"]))
+    if kind == "word":
+        return draw(st.integers(0, 0xFFFF_FFFF))
+    regs = st.sampled_from([0, 5, 6, 20, 21, 22])
+    if kind == "back":
+        m = draw(st.sampled_from(["beq", "bne", "bgeu", "jal"]))
+        return encode(I(m, rs1=draw(regs), rs2=draw(regs),
+                        imm=draw(st.sampled_from([-12, -8, -4, 0]))))
+    m = draw(st.sampled_from(MNEMONICS))
+    if m in ("slli", "srli", "srai", "fence"):
+        imm = draw(st.integers(0, 31))
+    elif m in ("lui", "auipc"):
+        imm = draw(st.sampled_from([0, 0x1000, CONV_BASE, -0x1000]))
+    else:
+        imm = draw(st.sampled_from([-8, -4, 0, 2, 4, 8, 0x10, 0x18]))
+    return encode(I(m, rd=draw(regs), rs1=draw(regs), rs2=draw(regs), imm=imm))
+
+
 class TestFastForwardLockstep:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_run_until_matches_stepping(self, data):
-        # World.step() is the reference; run_until may advance a lone DSP by
-        # whole outputs, or a lone CPU by whole instructions.  Both must
-        # reach the same state, trace, fault and timeout, also for a budget
-        # that ends inside an output or a multi-cycle instruction.
+        # World.step() is the reference; run_until may advance a lone DSP to
+        # its finish, a lone CPU by whole instructions, or a driver's poll
+        # loop and its DSP by whole iterations.  Both must reach the same
+        # state, trace, fault and timeout, also for a budget that ends
+        # inside an output, a multi-cycle instruction or a poll loop.
         case = _lockstep_case(data)
         unlimited = SimConfig().max_cycles
         stepped, lines, outcome = _lockstep_run(case, unlimited, fast=False)
@@ -360,10 +431,59 @@ class TestFastForwardLockstep:
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_advance_matches_stepping(self, data):
+        # World._advance(dsp, c), which both jumps use, must equal c steps
+        # for any c up to cycles_left(), and cycles_left() must be the steps
+        # to the unit's finish, also from a request that lost arbitration
+        unit = data.draw(st.sampled_from(["conv", "dot"]), label="unit")
+        if unit == "conv":
+            n = data.draw(st.integers(1, 12), label="n")
+            k = data.draw(st.integers(1, n), label="k")
+            base, writes = CONV_BASE, _conv_start(n, k)
+        else:
+            base, writes = DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                      (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                      (dot_regs.OFF_LEN, data.draw(st.integers(0, 12))),
+                                      (dot_regs.OFF_CONTROL, 1))
+        lead = data.draw(st.integers(0, 8), label="lead")
+        stall = data.draw(st.booleans(), label="stall")
+
+        def build():
+            lines = []
+            world = World(SimConfig(trace=lines.append))
+            for addr in (_CONV_X, _CONV_H, _DOT_A, _DOT_B):
+                world.write_words(addr, SplitMix64(addr).words(12))
+            for offset, value in writes:
+                world.reg_write(base + offset, value)
+            for _ in range(lead):
+                world.step()
+            if stall:  # the host wins DataMem for a cycle
+                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
+                world.step()
+            return world, getattr(world, unit), lines
+
+        stepped, dsp, lines = build()
+        if dsp.state is not DspState.RUN:
+            return
+        left = dsp.cycles_left()
+        cycles = left - data.draw(st.integers(0, left), label="short of the finish")
+        fast, fast_dsp, fast_lines = build()
+        fast._advance(fast_dsp, cycles)
+        for _ in range(cycles):
+            stepped.step()
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        while dsp.state is DspState.RUN:
+            stepped.step()
+            cycles += 1
+        assert cycles == left
+
     def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
         # testbench runs step only for their register writes; a full-system
-        # run retires the driver's instructions whole and steps only while
-        # the DSP runs beside the CPU's poll loop
+        # run retires the driver's instructions whole and jumps the poll
+        # loop beside the running DSP
         steps = []
         step = World.step
         monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
@@ -374,7 +494,95 @@ class TestFastForwardLockstep:
         assert len(steps) == 4
         steps.clear()
         report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
-        assert len(steps) == report["conv"]["busy_cycles"]
+        # the wait of the CONTROL store, three 6-cycle poll iterations (the
+        # first decodes the loop, the second ends where its pc and registers
+        # are taken, the third finds them again), and at most one iteration
+        # after the jump
+        assert len(steps) <= 2 + 4 * 6 < report["conv"]["busy_cycles"]
+
+    # the plain loop also after 1 to 5 one-cycle nops, so that over the six
+    # phases of the 6-cycle loop against the unit's finish, one jump ends on
+    # the last iteration whose STATUS read still sees the unit running
+    @pytest.mark.parametrize("name, lead", [(name, 0) for name in sorted(_POLL_LOOPS)]
+                             + [("plain", lead) for lead in range(1, 6)])
+    def test_only_exact_poll_loops_are_jumped(self, name, lead, monkeypatch):
+        body, status, restart, jumped = _POLL_LOOPS[name]
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(40)),
+                            (_CONV_H, SplitMix64(2).words(5))],
+                "starts": [], "rom": _poll_program(body, status, restart, lead),
+                "posted": False}
+        stepped, lines, outcome = _lockstep_run(case, 1500, fast=False)
+        jumps = []
+        advance = World._advance
+        monkeypatch.setattr(World, "_advance", lambda world, dsp, cycles: (
+            jumps.append(cycles), advance(world, dsp, cycles)))
+        fast, fast_lines, fast_outcome = _lockstep_run(case, 1500, fast=True)
+        assert fast_outcome == outcome
+        assert outcome == ("SimulationTimeout: exceeded 1500 cycles"
+                           if restart or name == "idle unit" else "finished")
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert bool(jumps) == jumped
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_rom_words_match_stepping(self, data):
+        # arbitrary code beside a running conv or dot, or alone, puts the
+        # spin-loop check on more than drivers; every run ends in a halt, a
+        # fault or the timeout, as stepping ends it
+        draw = data.draw
+        rom = []
+        if draw(st.booleans(), label="prologue"):
+            asm = Assembler()
+            for reg, value in ((20, CONV_BASE), (21, DOT_BASE), (22, _SW_Y)):
+                asm.li(reg, value)
+            rom = asm.words()
+        rom += [_rom_word(draw) for _ in range(draw(st.integers(1, 10), label="words"))]
+        unit = draw(st.sampled_from([None, "conv", "dot"]), label="unit")
+        starts = []
+        if unit == "conv":
+            n = draw(st.integers(1, 64), label="n")
+            k = draw(st.integers(1, n), label="k")
+            starts = [("conv", CONV_BASE, _conv_start(n, k))]
+        elif unit == "dot":
+            starts = [("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                         (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                         (dot_regs.OFF_LEN, draw(st.integers(0, 64))),
+                                         (dot_regs.OFF_CONTROL, 1)))]
+        costs = CycleCostTable()
+        if draw(st.booleans(), label="other costs"):
+            costs = CycleCostTable(*draw(st.lists(st.integers(1, 4), min_size=8,
+                                                  max_size=8), label="costs"))
+        case = {"truncation": Truncation.WRAP, "costs": costs, "rom": rom,
+                "preload": [(_CONV_X, SplitMix64(1).words(64)),
+                            (_CONV_H, SplitMix64(2).words(64)),
+                            (_DOT_A, SplitMix64(3).words(64)),
+                            (_DOT_B, SplitMix64(4).words(64))],
+                "starts": starts, "posted": False}
+        budget = draw(st.just(1500) | st.integers(1, 1500), label="max_cycles")
+        stepped, lines, outcome = _lockstep_run(case, budget, fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, budget, fast=True)
+        assert outcome.split(":")[0] in ("finished", "SimulationFault",
+                                         "SimulationTimeout")
+        assert fast_outcome == outcome
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
+
+class TestHostAccess:
+    @pytest.mark.parametrize("access, message", [
+        (lambda world: world.reg_read(0x5), "misaligned bus address 0x00000005"),
+        (lambda world: world.reg_write(0x0, 1), "write to ROM at 0x00000000"),
+        (lambda world: world.reg_write(CONV_BASE + 0x40, 1),
+         "conv: no register at offset 0x40"),
+    ])
+    def test_refused_access_raises_a_typed_error(self, access, message):
+        world = World()
+        with pytest.raises(HostAccessError) as exc:
+            access(world)
+        assert str(exc.value) == message
+        assert world.cycle == 1
 
 
 class TestTrace:
