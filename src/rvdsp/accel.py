@@ -1,4 +1,4 @@
-"""Register protocol shared by the memory-mapped DSP accelerators.
+"""Register protocol and MAC datapath shared by the DSP accelerators.
 
 Both units expose the same AXI-Lite contract.  Configuration registers
 are writable only outside RUN.  CONTROL bit 1 is the interrupt enable
@@ -7,21 +7,35 @@ IRQ_CLEAR.  STATUS (bit 0 done, bit 1 error) and the other read-only
 registers ignore writes.  Writing 1 to IRQ_CLEAR drops the interrupt,
 clears STATUS and returns a DONE unit to IDLE.
 
+Both units also share one memory-master datapath.  A run is `outputs`
+accumulations of `taps` signed products, and tap j of output i
+multiplies the words at ``a + 4(i+j)`` and ``b + 4j``: conv is
+(N-K+1, K) and dot is (1, L).  Uncontended, a tap takes 3 cycles (post
+the a read; capture a and post the b read; capture b and MAC), and each
+output one end cycle more, so a run occupies outputs*(3*taps+1) busy
+cycles.  In the cycle of an output's last MAC the unit posts the word
+that ``_output`` returns, if any (conv's truncated result); the end
+cycle waits for that write, clears the accumulator and finishes the run
+after the last output (where dot latches its result).
+
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
-its configuration in ``_start``, and implements the per-cycle datapath
-in ``step``.  Beside it, for ``World.run_until`` while the unit is the
-only DataMem requester: ``cycles_left`` is the number of cycles to its
-finish, and ``output_span``/``run_output`` perform whole outputs at once,
-with exactly the result of stepping those cycles.
+its configuration in ``_start`` and hands ``_run`` the run's shape.
+Beside ``step``, for ``World.run_until`` while the unit is the only
+DataMem requester: ``cycles_left`` is the number of cycles to its
+finish, and ``output_span``/``run_output`` perform whole taps and
+outputs at once, with exactly the result of stepping those cycles.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import mul
+from types import FunctionType
 
-from .bits import u32
+from .bits import s32, s64, u32
 from .bus import MmiPort, RegisterAccessError
+from .memmap import DATA_BASE
 
 
 class DspState(enum.Enum):
@@ -30,12 +44,33 @@ class DspState(enum.Enum):
     DONE = "done"
 
 
+class _Sub(enum.Enum):
+    POST_A = 0  # post the read of the tap's a word
+    WAIT_A = 1  # capture a, post the read of the tap's b word
+    WAIT_B = 2  # capture b and MAC; after the last tap, post the output
+    END = 3     # wait for the output's write, then the next output or finish
+
+
+# cycles already spent on the current tap when a sub-state is next to step
+_PHASE = {_Sub.POST_A: 0, _Sub.WAIT_A: 1, _Sub.WAIT_B: 2, _Sub.END: 0}
+
+
 class MmioAccelerator:
     NAME = ""          # trace component and error-message prefix
     CONFIG = {}        # offset -> attribute, writable outside RUN
     READ_ONLY = {}     # offset -> attribute, writes are ignored
     CONTROL = None     # offset of CONTROL
     IRQ_CLEAR = None   # offset of IRQ_CLEAR (reads as zero)
+
+    def __init_subclass__(cls):
+        # Each unit steps with its own copy of step's code: CPython
+        # specializes attribute access per code object for the type it
+        # meets there, so one code object stepping both units in turn
+        # every cycle would keep falling back to the generic lookup.  The
+        # copy also sits in the unit's class dict, where
+        # perfbench/tracing.py looks it up.
+        step = MmioAccelerator.step
+        cls.step = FunctionType(step.__code__.replace(), step.__globals__, "step")
 
     def __init__(self, trace=None):
         self.trace = trace
@@ -48,7 +83,11 @@ class MmioAccelerator:
         self.irq_line = False
         self.state = DspState.IDLE
         self.accum = 0
-        self._cfg = None  # configuration latched by _run while running
+        self._cfg = None  # (a, b, outputs, taps), latched by _run
+        self._sub = _Sub.POST_A
+        self.out_idx = 0   # the output in progress
+        self.kern_idx = 0  # its taps done
+        self._x_val = 0    # the a word of the tap in progress
         self.busy_cycles = 0
         self.macs = 0
 
@@ -95,10 +134,13 @@ class MmioAccelerator:
         raise NotImplementedError
 
     def _run(self, cfg, detail):
+        """Enter RUN with cfg = (a, b, outputs, taps)."""
         self.status_done = False
         self.status_error = False
         self._cfg = cfg
         self.accum = 0
+        self.out_idx = self.kern_idx = 0
+        self._sub = _Sub.POST_A if cfg[3] else _Sub.END  # an empty product only ends
         self.state = DspState.RUN
         if self.trace:
             self.trace(self.NAME, f"start {detail}")
@@ -122,3 +164,127 @@ class MmioAccelerator:
             self._finish(error=True)
             return False
         return True
+
+    def _output(self, i, accum):
+        """(address, word) that output i with accumulator `accum` writes,
+        or None for a unit that writes no output word."""
+        return None
+
+    def step(self):
+        """One global cycle; captures completions from the previous cycle."""
+        if self.state is not DspState.RUN:
+            return
+        self.busy_cycles += 1
+        mmi = self.mmi
+        sub = self._sub
+        if sub is _Sub.POST_A:
+            mmi.request_read(self._cfg[0] + 4 * (self.out_idx + self.kern_idx))
+            self._sub = _Sub.WAIT_A
+        elif sub is _Sub.WAIT_A:
+            if not self._landed():
+                return
+            self._x_val = s32(mmi.rddata)
+            mmi.request_read(self._cfg[1] + 4 * self.kern_idx)
+            self._sub = _Sub.WAIT_B
+        elif sub is _Sub.WAIT_B:
+            if not self._landed():
+                return
+            self.accum = s64(self.accum + self._x_val * s32(mmi.rddata))
+            self.macs += 1
+            self.kern_idx += 1
+            if self.kern_idx == self._cfg[3]:
+                write = self._output(self.out_idx, self.accum)
+                if write is None:
+                    mmi.clear()
+                else:
+                    mmi.request_write(*write)
+                self._sub = _Sub.END
+            else:
+                mmi.clear()
+                self._sub = _Sub.POST_A
+        else:  # END
+            if mmi.req and not self._landed():  # the output's write
+                return
+            mmi.clear()
+            self.out_idx += 1
+            self.kern_idx = 0
+            self._sub = _Sub.POST_A
+            if self.out_idx == self._cfg[2]:
+                self._finish()
+            self.accum = 0
+
+    def cycles_left(self):
+        """Cycles until and including the one that finishes the run, when
+        no other requester touches DataMem (in RUN)."""
+        _, _, outputs, taps = self._cfg
+        mmi = self.mmi
+        return ((outputs - self.out_idx) * (3 * taps + 1)
+                - 3 * self.kern_idx - _PHASE[self._sub]
+                + (mmi.req and not mmi.done))  # a stalled request lands a cycle late
+
+    def output_span(self, limit):
+        """At a tap boundary (POST_A, or END with its write landed): the
+        most cycles up to `limit` and the finish that end at one; 0
+        anywhere else."""
+        mmi = self.mmi
+        if _PHASE[self._sub] or mmi.req and not mmi.done:
+            return 0
+        per = 3 * self._cfg[3] + 1
+        return min(limit - (3 * self.kern_idx + limit) % per % 3, self.cycles_left())
+
+    def run_output(self, span, words):
+        """The taps and output ends that ``step`` performs over the next
+        `span` cycles (a value of ``output_span``) when no other requester
+        touches DataMem, read from and written to the SRAM `words`
+        directly.  Each output's reads precede its write, so an output
+        buffer overlapping the inputs reads what the stepped path reads.
+        Returns the DataMem grants used: 2 per MAC and 1 per write."""
+        a, b, outputs, taps = self._cfg
+        a0 = (a - DATA_BASE) >> 2
+        b0 = (b - DATA_BASE) >> 2
+        per = 3 * taps + 1
+        i, j, accum = self.out_idx, self.kern_idx, self.accum
+        end = 3 * j + span  # cycles from the start of output i
+        last, last_stop = i + end // per, end % per // 3
+        macs = writes = 0
+        write = None  # the span's last write
+        read_last = False  # the span's last access is a read
+        while True:
+            stop = taps if i < last else last_stop
+            if stop > j:
+                xs = words[a0 + i + j:a0 + i + stop]
+                accum = s64(accum + sum(map(mul, map(s32, xs),
+                                            map(s32, words[b0 + j:b0 + stop]))))
+                x = xs[-1]
+                macs += stop - j
+                read_last = True
+                if stop == taps:
+                    out = self._output(i, accum)
+                    if out is not None:
+                        words[(out[0] - DATA_BASE) >> 2] = out[1]
+                        writes += 1
+                        write, read_last = out, False
+            if i == last:
+                break
+            i, j, total, accum = i + 1, 0, accum, 0
+        mmi = self.mmi  # left as the span's last write and last access leave it
+        if write is not None:
+            mmi.request_write(*write)
+            mmi.rddata = 0  # the bus answers a write with 0
+        if read_last:
+            tap = (last_stop or taps) - 1
+            mmi.request_read(b + 4 * tap)
+            mmi.rddata = words[b0 + tap]
+        if macs:
+            self._x_val = s32(x)
+        pending = last < outputs and last_stop == taps  # END is next
+        mmi.req = mmi.done = pending and not read_last  # a landed write
+        self.busy_cycles += span
+        self.macs += macs
+        self.out_idx, self.kern_idx, self.accum = last, last_stop, accum
+        self._sub = _Sub.END if pending else _Sub.POST_A
+        if last == outputs:
+            self.accum = total
+            self._finish()
+            self.accum = 0
+        return 2 * macs + writes

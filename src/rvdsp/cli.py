@@ -28,7 +28,8 @@ from .perfmodel import (DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW, CnnLayerShape,
                         dsp_conv_busy_cycles, dsp_conv_cycles, dsp_dot_cycles,
                         dsp_dot_cycles_rounded, latency_seconds,
                         sw_conv_cycles, sw_dot_cycles, sw_dot_cycles_rounded)
-from .scenario import Kind, Mode, Scenario, ScenarioError, load_scenario
+from .scenario import (Kind, Mode, Scenario, ScenarioError, load_scenario,
+                       read_text)
 from .scheduler import (HostAccessError, SimConfig, SimulationFault,
                         SimulationTimeout, report_to_json, run_scenario,
                         scenario_data)
@@ -196,8 +197,7 @@ def _cmd_compare(args):
 
 def _cmd_asm(args):
     try:
-        with open(args.list, encoding="utf-8") as fh:
-            pairs = parse_hexwords(fh.read())
+        pairs = parse_hexwords(read_text(args.list))
     except (OSError, HexwordsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

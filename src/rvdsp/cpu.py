@@ -206,6 +206,7 @@ def _ebreak(cpu, e):
 
 
 def _ecall(cpu, e):
+    cpu.bus.serve_cpu()
     cpu.sram.words[(SYSCALL_ADDR - DATA_BASE) >> 2] = cpu.regs[17]
     return _ebreak(cpu, e)
 

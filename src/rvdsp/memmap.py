@@ -165,6 +165,9 @@ class HexwordsError(Exception):
     """Malformed memory image file."""
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_hexwords(text):
     """Parse a hexwords image into a list of (byte address, word) pairs.
 
@@ -182,18 +185,15 @@ def parse_hexwords(text):
             body = line[1:]
             if len(body) != 8:
                 raise HexwordsError(f"line {lineno}: cursor needs 8 hex digits")
-            try:
-                cursor = int(body, 16)
-            except ValueError:
-                raise HexwordsError(f"line {lineno}: bad cursor {line!r}") from None
+            if not _HEX_DIGITS.issuperset(body):  # int() also takes a sign and '_'
+                raise HexwordsError(f"line {lineno}: bad cursor {line!r}")
+            cursor = int(body, 16)
             continue
         if len(line) != 8:
             raise HexwordsError(f"line {lineno}: word needs exactly 8 hex digits")
-        try:
-            word = int(line, 16)
-        except ValueError:
-            raise HexwordsError(f"line {lineno}: bad word {line!r}") from None
-        out.append((cursor, word))
+        if not _HEX_DIGITS.issuperset(line):
+            raise HexwordsError(f"line {lineno}: bad word {line!r}")
+        out.append((cursor, int(line, 16)))
         cursor += 4
     return out
 

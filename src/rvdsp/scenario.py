@@ -201,9 +201,18 @@ def parse_flat_config(text, schema):
     return sections
 
 
+def read_text(path):
+    """The file at `path` as UTF-8 text; text that is not UTF-8 raises an
+    OSError naming the file, as an unreadable file does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        sections = parse_flat_config(fh.read(), SCENARIO_KEYS)
+    sections = parse_flat_config(read_text(path), SCENARIO_KEYS)
     body = sections.get("scenario")
     if body is None:
         raise ScenarioError("missing [scenario] section")
@@ -234,7 +243,6 @@ def load_scenario(path):
     data = sections.get("data", {})
     for key, attr in (("x_file", "x_data"), ("h_file", "h_data")):
         if key in data:
-            with open(data[key], encoding="utf-8") as fh:
-                setattr(sc, attr, [w for _, w in parse_hexwords(fh.read())])
+            setattr(sc, attr, [w for _, w in parse_hexwords(read_text(data[key]))])
     sc.validate()
     return sc

@@ -127,12 +127,14 @@ class World:
                 if self._fast_forward():
                     continue
             elif not cpu._wait and cpu.fault is None:  # an instruction boundary
+                if (conv.state is not run and dot.state is not run
+                        and not bus.cpu_posted and self.cycle < max_cycles):
+                    spin = None  # a spin loop is kept only beside one running DSP
+                    self._retire()
+                    continue
                 conv_runs = conv.state is run
                 if conv_runs is (dot.state is run) or bus.cpu_posted:
                     spin = None
-                    if not conv_runs and self.cycle < max_cycles and not bus.cpu_posted:
-                        self._retire()
-                        continue
                 else:
                     pc = cpu.pc
                     if pc <= last_pc:  # the target of a backward jump
@@ -213,9 +215,9 @@ class World:
 
     def _advance(self, dsp, cycles):
         """Advance the running `dsp` by `cycles`, at most its cycles_left(),
-        as stepping does while it is the only DataMem requester: whole
-        outputs in closed form, and the DSP and the bus stepped alone up to
-        the first output boundary and after the last whole output."""
+        as stepping does while it is the only DataMem requester: whole taps
+        and outputs in closed form, and the DSP and the bus stepped alone up
+        to the first tap boundary and after the last whole tap."""
         bus, words = self.bus, self.sram.words
         end = self.cycle + cycles
         while self.cycle < end:
@@ -390,10 +392,12 @@ def _run_dot(scenario, config):
 
 
 def _run_layer(scenario, config, shape, subs, dsp_name, macs):
-    """Run a layer as testbench sub-scenarios under one cycle budget for
-    the whole layer; the report sums their busy cycles, MACs and cycles."""
-    busy = done = cycles = 0
+    """Run a layer as testbench sub-scenarios, taken one at a time from
+    `subs`, under one cycle budget for the whole layer, so the budget bounds
+    a layer of any size; the report sums their busy cycles, MACs and cycles."""
+    busy = done = cycles = calls = 0
     for sub in subs:
+        calls += 1
         budget = replace(config, max_cycles=config.max_cycles - cycles)
         try:
             _, world = run_scenario(sub, budget)
@@ -406,7 +410,7 @@ def _run_layer(scenario, config, shape, subs, dsp_name, macs):
     model = {"macs": macs, "sw_cycles": PER_MAC_SW * macs,
              "dsp_cycles": PER_MAC_DSP * macs}
     return _report(scenario, Mode.TESTBENCH, shape, cycles, model, config,
-                   calls=len(subs),
+                   calls=calls,
                    **{dsp_name: {"busy_cycles": busy, "macs": done}}), None
 
 
@@ -421,9 +425,9 @@ def _run_cnn(scenario, config):
     in_addr = DATA_BASE
     kern_addr = in_addr + 4 * n_pad
     out_addr = kern_addr + 4 * shape.k
-    subs = [Scenario(kind=Kind.CONV, n=n_pad, k=shape.k, seed=scenario.seed + call,
+    subs = (Scenario(kind=Kind.CONV, n=n_pad, k=shape.k, seed=scenario.seed + call,
                      in_addr=in_addr, kern_addr=kern_addr, out_addr=out_addr)
-            for call in range(shape.c * shape.k_out)]
+            for call in range(shape.c * shape.k_out))
     return _run_layer(scenario, config, {"n": shape.n, "k": shape.k, "c": shape.c,
                                          "k_out": shape.k_out},
                       subs, "conv", cnn_layer_macs(shape))
@@ -433,9 +437,9 @@ def _run_dense(scenario, config):
     """A dense layer is out_features dot products of length in_features."""
     va = DATA_BASE
     vb = va + 4 * scenario.in_features
-    subs = [Scenario(kind=Kind.DOT, length=scenario.in_features,
+    subs = (Scenario(kind=Kind.DOT, length=scenario.in_features,
                      seed=scenario.seed + call, in_addr=va, kern_addr=vb)
-            for call in range(scenario.out_features)]
+            for call in range(scenario.out_features))
     return _run_layer(scenario, config, {"in_features": scenario.in_features,
                                          "out_features": scenario.out_features},
                       subs, "dot",

@@ -195,6 +195,21 @@ x_file = "{x_path}"
     def test_missing_file_is_config_error(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.cfg"]) == EXIT_CONFIG
 
+    def test_non_utf8_scenario_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + CONV_SCENARIO.encode("utf-16-le"))
+        assert main(["run", "--scenario", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+    def test_non_utf8_data_file_is_config_error(self, tmp_path, capsys):
+        x_path = tmp_path / "x.hex"
+        x_path.write_bytes(b"@00008000\n\xff\n")
+        path = write_scenario(tmp_path, CONV_SCENARIO + f'\n[data]\nx_file = "{x_path}"\n')
+        assert main(["run", "--scenario", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {x_path}: not UTF-8 text (invalid start byte at byte 10)\n")
+
     def test_overlapping_buffers_rejected(self, tmp_path, capsys):
         body = """
 [scenario]
@@ -251,6 +266,18 @@ out_features = 4
         assert main(["run", "--scenario", cnn, "--max-cycles", "1284"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["total_cycles"] == 1284
         assert main(["run", "--scenario", dense, "--max-cycles", "116"]) == EXIT_OK
+
+    def test_max_cycles_bounds_a_huge_layer(self, tmp_path, capsys):
+        # the calls are made one at a time, so the budget ends the run long
+        # before a billion dot calls could be listed
+        dense = write_scenario(tmp_path, """
+[scenario]
+kind = "dense"
+in_features = 1
+out_features = 1000000000
+""")
+        assert main(["run", "--scenario", dense, "--max-cycles", "100"]) == EXIT_TIMEOUT
+        assert capsys.readouterr().err == "timeout: exceeded 100 cycles\n"
 
 
 class TestModel:
@@ -309,3 +336,10 @@ class TestAsm:
         prog = tmp_path / "bad.hex"
         prog.write_text("zzz\n")
         assert main(["asm", "--list", str(prog)]) == EXIT_CONFIG
+
+    def test_non_utf8_image_is_config_error(self, tmp_path, capsys):
+        prog = tmp_path / "bad.hex"
+        prog.write_bytes(b"@00000000\n00700093\n\xff\n")
+        assert main(["asm", "--list", str(prog)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {prog}: not UTF-8 text (invalid start byte at byte 19)\n")

@@ -128,7 +128,10 @@ class TestHexwords:
         pairs = parse_hexwords(dump_hexwords(words, 0x8000))
         assert pairs == [(0x8000 + 4 * i, w) for i, w in enumerate(words)]
 
-    @pytest.mark.parametrize("bad", ["123", "@12", "xyzservice", "123456789"])
+    # int() alone would also take a sign, '_' and non-ASCII digits
+    @pytest.mark.parametrize("bad", ["123", "@12", "xyzservice", "123456789",
+                                     "-0000001", "+0000001", "0000_001", "@-0000004",
+                                     "0000000\uff11"])
     def test_malformed(self, bad):
         with pytest.raises(HexwordsError):
             parse_hexwords(bad + "\n")

@@ -12,7 +12,7 @@ from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
-from rvdsp.cpu import CycleCostTable
+from rvdsp.cpu import SYSCALL_ADDR, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
@@ -217,6 +217,26 @@ class TestContention:
         else:
             got = (world.dot.result_hi << 32) | world.dot.result_lo
             assert got == u64(dot(a, b))
+
+    def test_ecall_takes_its_datamem_grant(self):
+        # ecall writes the syscall word to DataMem, so it wins arbitration
+        # as a store does: the dot unit's B read in that cycle stalls
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_DOT_A, SplitMix64(1).words(4)),
+                            (_DOT_B, SplitMix64(2).words(4))],
+                "starts": [("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                              (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                              (dot_regs.OFF_LEN, 4),
+                                              (dot_regs.OFF_CONTROL, 1)))],
+                "rom": [encode(I("addi", rd=17, imm=7)), encode(I("ecall"))],
+                "posted": False}
+        for fast in (False, True):
+            world, _, outcome = _lockstep_run(case, SimConfig().max_cycles, fast)
+            assert outcome == "finished"
+            assert world.cycle == 14
+            assert world.bus.grants[Requester.CPU] == 1
+            assert world.bus.stalls[Requester.DOT] == 1
+            assert world.read_words(SYSCALL_ADDR, 1) == [7]
 
 
 _EXTREME = st.sampled_from([0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF])
@@ -436,18 +456,23 @@ class TestFastForwardLockstep:
     def test_advance_matches_stepping(self, data):
         # World._advance(dsp, c), which both jumps use, must equal c steps
         # for any c up to cycles_left(), and cycles_left() must be the steps
-        # to the unit's finish, also from a request that lost arbitration
+        # to the unit's finish, also from a request that lost arbitration,
+        # starting anywhere in the busy phase: in a later output, inside an
+        # output or at its END cycle
         unit = data.draw(st.sampled_from(["conv", "dot"]), label="unit")
         if unit == "conv":
             n = data.draw(st.integers(1, 12), label="n")
             k = data.draw(st.integers(1, n), label="k")
             base, writes = CONV_BASE, _conv_start(n, k)
+            busy = (n - k + 1) * (3 * k + 1)
         else:
+            length = data.draw(st.integers(0, 12), label="l")
             base, writes = DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
                                       (dot_regs.OFF_VB_ADDR, _DOT_B),
-                                      (dot_regs.OFF_LEN, data.draw(st.integers(0, 12))),
+                                      (dot_regs.OFF_LEN, length),
                                       (dot_regs.OFF_CONTROL, 1))
-        lead = data.draw(st.integers(0, 8), label="lead")
+            busy = 3 * length + 1
+        lead = data.draw(st.integers(0, busy - 1), label="lead")
         stall = data.draw(st.booleans(), label="stall")
 
         def build():
