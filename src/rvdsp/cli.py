@@ -10,12 +10,14 @@ Subcommands:
 
 Exit codes: 0 ok, 2 config/usage error, 3 scenario validation error,
 4 simulation fault (also a host register access the bus refuses),
-5 timeout.
+5 timeout.  A ``run`` whose stdout closes early (``sim run ... | head``)
+still writes its other outputs and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bits import s32, s64
@@ -23,7 +25,7 @@ from .isa import listing
 from .memmap import (DATA_BASE, HexwordsError, INST_BASE, dump_hexwords,
                      parse_hexwords)
 from .perfmodel import (DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW, CnnLayerShape,
-                        ConvWorkload, cnn_layer_cycles, cnn_layer_macs,
+                        ConvWorkload, cnn_layer_macs,
                         conv_speedup, dense_layer_macs, dot_speedup,
                         dsp_conv_busy_cycles, dsp_conv_cycles, dsp_dot_cycles,
                         dsp_dot_cycles_rounded, latency_seconds,
@@ -68,7 +70,12 @@ def _cmd_run(args):
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left early, as `| head` does
+            # a closed stdout is not a failure; point it at devnull so the
+            # interpreter's flush at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_lines) + "\n")
@@ -87,48 +94,39 @@ def _cmd_run(args):
 
 
 def _cmd_model(args):
-    freq = args.freq
     if args.model_kind == "conv":
         try:
             w = ConvWorkload(args.n, args.k)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        c_sw, c_dsp = sw_conv_cycles(w), dsp_conv_cycles(w)
-        print(f"C_SW   = {c_sw}")
-        print(f"C_DSP  = {c_dsp}  (incl. {DEFAULT_C_CFG} config cycles)")
+        sw, dsp = sw_conv_cycles(w), dsp_conv_cycles(w)
+        print(f"C_SW   = {sw}")
+        print(f"C_DSP  = {dsp}  (incl. {DEFAULT_C_CFG} config cycles)")
         print(f"speedup = {conv_speedup(w):.4f}")
-        if freq:
-            print(f"latency_sw  = {latency_seconds(c_sw, freq) * 1e3:.5f} ms")
-            print(f"latency_dsp = {latency_seconds(c_dsp, freq) * 1e3:.5f} ms")
     elif args.model_kind == "dot":
         length = args.l
-        print(f"sw_cycles  = {sw_dot_cycles(length)} "
-              f"(per-element-only: {sw_dot_cycles_rounded(length)})")
-        print(f"dsp_cycles = {dsp_dot_cycles(length)} "
-              f"(per-element-only: {dsp_dot_cycles_rounded(length)})")
+        sw, dsp = sw_dot_cycles(length), dsp_dot_cycles(length)
+        print(f"sw_cycles  = {sw} (per-element-only: {sw_dot_cycles_rounded(length)})")
+        print(f"dsp_cycles = {dsp} (per-element-only: {dsp_dot_cycles_rounded(length)})")
         print(f"speedup = {dot_speedup(length):.4f}")
-        if freq:
-            print(f"latency_sw  = {latency_seconds(sw_dot_cycles(length), freq) * 1e3:.5f} ms")
-            print(f"latency_dsp = {latency_seconds(dsp_dot_cycles(length), freq) * 1e3:.5f} ms")
-    elif args.model_kind == "cnn":
-        try:
-            shape = CnnLayerShape(args.n, args.k, args.c, args.k_out)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        sw, dsp = cnn_layer_cycles(shape)
-        print(f"macs = {cnn_layer_macs(shape)}")
+    else:
+        if args.model_kind == "cnn":
+            try:
+                shape = CnnLayerShape(args.n, args.k, args.c, args.k_out)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            macs = cnn_layer_macs(shape)
+        else:  # dense
+            macs = dense_layer_macs(args.in_features, args.out_features)
+        sw, dsp = PER_MAC_SW * macs, PER_MAC_DSP * macs
+        print(f"macs = {macs}")
         print(f"sw_cycles  = {sw}")
         print(f"dsp_cycles = {dsp}")
-        if freq:
-            print(f"latency_sw  = {latency_seconds(sw, freq) * 1e3:.5f} ms")
-            print(f"latency_dsp = {latency_seconds(dsp, freq) * 1e3:.5f} ms")
-    else:  # dense
-        macs = dense_layer_macs(args.in_features, args.out_features)
-        print(f"macs = {macs}")
-        print(f"sw_cycles  = {PER_MAC_SW * macs}")
-        print(f"dsp_cycles = {PER_MAC_DSP * macs}")
+    if args.freq:
+        print(f"latency_sw  = {latency_seconds(sw, args.freq) * 1e3:.5f} ms")
+        print(f"latency_dsp = {latency_seconds(dsp, args.freq) * 1e3:.5f} ms")
     return EXIT_OK
 
 
@@ -209,6 +207,14 @@ def _cmd_asm(args):
     return EXIT_OK
 
 
+def _hertz(text):
+    """The value of a --freq option: a positive number of hertz."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"frequency must be positive, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="sim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -237,12 +243,12 @@ def build_parser():
     m_dense.add_argument("--in-features", dest="in_features", type=int, required=True)
     m_dense.add_argument("--out-features", dest="out_features", type=int, required=True)
     for p in (m_conv, m_dot, m_cnn, m_dense):
-        p.add_argument("--freq", type=float, default=None)
+        p.add_argument("--freq", type=_hertz, default=None)
     p_model.set_defaults(func=_cmd_model)
 
     p_cmp = sub.add_parser("compare", help="reference comparison run")
     p_cmp.add_argument("--k", type=int, default=16)
-    p_cmp.add_argument("--freq", type=float, default=None)
+    p_cmp.add_argument("--freq", type=_hertz, default=None)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_asm = sub.add_parser("asm", help="disassemble a hexwords image")

@@ -10,7 +10,7 @@ get a word ``BusTransaction`` with byte strobes for sub-word stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import add, and_, eq, ge, lt, mul, ne, or_, sub, xor
 
 from .bits import s32, sext, u32
@@ -33,6 +33,12 @@ class CycleCostTable:
     branch_not_taken: int = 1
     jump: int = 2
     system: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"cycle cost {f.name} must be at least 1, "
+                                 f"got {getattr(self, f.name)}")
 
     def cycles(self, cls):
         return getattr(self, cls.value)
@@ -57,7 +63,7 @@ class Cpu:
         self.fault = None
         self.retired = 0
         self.cycles = 0
-        self.stall_cycles = 0
+        self.stall_cycles = 0  # reported; a posted access never outlives its cycle
         self.config_write_cycles = 0
         self._wait = 0
         self._tx = None
@@ -69,9 +75,6 @@ class Cpu:
         if self.halted or self.fault is not None:
             return
         self.cycles += 1
-        if self._tx is not None:
-            self.stall_cycles += 1
-            return
         if self._wait:
             self._wait -= 1
             return
@@ -88,22 +91,6 @@ class Cpu:
             _write_back(self, *self._load, tx.rdata)
         self._tx = None
         self._load = None
-
-    def next_reads_only(self, lo, hi):
-        """True if the instruction at pc is decoded and makes no memory
-        access but a load from [lo, hi]: no store, no ``ecall`` (which
-        writes DataMem), no other load.  ``World.run_until`` checks a spin
-        loop with it."""
-        pc = self.pc
-        if pc & 3 or pc > INST_END:
-            return False
-        entry = self.rom.decoded[pc >> 2]
-        if entry is None:
-            return False
-        handler = entry[0]
-        if handler is _load:
-            return lo <= (self.regs[entry[2]] + entry[4]) & _MASK <= hi
-        return handler is not _store and handler is not _ecall
 
     def _post(self, tx, load=None):
         """Post the instruction at pc's access `tx`; ``observe`` writes

@@ -14,6 +14,7 @@ File grammar (a strict TOML subset, documented in the README):
 from __future__ import annotations
 
 import enum
+import os
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -242,7 +243,8 @@ def load_scenario(path):
     )
     data = sections.get("data", {})
     for key, attr in (("x_file", "x_data"), ("h_file", "h_data")):
-        if key in data:
-            setattr(sc, attr, [w for _, w in parse_hexwords(read_text(data[key]))])
+        if key in data:  # a relative path names a file beside the scenario
+            text = read_text(os.path.join(os.path.dirname(path), data[key]))
+            setattr(sc, attr, [w for _, w in parse_hexwords(text)])
     sc.validate()
     return sc

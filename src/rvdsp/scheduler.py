@@ -21,7 +21,7 @@ from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
 from .mac import Truncation
-from .memmap import CONV_BASE, CONV_END, DATA_BASE, DOT_BASE, DOT_END, Rom, Sram
+from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, Rom, Sram
 from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW,
                         CnnLayerShape, cnn_layer_macs, conv_speedup,
                         dense_layer_macs, dot_speedup, dsp_conv_cycles,
@@ -95,23 +95,21 @@ class World:
         ``step()`` is the single-cycle reference.  Three faster paths give
         the same cycle count, counters, memory and trace as stepping:
         - while one DSP is the only possible DataMem requester (no CPU or
-          a halted one, nothing posted), one call advances it to the end
-          of its run, or to max_cycles (``_fast_forward``);
+          a halted one, the other DSP not running, nothing posted), one
+          call advances it to the end of its run, or to max_cycles;
         - while the CPU is the only possible requester (neither DSP in
           RUN, nothing posted), a call at an instruction boundary retires
           the whole instruction (``_retire``);
         - while exactly one DSP runs beside the CPU, a spin loop of the
           CPU is jumped over whole iterations together with the DSP
-          (``_spin``).  Each instruction is checked before it issues: a
-          pure register operation passes, and so does a load from the
-          running unit's registers, which returns the same value until the
-          unit finishes; anything else fails.  At a backward-jump target
-          reached with every instruction since the last one passing, the
-          CPU's pc and registers are kept.  If they equal those kept at the
-          last one, the iteration between repeats exactly until the unit
-          finishes.  It is jumped as often as ends before the unit's
-          finishing cycle and within max_cycles, and the rest is stepped,
-          so the read that sees STATUS.done lands on its cycle.
+          (``_spin``).  At each target of a backward jump the CPU's pc,
+          registers, DataMem grants and register-space stores are kept.
+          If they equal those kept at the last one, the stretch between
+          made no DataMem access and no store to a unit's registers, so
+          it repeats exactly until the unit finishes.  It is jumped as often as ends
+          before the unit's finishing cycle and within max_cycles, and
+          the rest is stepped, so the read that sees STATUS.done lands on
+          its cycle.
         On these paths predicate() is evaluated at the ends of runs,
         instructions and jumps only, so it should depend on state that
         changes there (a DSP's state, the CPU's halt), not on the cycle
@@ -119,57 +117,60 @@ class World:
         """
         cpu, bus, conv, dot = self.cpu, self.bus, self.conv, self.dot
         max_cycles, run = self.config.max_cycles, DspState.RUN
-        spin = None  # (pc, unit, registers) at a backward-jump target, and counters
-        clean = True  # every instruction since the last such target passed
+        spin = None  # the state kept at the last backward-jump target
         last_pc = -1
         while not predicate():
             if cpu is None or cpu.halted:
-                if self._fast_forward():
+                dsp = self._lone_dsp()
+                if dsp is not None and self.cycle < max_cycles:
+                    self._advance(dsp, min(dsp.cycles_left(), max_cycles - self.cycle))
                     continue
             elif not cpu._wait and cpu.fault is None:  # an instruction boundary
                 if (conv.state is not run and dot.state is not run
                         and not bus.cpu_posted and self.cycle < max_cycles):
-                    spin = None  # a spin loop is kept only beside one running DSP
                     self._retire()
                     continue
-                conv_runs = conv.state is run
-                if conv_runs is (dot.state is run) or bus.cpu_posted:
-                    spin = None
-                else:
-                    pc = cpu.pc
-                    if pc <= last_pc:  # the target of a backward jump
-                        spin = self._spin(spin, conv if conv_runs else dot) if clean else None
-                        clean = True
-                    if clean:
-                        lo, hi = (CONV_BASE, CONV_END) if conv_runs else (DOT_BASE, DOT_END)
-                        clean = cpu.next_reads_only(lo, hi)
-                    last_pc = pc
+                pc = cpu.pc
+                if pc <= last_pc:  # the target of a backward jump
+                    dsp = self._lone_dsp()
+                    spin = None if dsp is None else self._spin(spin, dsp)
+                last_pc = pc
             self.step()
             if cpu is not None and cpu.fault is not None:
                 raise SimulationFault(cpu.fault)
 
+    def _lone_dsp(self):
+        """The DSP that is the only one in RUN, if no CPU transaction is
+        posted; None otherwise."""
+        conv_runs = self.conv.state is DspState.RUN
+        if conv_runs is (self.dot.state is DspState.RUN) or self.bus.cpu_posted:
+            return None
+        return self.conv if conv_runs else self.dot
+
     def _spin(self, head, dsp):
-        """At a backward-jump target beside the running `dsp`, reached with
-        every instruction since `head` passing the check: the new head of
-        a spin loop.  If `head` holds the same pc, unit and registers, the
-        CPU and `dsp` first jump together over as many whole iterations as
-        end before the unit's finishing cycle and within max_cycles."""
+        """At a backward-jump target beside `dsp`, the lone running DSP:
+        the new head of a spin loop.  If `head` holds the same pc, unit,
+        registers, DataMem grants to the CPU and register-space store
+        cycles, the stretch since made no DataMem access, no ``ecall``
+        and no store to either unit's registers.  Its other accesses read
+        what stays fixed until the unit finishes (the running unit's
+        registers, an unwritten idle unit, ROM, the reserved block), are
+        stores the reserved block discards, or fault.  So the CPU and
+        `dsp` first jump together over as many whole iterations as end
+        before the unit's finishing cycle and within max_cycles."""
         cpu, bus = self.cpu, self.bus
-        key = (cpu.pc, dsp, *cpu.regs)
+        key = (cpu.pc, dsp, bus._grants[0], cpu.config_write_cycles, *cpu.regs)
         if head is not None and head[0] == key:
-            before = head[1]
-            period = self.cycle - before[0]
+            _, cycle, retired, cycles, accesses = head
+            period = self.cycle - cycle
             jumps = min((dsp.cycles_left() - 1) // period,
                         (self.config.max_cycles - self.cycle) // period)
             if jumps > 0:
-                cpu.retired += jumps * (cpu.retired - before[1])
-                cpu.cycles += jumps * (cpu.cycles - before[2])
-                cpu.stall_cycles += jumps * (cpu.stall_cycles - before[3])
-                cpu.config_write_cycles += jumps * (cpu.config_write_cycles - before[4])
-                bus.register_accesses += jumps * (bus.register_accesses - before[5])
+                cpu.retired += jumps * (cpu.retired - retired)
+                cpu.cycles += jumps * (cpu.cycles - cycles)
+                bus.register_accesses += jumps * (bus.register_accesses - accesses)
                 self._advance(dsp, jumps * period)
-        return key, (self.cycle, cpu.retired, cpu.cycles, cpu.stall_cycles,
-                     cpu.config_write_cycles, bus.register_accesses)
+        return key, self.cycle, cpu.retired, cpu.cycles, bus.register_accesses
 
     def _retire(self):
         """The CPU's issue cycle, run as step() runs it, then a jump over
@@ -193,25 +194,6 @@ class World:
         self.cycle += jump
         cpu.cycles += jump
         cpu._wait -= jump
-
-    def _fast_forward(self):
-        """Advance the only running DSP to the end of its run, or to
-        max_cycles, if no CPU transaction is posted; False, with nothing
-        done, otherwise."""
-        conv, dot = self.conv, self.dot
-        if conv.state is DspState.RUN:
-            if dot.state is DspState.RUN:
-                return False
-            dsp = conv
-        elif dot.state is DspState.RUN:
-            dsp = dot
-        else:
-            return False
-        cycles = min(dsp.cycles_left(), self.config.max_cycles - self.cycle)
-        if not cycles or self.bus.cpu_posted:
-            return False
-        self._advance(dsp, cycles)
-        return True
 
     def _advance(self, dsp, cycles):
         """Advance the running `dsp` by `cycles`, at most its cycles_left(),

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import rvdsp
 from rvdsp import conv as conv_regs
 from rvdsp.cli import (EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_TIMEOUT,
                        EXIT_VALIDATION, main)
@@ -86,6 +93,36 @@ h_file = "{h_path}"
         assert main(["run", "--scenario", path]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["output"]["words"] == [3, 5, 7]
+
+    def test_relative_data_files_sit_beside_the_scenario(self, tmp_path, capsys,
+                                                        monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "x.hex").write_text("".join(f"{v:08X}\n" for v in (1, 2, 3, 4)))
+        (sub / "h.hex").write_text("00000001\n00000001\n")
+        write_scenario(sub, '[scenario]\nn = 4\nk = 2\n\n'
+                       '[data]\nx_file = "x.hex"\nh_file = "h.hex"\n', "s.cfg")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", "sub/s.cfg"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["output"]["words"] == [3, 5, 7]
+
+    def test_closed_stdout_is_not_an_error(self, tmp_path):
+        # a report larger than a pipe's buffer, read once and abandoned as
+        # `sim run ... | head -1` abandons it: the run still writes its
+        # trace and dump and exits 0 with nothing on stderr
+        path = write_scenario(tmp_path, '[scenario]\nn = 4000\nk = 1\n')
+        trace, dump = tmp_path / "trace.txt", tmp_path / "dump.hex"
+        env = dict(os.environ, PYTHONPATH=str(Path(rvdsp.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rvdsp.cli", "run", "--scenario", path,
+             "--trace", str(trace), "--dump", "datamem", str(dump)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (EXIT_OK, b"")
+        assert trace.read_text().endswith("conv | done\n")
+        assert dump.read_text().startswith("@00008000")
 
     def test_data_file_lengths_must_match(self, tmp_path, capsys):
         # conv n=4 k=2 needs 4 x words and 2 h words; dot l=8 needs 8 and 8
@@ -291,6 +328,16 @@ class TestModel:
         assert "1.66485 ms" in out
         assert "0.49451 ms" in out
 
+    @pytest.mark.parametrize("argv", [["model", "conv", "--n", "4", "--k", "2"],
+                                      ["model", "dense", "--in-features", "2",
+                                       "--out-features", "2"], ["compare"]])
+    @pytest.mark.parametrize("freq", ["0", "-1", "nan"])
+    def test_frequency_must_be_positive(self, argv, freq, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--freq", freq])
+        assert exc.value.code == EXIT_CONFIG
+        assert "frequency must be positive" in capsys.readouterr().err
+
     def test_conv_invalid(self, capsys):
         assert main(["model", "conv", "--n", "4", "--k", "9"]) == EXIT_CONFIG
 
@@ -310,7 +357,15 @@ class TestModel:
     def test_dense(self, capsys):
         assert main(["model", "dense", "--in-features", "128",
                      "--out-features", "64"]) == EXIT_OK
-        assert "macs = 8192" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "macs = 8192" in out and "latency" not in out
+
+    def test_dense_latency(self, capsys):
+        assert main(["model", "dense", "--in-features", "128",
+                     "--out-features", "64", "--freq", "100e6"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "latency_sw  = 0.81920 ms" in out
+        assert "latency_dsp = 0.24576 ms" in out
 
 
 class TestCompare:

@@ -122,6 +122,13 @@ class TestCycleCosts:
         world = run_program([I("addi", rd=1, imm=1), I("ebreak")])
         assert world.cpu.halted and world.cpu.retired == 2
 
+    @pytest.mark.parametrize("name", list(CycleCostTable.__dataclass_fields__))
+    def test_cost_below_one_rejected(self, name):
+        # a 0-cycle class would leave the CPU a wait of -1, which stepping
+        # counts down forever
+        with pytest.raises(ValueError, match=name):
+            CycleCostTable(**{name: 0})
+
 
 class TestFaults:
     def test_empty_rom_is_illegal_instruction(self):

@@ -15,7 +15,7 @@ from rvdsp.conv import ConvState
 from rvdsp.cpu import SYSCALL_ADDR, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
-from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
+from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE, RESERVED_BASE
 from rvdsp.prng import SplitMix64
 from rvdsp.programs import Assembler, I, conv_driver, conv_sw_kernel, dot_driver
 from rvdsp.scenario import Kind, Mode, Scenario
@@ -372,8 +372,9 @@ def _observable(world):
 # A conv 40/5 started by the CPU, then a STATUS poll with one more
 # instruction in the loop, then IRQ_CLEAR and a halt, or a jump back to
 # start the unit again: (loop body, polled STATUS address, restart, jumped).
-# Each poll loop's pc and registers repeat, but only a plain one may be
-# jumped, and never across the restart.
+# Each poll loop's pc and registers repeat.  A loop is jumped unless it
+# accesses DataMem or stores to a unit's registers, also when the store
+# changes nothing, and never across the restart.
 _CONV_START = _conv_start(40, 5)
 _CONV_STATUS = CONV_BASE + conv_regs.OFF_STATUS
 _POLL_LOOPS = {
@@ -383,7 +384,12 @@ _POLL_LOOPS = {
     "store": ((I("sw", rs1=22, rs2=0),), _CONV_STATUS, False, False),
     "running unit write": ((I("sw", rs1=20, rs2=0, imm=conv_regs.OFF_IN_LEN),),
                            _CONV_STATUS, False, False),
-    "idle unit": ((), DOT_BASE + dot_regs.OFF_STATUS, False, False),  # until the timeout
+    "IRQ_CLEAR write": ((I("sw", rs1=20, rs2=0, imm=conv_regs.OFF_IRQ_CLEAR),),
+                        _CONV_STATUS, False, False),
+    "ROM load": ((I("lw", rd=6, rs1=0, imm=4),), _CONV_STATUS, False, True),
+    "reserved store": ((I("sw", rs1=20, rs2=5, imm=RESERVED_BASE - CONV_BASE),),
+                       _CONV_STATUS, False, True),
+    "idle unit": ((), DOT_BASE + dot_regs.OFF_STATUS, False, True),  # until the timeout
 }
 
 
@@ -519,11 +525,10 @@ class TestFastForwardLockstep:
         assert len(steps) == 4
         steps.clear()
         report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
-        # the wait of the CONTROL store, three 6-cycle poll iterations (the
-        # first decodes the loop, the second ends where its pc and registers
-        # are taken, the third finds them again), and at most one iteration
-        # after the jump
-        assert len(steps) <= 2 + 4 * 6 < report["conv"]["busy_cycles"]
+        # the wait of the CONTROL store, two 6-cycle poll iterations (the
+        # first ends where its pc, registers and counters are kept, the
+        # second finds them again), and at most one iteration after the jump
+        assert len(steps) <= 2 + 3 * 6 < report["conv"]["busy_cycles"]
 
     # the plain loop also after 1 to 5 one-cycle nops, so that over the six
     # phases of the 6-cycle loop against the unit's finish, one jump ends on
