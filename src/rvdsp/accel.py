@@ -21,10 +21,13 @@ after the last output (where dot latches its result).
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
 its configuration in ``_start`` and hands ``_run`` the run's shape.
-Beside ``step``, for ``World.run_until`` while the unit is the only
-DataMem requester: ``cycles_left`` is the number of cycles to its
-finish, and ``output_span``/``run_output`` perform whole taps and
-outputs at once, with exactly the result of stepping those cycles.
+Beside ``step``, for ``World.run_until``: ``cycles_left`` is the number
+of cycles to the finish while the unit is the only DataMem requester,
+``output_span``/``run_output`` perform whole taps and outputs at once in
+such a stretch, and ``replay`` steps the unit over many cycles against a
+log of the cycles that requesters of higher priority took.  Each gives
+exactly the result of stepping those cycles; ``buffers`` names the words
+a run may touch.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ class _Sub(enum.Enum):
 
 # cycles already spent on the current tap when a sub-state is next to step
 _PHASE = {_Sub.POST_A: 0, _Sub.WAIT_A: 1, _Sub.WAIT_B: 2, _Sub.END: 0}
+
+# replay's stages of an output: 0 post the a read, 1 a pending, 2 a landed,
+# 3 b pending, 4 b landed (MAC), 5 the output's write pending, 6 END; a
+# sub-state with a pending request is the stage one before its own
+_STAGE = {_Sub.POST_A: 0, _Sub.WAIT_A: 2, _Sub.WAIT_B: 4, _Sub.END: 6}
+_SUBS = (_Sub.POST_A, _Sub.WAIT_A, _Sub.WAIT_A, _Sub.WAIT_B, _Sub.WAIT_B,
+         _Sub.END, _Sub.END)
+# a free stretch shorter than this many cycles is replayed tap by tap,
+# which costs less than a call to run_output
+_SPAN_MIN = 24
 
 
 class MmioAccelerator:
@@ -210,8 +223,26 @@ class MmioAccelerator:
             self.kern_idx = 0
             self._sub = _Sub.POST_A
             if self.out_idx == self._cfg[2]:
-                self._finish()
-            self.accum = 0
+                self._complete()
+            else:
+                self.accum = 0
+
+    def _complete(self):
+        """Finish a run whose last output has ended, latching its
+        accumulator first."""
+        self._finish()
+        self.accum = 0
+
+    def buffers(self):
+        """The DataMem word index spans [lo, hi) that the run reads as a
+        and b and writes as outputs (empty for a unit that writes none)."""
+        a, b, outputs, taps = self._cfg
+        a0 = (a - DATA_BASE) >> 2
+        b0 = (b - DATA_BASE) >> 2
+        out = self._output(0, 0)  # the address of output 0's word
+        o0 = 0 if out is None else (out[0] - DATA_BASE) >> 2
+        return ((a0, a0 + outputs + taps - 1), (b0, b0 + taps),
+                (o0, o0 if out is None else o0 + outputs))
 
     def cycles_left(self):
         """Cycles until and including the one that finishes the run, when
@@ -238,7 +269,9 @@ class MmioAccelerator:
         touches DataMem, read from and written to the SRAM `words`
         directly.  Each output's reads precede its write, so an output
         buffer overlapping the inputs reads what the stepped path reads.
-        Returns the DataMem grants used: 2 per MAC and 1 per write."""
+        A span that ends the last output leaves the run for the caller to
+        ``_complete``.  Returns the DataMem grants used: 2 per MAC and 1
+        per write."""
         a, b, outputs, taps = self._cfg
         a0 = (a - DATA_BASE) >> 2
         b0 = (b - DATA_BASE) >> 2
@@ -285,6 +318,110 @@ class MmioAccelerator:
         self._sub = _Sub.END if pending else _Sub.POST_A
         if last == outputs:
             self.accum = total
-            self._finish()
-            self.accum = 0
         return 2 * macs + writes
+
+    def replay(self, taken, cycles, words, mark=False):
+        """Step the running unit over the next `cycles` cycles, in which a
+        requester of higher priority holds DataMem wherever `taken` is set
+        (index 0 is the next cycle; nothing is taken past its end), with
+        exactly the result of stepping them: a request on a taken cycle
+        waits a cycle and counts a stall.  The SRAM `words` are read and
+        written directly.  If `mark`, each cycle granted to the unit is set
+        in `taken`; otherwise stretches with nothing taken go through
+        ``output_span``/``run_output``.  Returns (grants, stalls, end):
+        `end` counts the cycles up to and including the one that ends the
+        last output, 0 if that is not among them; the caller then
+        ``_complete``s the run on its own cycle."""
+        a, b, outputs, taps = self._cfg
+        a0 = (a - DATA_BASE) >> 2
+        b0 = (b - DATA_BASE) >> 2
+        mmi, find, size = self.mmi, taken.find, len(taken)
+        grants = stalls = p = 0
+        taken_next = -1  # the first taken cycle from some p on, unless marking
+        while p < cycles and self.out_idx < outputs:
+            start, macs, free = p, 0, 0
+            i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
+            x = y = rd = mmi.rddata
+            wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
+            stage = _STAGE[self._sub] - (mmi.req and not mmi.done)
+            while True:
+                if stage & 1:  # a request pending from cycle p on
+                    g = p
+                    if g < size and taken[g]:  # lost: wait for a free cycle
+                        g = find(0, g)
+                        if g < 0:
+                            g = size
+                        if g >= cycles:
+                            stalls += cycles - p
+                            p = cycles
+                            break
+                        stalls += g - p
+                    grants += 1
+                    if mark:
+                        taken[g] = 1
+                    p = g + 1
+                    if stage == 1:
+                        x = rd = words[a0 + i + j]
+                    elif stage == 3:
+                        y = rd = words[b0 + j]
+                    else:
+                        words[(wrote[0] - DATA_BASE) >> 2] = wrote[1]
+                        rd = 0
+                    stage += 1
+                if p >= cycles:
+                    break
+                if stage == 0:  # POST_A: post the a read
+                    if not mark:
+                        if taken_next < p:
+                            taken_next = find(1, p)
+                            if taken_next < 0:
+                                taken_next = cycles
+                        free = taken_next - p
+                        if free >= _SPAN_MIN:
+                            break
+                    stage = 1
+                elif stage == 2:  # capture a, post the b read
+                    xv = x - (x >> 31 << 32)  # s32 of the SRAM word
+                    stage = 3
+                elif stage == 4:  # MAC; after the last tap, post the output
+                    acc += xv * (y - (y >> 31 << 32))
+                    macs += 1
+                    j += 1
+                    if j < taps:
+                        stage = 0
+                        p += 1
+                    else:
+                        acc = s64(acc)
+                        wrote = self._output(i, acc)
+                        stage = 6 if wrote is None else 5
+                        p += wrote is None
+                else:  # END
+                    i += 1
+                    j = 0
+                    stage = 0
+                    p += 1
+                    if i == outputs:
+                        break
+                    acc = 0
+            self.busy_cycles += p - start
+            self.macs += macs
+            if p > start:  # leave the unit and its port as stepping leaves them
+                self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, s64(acc), xv
+                self._sub = _SUBS[stage]
+                mmi.rddata = rd
+                if wrote is not None:
+                    mmi.wrdata = wrote[1]
+                if 0 < stage < 5:  # the a or b read in progress
+                    mmi.addr = b + 4 * j if stage > 2 else a + 4 * (i + j)
+                    mmi.wr_en = False
+                elif wrote is not None and (stage or not j):  # the output's write
+                    mmi.addr, mmi.wr_en = wrote[0], True
+                elif j or taps:  # the last b read
+                    mmi.addr, mmi.wr_en = b + 4 * ((j or taps) - 1), False
+                mmi.req = 0 < stage < 6 or stage == 6 and wrote is not None
+                mmi.done = mmi.req and not stage & 1
+            if free >= _SPAN_MIN:
+                span = self.output_span(free)
+                grants += self.run_output(span, words)
+                p += span
+        return grants, stalls, p if self.out_idx == outputs else 0

@@ -119,11 +119,13 @@ class Bus:
         """True while a CPU transaction waits on the bus."""
         return self._cpu_tx is not None
 
-    def credit_grants(self, port, count):
-        """Count `count` DataMem grants to the DSP behind `port` whose
-        accesses were served without arbitration (a lone requester
-        fast-forwarded by ``World.run_until``)."""
-        self._grants[1 + self._ports.index(port)] += count
+    def credit(self, port, grants, stalls):
+        """Count the DataMem grants and lost arbitration cycles of the DSP
+        behind `port` over cycles that ``World.run_until`` replayed
+        without stepping the bus."""
+        k = 1 + self._ports.index(port)
+        self._grants[k] += grants
+        self._stalls[k] += stalls
 
     def post(self, tx):
         """Post the CPU's transaction; DSPs request through their MmiPort."""

@@ -49,6 +49,10 @@ def _cmd_run(args):
     except (OSError, ScenarioError, HexwordsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION if isinstance(exc, ScenarioError) else EXIT_CONFIG
+    if args.dump and scenario.kind in (Kind.CNN_LAYER, Kind.DENSE_LAYER):
+        print("error: --dump needs a conv or dot scenario; a layer runs one "
+              "simulation per call and keeps none of their memories", file=sys.stderr)
+        return EXIT_CONFIG
 
     trace_lines = [] if args.trace else None
     config = SimConfig(max_cycles=args.max_cycles,
@@ -79,15 +83,12 @@ def _cmd_run(args):
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_lines) + "\n")
-    if args.dump and world is not None:
+    if args.dump:
         region, path = args.dump
         if region == "datamem":
             words, base = world.sram.words, DATA_BASE
-        elif region == "instmem":
-            words, base = world.rom.words, INST_BASE
         else:
-            print(f"error: unknown dump region {region!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            words, base = world.rom.words, INST_BASE
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_hexwords(words, base))
     return EXIT_OK
@@ -207,6 +208,30 @@ def _cmd_asm(args):
     return EXIT_OK
 
 
+class _Dump(argparse.Action):
+    """``--dump REGION FILE``: REGION is checked as ``choices`` would check
+    it, which argparse applies to every value of a two-value option."""
+
+    REGIONS = ("datamem", "instmem")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] not in self.REGIONS:
+            parser.error(f"argument --dump: invalid REGION {values[0]!r} "
+                         f"(choose from {', '.join(self.REGIONS)})")
+        setattr(namespace, self.dest, values)
+
+
+def _at_least(low, what):
+    """An argparse type: an integer of at least `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {text}")
+        return value
+    parse.__name__ = "integer"  # argparse names it in "invalid integer value"
+    return parse
+
+
 def _hertz(text):
     """The value of a --freq option: a positive number of hertz."""
     value = float(text)
@@ -222,9 +247,10 @@ def build_parser():
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--report")
-    p_run.add_argument("--dump", nargs=2, metavar=("REGION", "FILE"))
+    p_run.add_argument("--dump", nargs=2, metavar=("REGION", "FILE"), action=_Dump)
     p_run.add_argument("--trace")
-    p_run.add_argument("--max-cycles", type=int, default=10_000_000)
+    p_run.add_argument("--max-cycles", type=_at_least(1, "cycle budget"),
+                       default=10_000_000)
     p_run.set_defaults(func=_cmd_run)
 
     p_model = sub.add_parser("model", help="analytic formulas only")
@@ -233,15 +259,17 @@ def build_parser():
     m_conv.add_argument("--n", type=int, required=True)
     m_conv.add_argument("--k", type=int, required=True)
     m_dot = model_sub.add_parser("dot")
-    m_dot.add_argument("--l", type=int, required=True)
+    m_dot.add_argument("--l", type=_at_least(0, "length"), required=True)
     m_cnn = model_sub.add_parser("cnn")
     m_cnn.add_argument("--n", type=int, required=True)
     m_cnn.add_argument("--k", type=int, required=True)
     m_cnn.add_argument("--c", type=int, required=True)
     m_cnn.add_argument("--k-out", dest="k_out", type=int, required=True)
     m_dense = model_sub.add_parser("dense")
-    m_dense.add_argument("--in-features", dest="in_features", type=int, required=True)
-    m_dense.add_argument("--out-features", dest="out_features", type=int, required=True)
+    m_dense.add_argument("--in-features", dest="in_features",
+                         type=_at_least(0, "in_features"), required=True)
+    m_dense.add_argument("--out-features", dest="out_features",
+                         type=_at_least(0, "out_features"), required=True)
     for p in (m_conv, m_dot, m_cnn, m_dense):
         p.add_argument("--freq", type=_hertz, default=None)
     p_model.set_defaults(func=_cmd_model)

@@ -110,17 +110,58 @@ class Cpu:
         entry = self.rom.decoded[pc >> 2]
         if entry is None:
             try:
-                instr = decode(self.rom.words[pc >> 2])
+                entry = self.rom.decoded[pc >> 2] = self._predecode(pc)
             except IllegalInstructionError as exc:
                 self._fault("illegal", str(exc))
                 return
-            entry = self.rom.decoded[pc >> 2] = self._predecode(instr, pc)
         self.retired += 1
         self._wait = entry[0](self, entry)
 
-    def _predecode(self, instr, pc):
-        """The handler-table entry of `instr` at `pc`; pc-relative targets
-        and the wait cycles after the issue cycle are resolved here."""
+    def run_alone(self, cycles, guard, taken):
+        """Run the wait cycles left and then whole instructions, as
+        ``step`` does, for at most `cycles` cycles beside DSPs that touch
+        only the DataMem words marked in the bytearray `guard`, and set
+        `taken` at the index of each cycle in which the CPU took DataMem.
+        Stops before an instruction that would fault, halt, post a bus
+        transaction (an access outside DataMem) or touch a guarded word;
+        the wait of the last instruction may run past `cycles`, and what is
+        left of it stays.  Returns the cycles run."""
+        regs, decoded = self.regs, self.rom.decoded
+        t, retired = min(self._wait, cycles), 0
+        self._wait -= t
+        while t < cycles:
+            pc = self.pc
+            if pc & 3 or pc > INST_END:
+                break
+            entry = decoded[pc >> 2]
+            if entry is None:
+                try:
+                    entry = decoded[pc >> 2] = self._predecode(pc)
+                except IllegalInstructionError:
+                    break
+            handler = entry[0]
+            if handler in _ACCESSES:
+                if handler is _ecall or handler is _ebreak:
+                    break
+                addr = (regs[entry[2]] + entry[4]) & _MASK
+                if (addr & (entry[5] - 1) or not DATA_BASE <= addr <= DATA_END
+                        or guard[(addr - DATA_BASE) >> 2]):
+                    break
+                taken[t] = 1
+            retired += 1
+            t += 1 + handler(self, entry)
+        self.bus.cpu_served = False  # the DSPs' replay counts what it cost them
+        self.retired += retired
+        if t > cycles:
+            self._wait, t = t - cycles, cycles
+        self.cycles += t
+        return t
+
+    def _predecode(self, pc):
+        """The handler-table entry of the ROM word at `pc`; pc-relative
+        targets and the wait cycles after the issue cycle are resolved
+        here."""
+        instr = decode(self.rom.words[pc >> 2])
         m, rd, rs1, rs2, imm = instr.mnemonic, instr.rd, instr.rs1, instr.rs2, instr.imm
         wait = self.costs.cycles(cost_class(instr)) - 1
         if m in _OPS:
@@ -269,3 +310,5 @@ _BRANCHES = {"beq": eq, "bne": ne, "blt": _OPS["slt"][1], "bltu": lt, "bgeu": ge
 _WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "sb": 1, "sh": 2, "sw": 4}
 _OTHERS = {"jal": _jal, "jalr": _jalr, "fence": _next, "ecall": _ecall,
            "ebreak": _ebreak}
+# the handlers that ``run_alone`` checks before they issue
+_ACCESSES = frozenset((_load, _store, _ecall, _ebreak))

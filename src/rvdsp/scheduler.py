@@ -21,7 +21,7 @@ from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
 from .mac import Truncation
-from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, Rom, Sram
+from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, MEM_WORDS, Rom, Sram
 from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW,
                         CnnLayerShape, cnn_layer_macs, conv_speedup,
                         dense_layer_macs, dot_speedup, dsp_conv_cycles,
@@ -33,6 +33,8 @@ from .programs import conv_driver, conv_sw_kernel, dot_driver
 from .scenario import Kind, Mode, Scenario
 
 REPORT_SCHEMA_VERSION = 1
+# the most cycles one window runs, which bounds the memory of its log
+_WINDOW = 1 << 16
 
 
 @dataclass
@@ -92,14 +94,22 @@ class World:
     def run_until(self, predicate):
         """Advance until predicate() holds.
 
-        ``step()`` is the single-cycle reference.  Three faster paths give
+        ``step()`` is the single-cycle reference.  Four faster paths give
         the same cycle count, counters, memory and trace as stepping:
-        - while one DSP is the only possible DataMem requester (no CPU or
-          a halted one, the other DSP not running, nothing posted), one
-          call advances it to the end of its run, or to max_cycles;
         - while the CPU is the only possible requester (neither DSP in
           RUN, nothing posted), a call at an instruction boundary retires
           the whole instruction (``_retire``);
+        - while a DSP runs beside the CPU and nothing is posted, a call
+          opens a window (``_window``): the CPU runs alone, logging the
+          cycles in which it took DataMem, for as long as it touches no
+          DSP register and no word of a running unit's buffers, then each
+          DSP is replayed against that log.  The arbiter's fixed priority
+          (CPU > conv > dot) makes this exact: the CPU never waits for a
+          DSP, and conv's grants, marked in the log, are all that dot
+          waits for besides the CPU's;
+        - with no CPU or a halted one and nothing posted, the running DSPs
+          are replayed against an empty log (a lone one to the end of its
+          run);
         - while exactly one DSP runs beside the CPU, a spin loop of the
           CPU is jumped over whole iterations together with the DSP
           (``_spin``).  At each target of a backward jump the CPU's pc,
@@ -110,10 +120,13 @@ class World:
           before the unit's finishing cycle and within max_cycles, and
           the rest is stepped, so the read that sees STATUS.done lands on
           its cycle.
-        On these paths predicate() is evaluated at the ends of runs,
-        instructions and jumps only, so it should depend on state that
-        changes there (a DSP's state, the CPU's halt), not on the cycle
-        number.
+        Windows never open while conv's output overlaps dot's inputs, and
+        end no later than the uncontended finish of a running DSP, which
+        stalls can only delay, so no DSP finishes before a window's last
+        cycle.  On these paths predicate() is evaluated at the ends of
+        instructions, windows and jumps only, so it should depend on state
+        that changes there (a DSP's state, the CPU's halt), not on the
+        cycle number.
         """
         cpu, bus, conv, dot = self.cpu, self.bus, self.conv, self.dot
         max_cycles, run = self.config.max_cycles, DspState.RUN
@@ -121,20 +134,22 @@ class World:
         last_pc = -1
         while not predicate():
             if cpu is None or cpu.halted:
-                dsp = self._lone_dsp()
-                if dsp is not None and self.cycle < max_cycles:
-                    self._advance(dsp, min(dsp.cycles_left(), max_cycles - self.cycle))
+                if self._window(None):
                     continue
-            elif not cpu._wait and cpu.fault is None:  # an instruction boundary
-                if (conv.state is not run and dot.state is not run
+            elif cpu.fault is None:
+                boundary = not cpu._wait  # between two instructions
+                if (boundary and conv.state is not run and dot.state is not run
                         and not bus.cpu_posted and self.cycle < max_cycles):
                     self._retire()
                     continue
-                pc = cpu.pc
-                if pc <= last_pc:  # the target of a backward jump
-                    dsp = self._lone_dsp()
-                    spin = None if dsp is None else self._spin(spin, dsp)
-                last_pc = pc
+                if self._window(cpu):
+                    continue
+                if boundary:
+                    pc = cpu.pc
+                    if pc <= last_pc:  # the target of a backward jump
+                        dsp = self._lone_dsp()
+                        spin = None if dsp is None else self._spin(spin, dsp)
+                    last_pc = pc
             self.step()
             if cpu is not None and cpu.fault is not None:
                 raise SimulationFault(cpu.fault)
@@ -146,6 +161,45 @@ class World:
         if conv_runs is (self.dot.state is DspState.RUN) or self.bus.cpu_posted:
             return None
         return self.conv if conv_runs else self.dot
+
+    def _window(self, cpu):
+        """Run `cpu` alone, or no CPU (None), up to the first uncontended
+        finish of a DSP in RUN and within max_cycles, then replay the DSPs
+        in RUN over those cycles.  A window with a CPU or two DSPs runs at
+        most ``_WINDOW`` cycles.  Returns False if a CPU transaction is
+        posted, max_cycles is reached, no DSP runs, conv's output overlaps
+        dot's inputs, or the CPU's next instruction may not run alone."""
+        units = [dsp for dsp in (self.conv, self.dot) if dsp.state is DspState.RUN]
+        if (self.bus.cpu_posted or self.cycle >= self.config.max_cycles or not units
+                or len(units) == 2 and self._coupled()):
+            return False
+        cycles = min(self.config.max_cycles - self.cycle,
+                     *(dsp.cycles_left() for dsp in units))
+        taken = b""  # no CPU, and no grants of conv for dot to wait for
+        if cpu is not None or len(units) == 2:
+            cycles = min(cycles, _WINDOW)
+            taken = bytearray(cycles)
+        if cpu is not None:
+            cycles = cpu.run_alone(cycles, self._guard(units), taken)
+            if not cycles:
+                return False
+        self._replay(taken, cycles)
+        return True
+
+    def _coupled(self):
+        """True if the words conv writes overlap the words dot reads."""
+        *_, (lo, hi) = self.conv.buffers()
+        return any(a < hi and lo < b for a, b in self.dot.buffers()[:2])
+
+    @staticmethod
+    def _guard(units):
+        """A map of DataMem words, with the words the `units` read or
+        write marked."""
+        guard = bytearray(MEM_WORDS)
+        for dsp in units:
+            for lo, hi in dsp.buffers():
+                guard[lo:hi] = b"\1" * (hi - lo)
+        return guard
 
     def _spin(self, head, dsp):
         """At a backward-jump target beside `dsp`, the lone running DSP:
@@ -169,7 +223,7 @@ class World:
                 cpu.retired += jumps * (cpu.retired - retired)
                 cpu.cycles += jumps * (cpu.cycles - cycles)
                 bus.register_accesses += jumps * (bus.register_accesses - accesses)
-                self._advance(dsp, jumps * period)
+                self._advance(jumps * period)
         return key, self.cycle, cpu.retired, cpu.cycles, bus.register_accesses
 
     def _retire(self):
@@ -195,22 +249,31 @@ class World:
         cpu.cycles += jump
         cpu._wait -= jump
 
-    def _advance(self, dsp, cycles):
-        """Advance the running `dsp` by `cycles`, at most its cycles_left(),
-        as stepping does while it is the only DataMem requester: whole taps
-        and outputs in closed form, and the DSP and the bus stepped alone up
-        to the first tap boundary and after the last whole tap."""
-        bus, words = self.bus, self.sram.words
-        end = self.cycle + cycles
-        while self.cycle < end:
-            span = dsp.output_span(end - self.cycle)
-            if span:
-                self.cycle += span  # first, so a `done` trace line shows the last cycle
-                bus.credit_grants(dsp.mmi, dsp.run_output(span, words))
-            else:
-                self.cycle += 1
-                dsp.step()
-                bus.step()
+    def _advance(self, cycles):
+        """Advance the lone running DSP by `cycles`, at most its
+        cycles_left(): the replay with nothing taken."""
+        self._replay(b"", cycles)
+
+    def _replay(self, taken, cycles):
+        """Advance the DSPs in RUN over the next `cycles` cycles, in which
+        the CPU took DataMem where the log `taken` is set, as stepping
+        does: conv first, marking its grants in the log while dot runs,
+        then dot.  A unit that ends its run is finished on its own cycle,
+        in cycle order, so its `done` trace line shows that cycle."""
+        start, bus, words = self.cycle, self.bus, self.sram.words
+        conv, dot, run = self.conv, self.dot, DspState.RUN
+        ends = []
+        for dsp in (conv, dot):
+            if dsp.state is run:
+                mark = dsp is conv and dot.state is run
+                grants, stalls, end = dsp.replay(taken, cycles, words, mark)
+                bus.credit(dsp.mmi, grants, stalls)
+                if end:
+                    ends.append((end, dsp is dot, dsp))
+        for end, _, dsp in sorted(ends):  # conv first in a shared cycle, as in step()
+            self.cycle = start + end
+            dsp._complete()
+        self.cycle = start + cycles
 
     def run_until_halt(self):
         self.run_until(lambda: self.cpu.halted)

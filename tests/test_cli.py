@@ -49,6 +49,46 @@ class TestRun:
         dump = dump_path.read_text()
         assert dump.startswith("@00008000")
 
+    @pytest.mark.parametrize("region, kind, message", [
+        ("flash", "conv", "invalid REGION 'flash' (choose from datamem, instmem)"),
+        ("datamem", "cnn", "--dump needs a conv or dot scenario"),
+        ("instmem", "dense", "--dump needs a conv or dot scenario"),
+    ], ids=["unknown region", "cnn layer", "dense layer"])
+    def test_dump_is_refused_before_the_run(self, tmp_path, capsys, region, kind, message):
+        # an unknown region, or a layer, which keeps no World to dump, is
+        # refused with exit 2 before anything runs or is written
+        path = write_scenario(tmp_path, {"conv": CONV_SCENARIO, "cnn": """
+[scenario]
+kind = "cnn"
+n = 4
+k = 2
+c = 1
+k_out = 1
+""", "dense": """
+[scenario]
+kind = "dense"
+in_features = 2
+out_features = 2
+"""}[kind])
+        report, dump = tmp_path / "report.json", tmp_path / "dump.hex"
+        argv = ["run", "--scenario", path, "--report", str(report),
+                "--dump", region, str(dump)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not report.exists() and not dump.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_max_cycles_must_be_positive(self, tmp_path, capsys, budget):
+        path = write_scenario(tmp_path, CONV_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", path, "--max-cycles", budget])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"cycle budget must be at least 1, got {budget}" in capsys.readouterr().err
+
     def test_trace_file(self, tmp_path):
         path = write_scenario(tmp_path, CONV_SCENARIO)
         trace_path = tmp_path / "trace.txt"
@@ -337,6 +377,20 @@ class TestModel:
             main([*argv, "--freq", freq])
         assert exc.value.code == EXIT_CONFIG
         assert "frequency must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dot", "--l", "-3"], "length must be at least 0, got -3"),
+        (["dense", "--in-features", "-1", "--out-features", "4"],
+         "in_features must be at least 0, got -1"),
+        (["dense", "--in-features", "4", "--out-features", "-2"],
+         "out_features must be at least 0, got -2"),
+    ], ids=["l", "in_features", "out_features"])
+    def test_negative_shape_is_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["model", *argv, "--freq", "1e6"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_conv_invalid(self, capsys):
         assert main(["model", "conv", "--n", "4", "--k", "9"]) == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -279,8 +280,9 @@ def _lockstep_case(data):
         n = data.draw(st.integers(1, 64), label="n")
         k = data.draw(st.integers(1, n), label="k")
         # the output buffer may overlap the input or the kernel, often
-        # within the K words an output reads
-        near = data.draw(st.sampled_from([None, _CONV_X, _CONV_H]), label="out near")
+        # within the K words an output reads, or dot's inputs
+        near = data.draw(st.sampled_from([None, _CONV_X, _CONV_H, _DOT_A, _DOT_B]),
+                         label="out near")
         out = (DATA_BASE + 0x1800 if near is None else near + 4 * data.draw(
             st.integers(0, k - 1) | st.integers(-(n - k + 1), n), label="out shift"))
         case["preload"] += [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
@@ -304,11 +306,19 @@ def _lockstep_case(data):
     elif cpu == "program":
         case["rom"] = data.draw(rv_programs(), label="program")
     elif cpu == "sw kernel":
-        sw_n = data.draw(st.integers(1, 6), label="sw n")
-        sw_k = data.draw(st.integers(1, sw_n), label="sw k")
-        case["rom"] = conv_sw_kernel(sw_n, sw_k, _SW_X, _SW_H, _SW_Y)
-        case["preload"] += [(_SW_X, SplitMix64(sw_n).words(sw_n)),
-                            (_SW_H, SplitMix64(sw_k).words(sw_k))]
+        sw_n = data.draw(st.integers(1, 24), label="sw n")
+        sw_k = data.draw(st.integers(1, min(sw_n, 8)), label="sw k")
+        # the kernel's x, h or y may lie on a running unit's input, kernel
+        # or output, where no window may run across its accesses
+        bufs = [_SW_X, _SW_H, _SW_Y]
+        moved = data.draw(st.sampled_from([None, 0, 1, 2]), label="sw buffer moved")
+        if moved is not None:
+            onto = data.draw(st.sampled_from([_CONV_X, _CONV_H, DATA_BASE + 0x1800,
+                                              _DOT_A, _DOT_B]), label="onto")
+            bufs[moved] = onto + 4 * data.draw(st.integers(0, 8), label="sw shift")
+        case["rom"] = conv_sw_kernel(sw_n, sw_k, *bufs)
+        case["preload"] += [(bufs[0], SplitMix64(sw_n).words(sw_n)),
+                            (bufs[1], SplitMix64(sw_k).words(sw_k))]
     else:
         case["posted"] = data.draw(st.booleans(), label="posted")
     return case
@@ -460,7 +470,7 @@ class TestFastForwardLockstep:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_advance_matches_stepping(self, data):
-        # World._advance(dsp, c), which both jumps use, must equal c steps
+        # World._advance(c), the replay with nothing taken, must equal c steps
         # for any c up to cycles_left(), and cycles_left() must be the steps
         # to the unit's finish, also from a request that lost arbitration,
         # starting anywhere in the busy phase: in a later output, inside an
@@ -500,8 +510,8 @@ class TestFastForwardLockstep:
             return
         left = dsp.cycles_left()
         cycles = left - data.draw(st.integers(0, left), label="short of the finish")
-        fast, fast_dsp, fast_lines = build()
-        fast._advance(fast_dsp, cycles)
+        fast, _, fast_lines = build()
+        fast._advance(cycles)
         for _ in range(cycles):
             stepped.step()
         assert fast_lines == lines
@@ -510,6 +520,145 @@ class TestFastForwardLockstep:
             stepped.step()
             cycles += 1
         assert cycles == left
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_replay_matches_stepping(self, data):
+        # World._replay(log, c), the replay of conv, dot or both against a
+        # log of the cycles the CPU took, must equal c steps with the CPU's
+        # DataMem grant set in each logged cycle, from anywhere in the busy
+        # phase, also from a request that lost arbitration, to anywhere,
+        # also inside a tap; a log with nothing taken runs whole taps in
+        # closed form
+        units = data.draw(st.sampled_from(["conv", "dot", "both"]), label="units")
+        starts = []
+        if units != "dot":
+            n = data.draw(st.integers(1, 24), label="n")
+            k = data.draw(st.integers(1, n), label="k")
+            starts.append((CONV_BASE, _conv_start(n, k)))
+        if units != "conv":
+            starts.append((DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                      (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                      (dot_regs.OFF_LEN, data.draw(st.integers(0, 24))),
+                                      (dot_regs.OFF_CONTROL, 1))))
+        lead = data.draw(st.integers(0, 60), label="lead")
+        stall = data.draw(st.booleans(), label="stall")
+        density = data.draw(st.integers(0, 8), label="taken in 8")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="log seed"))
+        log = [rng.randrange(8) < density
+               for _ in range(data.draw(st.integers(1, 600), label="cycles"))]
+
+        def build():
+            lines = []
+            world = World(SimConfig(trace=lines.append))
+            for addr in (_CONV_X, _CONV_H, _DOT_A, _DOT_B):
+                world.write_words(addr, SplitMix64(addr).words(24))
+            for base, writes in starts:
+                for offset, value in writes:
+                    world.reg_write(base + offset, value)
+            for _ in range(lead):
+                world.step()
+            if stall:  # the host wins DataMem for a cycle
+                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
+                world.step()
+            return world, lines
+
+        stepped, lines = build()
+        if DspState.RUN not in (stepped.conv.state, stepped.dot.state):
+            return
+        fast, fast_lines = build()
+        fast._replay(bytearray(log), len(log))
+        for taken in log:
+            stepped.bus.cpu_served = taken
+            stepped.step()
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
+    # a software conv beside a running conv and dot on other buffers
+    _BESIDE_BOTH = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(64)),
+                            (_CONV_H, SplitMix64(2).words(8)),
+                            (_DOT_A, SplitMix64(3).words(64)),
+                            (_DOT_B, SplitMix64(4).words(64)),
+                            (_SW_X, SplitMix64(5).words(40)),
+                            (_SW_H, SplitMix64(6).words(8))],
+                "starts": [("conv", CONV_BASE, _conv_start(64, 8)),
+                           ("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                              (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                              (dot_regs.OFF_LEN, 64),
+                                              (dot_regs.OFF_CONTROL, 1)))],
+                "rom": conv_sw_kernel(40, 8, _SW_X, _SW_H, _SW_Y), "posted": False}
+
+    def test_kernel_beside_both_units_runs_in_windows(self, monkeypatch):
+        # the CPU runs alone and both units are replayed against its
+        # DataMem grants, so only the kernel's ebreak, which may not run
+        # alone, and the wait left of the instruction in which the last
+        # unit finished are stepped
+        case = self._BESIDE_BOTH
+        stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast_outcome == outcome == "finished"
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert stepped.bus.stalls[Requester.CONV] and stepped.bus.stalls[Requester.DOT]
+        assert len(steps) <= 3
+
+    @pytest.mark.parametrize("cpu", [False, True], ids=["no cpu", "sw kernel"])
+    @pytest.mark.parametrize("onto", [_DOT_A, _DOT_B], ids=["on a", "on b"])
+    def test_conv_output_on_dot_inputs_is_stepped(self, cpu, onto):
+        # conv writes words that dot reads later, so the units may not be
+        # replayed one after the other: no window opens, with or without
+        # a CPU beside them
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(16)),
+                            (_CONV_H, SplitMix64(2).words(4)),
+                            (_DOT_A, SplitMix64(3).words(24)),
+                            (_DOT_B, SplitMix64(4).words(24))],
+                "starts": [("conv", CONV_BASE, (
+                    (conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
+                    (conv_regs.OFF_OUT_ADDR, onto), (conv_regs.OFF_IN_LEN, 16),
+                    (conv_regs.OFF_KERN_LEN, 4), (conv_regs.OFF_CONTROL, 1))),
+                    ("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                       (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                       (dot_regs.OFF_LEN, 24), (dot_regs.OFF_CONTROL, 1)))],
+                "rom": conv_sw_kernel(24, 5, _SW_X, _SW_H, _SW_Y) if cpu else None,
+                "posted": False}
+        stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast_outcome == outcome == "finished"
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
+    @pytest.mark.parametrize("unit", ["conv", "dot"])
+    def test_dsp_predicate_stops_on_the_finishing_cycle(self, unit):
+        # no window runs past a unit's finish, so a predicate on a unit's
+        # state stops run_until on the cycle where stepping stops, also
+        # while the CPU runs beside both units
+        case = dict(self._BESIDE_BOTH)
+        runs = []
+        for fast in (False, True):
+            world = World(SimConfig(), with_cpu=True)
+            for addr, words in case["preload"]:
+                world.write_words(addr, words)
+            world.rom.load(case["rom"])
+            for name, _, writes in case["starts"]:
+                for offset, value in writes:
+                    getattr(world, name).axi_write(offset, value)
+            dsp = getattr(world, unit)
+
+            def done():
+                return dsp.state is not DspState.RUN
+            if fast:
+                world.run_until(done)
+            else:
+                while not done():
+                    world.step()
+            assert not world.cpu.halted
+            runs.append(_observable(world))
+        assert runs[0] == runs[1]
 
     def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
         # testbench runs step only for their register writes; a full-system
@@ -545,8 +694,8 @@ class TestFastForwardLockstep:
         stepped, lines, outcome = _lockstep_run(case, 1500, fast=False)
         jumps = []
         advance = World._advance
-        monkeypatch.setattr(World, "_advance", lambda world, dsp, cycles: (
-            jumps.append(cycles), advance(world, dsp, cycles)))
+        monkeypatch.setattr(World, "_advance", lambda world, cycles: (
+            jumps.append(cycles), advance(world, cycles)))
         fast, fast_lines, fast_outcome = _lockstep_run(case, 1500, fast=True)
         assert fast_outcome == outcome
         assert outcome == ("SimulationTimeout: exceeded 1500 cycles"
