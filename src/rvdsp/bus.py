@@ -5,7 +5,8 @@ per cycle; the arbiter is fixed-priority CPU > conv DSP > dot DSP.
 Register-space (AXI-Lite) accesses bypass the arbiter and always
 complete in the cycle they are posted.  The CPU serves its own DataMem
 accesses at issue, since it always wins arbitration, and reports each
-with ``serve_cpu``; its other accesses and host accesses are posted as a
+with ``serve_cpu``; its other accesses, except those ``peek`` serves in a
+window of the CPU alone, and host accesses are posted as a
 ``BusTransaction``.  Each DSP's ``MmiPort`` is served in place while
 ``req and not done``.  Word-aligned DataMem addresses index the SRAM
 directly; only other addresses go through ``decode_address``.
@@ -139,6 +140,23 @@ class Bus:
             raise RuntimeError("cpu already has a transaction in flight")
         self._grants[0] += 1
         self.cpu_served = True
+
+    def peek(self, addr, write):
+        """For a window of the CPU alone: what the CPU's access to the
+        word at `addr` outside DataMem reads when served at its issue,
+        counted as ``step`` counts it, or None if it must be posted.  A
+        load of ROM or of a unit's registers, and any access to the
+        reserved block, which reads 0 and discards stores, is served; a
+        store elsewhere, which may start a unit, and an access that errs
+        are posted."""
+        if write and decode_address(addr)[0] is not Region.RESERVED:
+            return None
+        accesses = self.register_accesses
+        rdata, error = self._route(addr, write, 0)
+        if error is None:
+            return rdata
+        self.register_accesses = accesses  # counted when the access is posted
+        return None
 
     def _route(self, addr, write, wdata):
         """Serve an access outside DataMem this cycle: (rdata, error)."""

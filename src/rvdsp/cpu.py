@@ -5,7 +5,8 @@ fully loaded per-instruction cycles).  A ROM word is decoded on its first
 fetch into a handler-table entry kept in ``Rom.decoded``.  The CPU wins
 DataMem arbitration, so it serves its DataMem loads and stores from
 ``sram.words`` in their issue cycle (``Bus.serve_cpu``); other addresses
-get a word ``BusTransaction`` with byte strobes for sub-word stores.
+get a word ``BusTransaction`` with byte strobes for sub-word stores,
+except in ``run_alone``, which serves loads at issue too.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class Cpu:
         self.config_write_cycles = 0
         self._wait = 0
         self._tx = None
-        self._tx_pc = 0    # pc of the instruction that posted _tx
         self._load = None  # (entry, addr) of a posted load
 
     def step(self):
@@ -85,8 +85,8 @@ class Cpu:
         tx = self._tx
         if tx is None or tx.state is not TxState.DONE:
             return
-        if tx.error is not None:
-            self.fault = Fault("bus", self._tx_pc, tx.error)
+        if tx.error is not None:  # at the pc of the load or store that posted tx
+            self.fault = Fault("bus", self.pc - 4, tx.error)
         elif self._load is not None:
             _write_back(self, *self._load, tx.rdata)
         self._tx = None
@@ -95,7 +95,7 @@ class Cpu:
     def _post(self, tx, load=None):
         """Post the instruction at pc's access `tx`; ``observe`` writes
         `load` back, or faults at this pc on a bus error."""
-        self._tx, self._tx_pc, self._load = tx, self.pc, load
+        self._tx, self._load = tx, load
         self.bus.post(tx)
 
     def _fault(self, kind, detail=""):
@@ -122,13 +122,24 @@ class Cpu:
         ``step`` does, for at most `cycles` cycles beside DSPs that touch
         only the DataMem words marked in the bytearray `guard`, and set
         `taken` at the index of each cycle in which the CPU took DataMem.
-        Stops before an instruction that would fault, halt, post a bus
-        transaction (an access outside DataMem) or touch a guarded word;
-        the wait of the last instruction may run past `cycles`, and what is
-        left of it stays.  Returns the cycles run."""
-        regs, decoded = self.regs, self.rom.decoded
+        A load outside DataMem is served at its issue (``Bus.peek``)
+        before the last of the `cycles`, when the bus reads only what
+        stays fixed until a running unit finishes.  Stops before an
+        instruction that would fault, halt, post a bus transaction (a
+        store to a unit's registers) or touch a guarded word; the wait of
+        the last instruction may run past `cycles`, and what is left of it
+        stays.
+
+        A spin loop is jumped: at the target of a backward jump with the
+        pc and registers of the last target, and no DataMem access since,
+        the stretch between read only values that stay fixed, so it
+        repeats exactly, and ``_jump`` credits as many more iterations as
+        fit in `cycles`.  Each ends with its jump, so its loads still issue
+        before the last cycle.  Returns the cycles run."""
+        regs, decoded, bus = self.regs, self.rom.decoded, self.bus
         t, retired = min(self._wait, cycles), 0
         self._wait -= t
+        head, clean = None, True  # the last backward-jump target; no DataMem since
         while t < cycles:
             pc = self.pc
             if pc & 3 or pc > INST_END:
@@ -140,17 +151,46 @@ class Cpu:
                 except IllegalInstructionError:
                     break
             handler = entry[0]
-            if handler in _ACCESSES:
+            if handler in _SCREENED:
+                if handler in _JUMPS:
+                    retired += 1
+                    t += 1 + handler(self, entry)
+                    target = self.pc
+                    if target > pc:
+                        continue
+                    if not clean:
+                        head, clean = None, True
+                        continue
+                    if head is not None and head[0] == target and head[1] == regs:
+                        n = (cycles - t) // (t - head[2])
+                        if n > 0:
+                            t, retired, bus.register_accesses = _jump(
+                                n, head[2:], t, retired, bus.register_accesses)
+                    head = (target, regs[:], t, retired, bus.register_accesses)
+                    continue
                 if handler is _ecall or handler is _ebreak:
                     break
                 addr = (regs[entry[2]] + entry[4]) & _MASK
-                if (addr & (entry[5] - 1) or not DATA_BASE <= addr <= DATA_END
-                        or guard[(addr - DATA_BASE) >> 2]):
+                if addr & (entry[5] - 1):
                     break
-                taken[t] = 1
+                if DATA_BASE <= addr <= DATA_END:
+                    if guard[(addr - DATA_BASE) >> 2]:
+                        break
+                    taken[t] = 1
+                    clean = False
+                else:
+                    word = None if t + 1 == cycles else bus.peek(addr & ~3, handler is _store)
+                    if word is None:
+                        break
+                    if handler is _load:
+                        _write_back(self, entry, addr, word)
+                    self.pc = pc + 4
+                    retired += 1
+                    t += 1 + entry[6]
+                    continue
             retired += 1
             t += 1 + handler(self, entry)
-        self.bus.cpu_served = False  # the DSPs' replay counts what it cost them
+        bus.cpu_served = False  # the DSPs' replay counts what it cost them
         self.retired += retired
         if t > cycles:
             self._wait, t = t - cycles, cycles
@@ -310,5 +350,13 @@ _BRANCHES = {"beq": eq, "bne": ne, "blt": _OPS["slt"][1], "bltu": lt, "bgeu": ge
 _WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "sb": 1, "sh": 2, "sw": 4}
 _OTHERS = {"jal": _jal, "jalr": _jalr, "fence": _next, "ecall": _ecall,
            "ebreak": _ebreak}
-# the handlers that ``run_alone`` checks before they issue
-_ACCESSES = frozenset((_load, _store, _ecall, _ebreak))
+# the handlers after which ``run_alone`` looks for a spin loop, and with
+# the accesses, those it checks before they issue
+_JUMPS = frozenset((_branch, _jal, _jalr))
+_SCREENED = _JUMPS | {_load, _store, _ecall, _ebreak}
+
+
+def _jump(times, head, *now):
+    """The counters `now` at a spin loop's target after `times` more
+    iterations, each adding what the last added since the counters `head`."""
+    return [v + times * (v - h) for v, h in zip(now, head)]

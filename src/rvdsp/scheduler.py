@@ -94,87 +94,57 @@ class World:
     def run_until(self, predicate):
         """Advance until predicate() holds.
 
-        ``step()`` is the single-cycle reference.  Four faster paths give
+        ``step()`` is the single-cycle reference.  Each call opens a
+        window (``_window``) if it can and steps otherwise; a window gives
         the same cycle count, counters, memory and trace as stepping:
-        - while the CPU is the only possible requester (neither DSP in
-          RUN, nothing posted), a call at an instruction boundary retires
-          the whole instruction (``_retire``);
-        - while a DSP runs beside the CPU and nothing is posted, a call
-          opens a window (``_window``): the CPU runs alone, logging the
-          cycles in which it took DataMem, for as long as it touches no
-          DSP register and no word of a running unit's buffers, then each
-          DSP is replayed against that log.  The arbiter's fixed priority
-          (CPU > conv > dot) makes this exact: the CPU never waits for a
-          DSP, and conv's grants, marked in the log, are all that dot
-          waits for besides the CPU's;
-        - with no CPU or a halted one and nothing posted, the running DSPs
+        - with a CPU, and nothing posted, the CPU runs alone
+          (``Cpu.run_alone``), logging the cycles in which it took
+          DataMem, for as long as it stores to no DSP register and touches
+          no word of a running unit's buffers, jumping spin loops whole;
+          then each DSP in RUN is replayed against that log.  The
+          arbiter's fixed priority (CPU > conv > dot) makes this exact:
+          the CPU never waits for a DSP, and conv's grants, marked in the
+          log, are all that dot waits for besides the CPU's;
+        - with no CPU or a halted one and nothing posted, the DSPs in RUN
           are replayed against an empty log (a lone one to the end of its
-          run);
-        - while exactly one DSP runs beside the CPU, a spin loop of the
-          CPU is jumped over whole iterations together with the DSP
-          (``_spin``).  At each target of a backward jump the CPU's pc,
-          registers, DataMem grants and register-space stores are kept.
-          If they equal those kept at the last one, the stretch between
-          made no DataMem access and no store to a unit's registers, so
-          it repeats exactly until the unit finishes.  It is jumped as often as ends
-          before the unit's finishing cycle and within max_cycles, and
-          the rest is stepped, so the read that sees STATUS.done lands on
-          its cycle.
-        Windows never open while conv's output overlaps dot's inputs, and
-        end no later than the uncontended finish of a running DSP, which
-        stalls can only delay, so no DSP finishes before a window's last
-        cycle.  On these paths predicate() is evaluated at the ends of
-        instructions, windows and jumps only, so it should depend on state
-        that changes there (a DSP's state, the CPU's halt), not on the
-        cycle number.
+          run), and with none in RUN nothing changes until the timeout.
+        The instruction that closes a CPU window (a store to a DSP
+        register, ``ecall``/``ebreak``, a fault) is stepped.  Windows
+        never open while conv's output overlaps dot's inputs, and end no
+        later than the uncontended finish of a DSP in RUN, which stalls
+        can only delay, so no DSP finishes before a window's last cycle.
+        The predicate is evaluated at the ends of windows and steps only,
+        so it should depend on state that changes there (a DSP's state,
+        the CPU's halt), not on the cycle number or the retired count.
         """
-        cpu, bus, conv, dot = self.cpu, self.bus, self.conv, self.dot
-        max_cycles, run = self.config.max_cycles, DspState.RUN
-        spin = None  # the state kept at the last backward-jump target
-        last_pc = -1
+        cpu = self.cpu
         while not predicate():
-            if cpu is None or cpu.halted:
-                if self._window(None):
-                    continue
-            elif cpu.fault is None:
-                boundary = not cpu._wait  # between two instructions
-                if (boundary and conv.state is not run and dot.state is not run
-                        and not bus.cpu_posted and self.cycle < max_cycles):
-                    self._retire()
-                    continue
-                if self._window(cpu):
-                    continue
-                if boundary:
-                    pc = cpu.pc
-                    if pc <= last_pc:  # the target of a backward jump
-                        dsp = self._lone_dsp()
-                        spin = None if dsp is None else self._spin(spin, dsp)
-                    last_pc = pc
-            self.step()
-            if cpu is not None and cpu.fault is not None:
-                raise SimulationFault(cpu.fault)
+            if not self._window():
+                self.step()
+                if cpu is not None and cpu.fault is not None:
+                    raise SimulationFault(cpu.fault)
 
-    def _lone_dsp(self):
-        """The DSP that is the only one in RUN, if no CPU transaction is
-        posted; None otherwise."""
-        conv_runs = self.conv.state is DspState.RUN
-        if conv_runs is (self.dot.state is DspState.RUN) or self.bus.cpu_posted:
-            return None
-        return self.conv if conv_runs else self.dot
-
-    def _window(self, cpu):
-        """Run `cpu` alone, or no CPU (None), up to the first uncontended
+    def _window(self):
+        """Run the CPU alone, if it runs, up to the first uncontended
         finish of a DSP in RUN and within max_cycles, then replay the DSPs
         in RUN over those cycles.  A window with a CPU or two DSPs runs at
         most ``_WINDOW`` cycles.  Returns False if a CPU transaction is
-        posted, max_cycles is reached, no DSP runs, conv's output overlaps
-        dot's inputs, or the CPU's next instruction may not run alone."""
+        posted, the CPU has faulted, max_cycles is reached, conv's output
+        overlaps dot's inputs, or the CPU's next instruction may not run
+        alone; with neither a running CPU nor a DSP in RUN, it first jumps
+        to max_cycles, where the next step times out."""
+        cpu, max_cycles = self.cpu, self.config.max_cycles
+        if cpu is not None and cpu.halted:
+            cpu = None
         units = [dsp for dsp in (self.conv, self.dot) if dsp.state is DspState.RUN]
-        if (self.bus.cpu_posted or self.cycle >= self.config.max_cycles or not units
+        if (self.bus.cpu_posted or self.cycle >= max_cycles
+                or cpu is not None and cpu.fault is not None
                 or len(units) == 2 and self._coupled()):
             return False
-        cycles = min(self.config.max_cycles - self.cycle,
-                     *(dsp.cycles_left() for dsp in units))
+        if cpu is None and not units:
+            self.cycle = max_cycles
+            return False
+        cycles = min([max_cycles - self.cycle] + [dsp.cycles_left() for dsp in units])
         taken = b""  # no CPU, and no grants of conv for dot to wait for
         if cpu is not None or len(units) == 2:
             cycles = min(cycles, _WINDOW)
@@ -200,59 +170,6 @@ class World:
             for lo, hi in dsp.buffers():
                 guard[lo:hi] = b"\1" * (hi - lo)
         return guard
-
-    def _spin(self, head, dsp):
-        """At a backward-jump target beside `dsp`, the lone running DSP:
-        the new head of a spin loop.  If `head` holds the same pc, unit,
-        registers, DataMem grants to the CPU and register-space store
-        cycles, the stretch since made no DataMem access, no ``ecall``
-        and no store to either unit's registers.  Its other accesses read
-        what stays fixed until the unit finishes (the running unit's
-        registers, an unwritten idle unit, ROM, the reserved block), are
-        stores the reserved block discards, or fault.  So the CPU and
-        `dsp` first jump together over as many whole iterations as end
-        before the unit's finishing cycle and within max_cycles."""
-        cpu, bus = self.cpu, self.bus
-        key = (cpu.pc, dsp, bus._grants[0], cpu.config_write_cycles, *cpu.regs)
-        if head is not None and head[0] == key:
-            _, cycle, retired, cycles, accesses = head
-            period = self.cycle - cycle
-            jumps = min((dsp.cycles_left() - 1) // period,
-                        (self.config.max_cycles - self.cycle) // period)
-            if jumps > 0:
-                cpu.retired += jumps * (cpu.retired - retired)
-                cpu.cycles += jumps * (cpu.cycles - cycles)
-                bus.register_accesses += jumps * (bus.register_accesses - accesses)
-                self._advance(jumps * period)
-        return key, self.cycle, cpu.retired, cpu.cycles, bus.register_accesses
-
-    def _retire(self):
-        """The CPU's issue cycle, run as step() runs it, then a jump over
-        the instruction's wait cycles, up to max_cycles.  There is no
-        jump after an instruction that started a DSP or halted."""
-        cpu, bus = self.cpu, self.bus
-        self.cycle += 1
-        cpu.cycles += 1
-        cpu._issue()
-        bus.cpu_served = False  # no DSP runs, so none lost arbitration
-        if cpu._tx is not None:  # not DataMem: served in this cycle's bus step
-            bus.step()
-            cpu.observe()
-        if cpu.fault is not None:
-            raise SimulationFault(cpu.fault)
-        if cpu.halted or DspState.RUN in (self.conv.state, self.dot.state):
-            return
-        jump = cpu._wait
-        if self.cycle + jump > self.config.max_cycles:
-            jump = self.config.max_cycles - self.cycle
-        self.cycle += jump
-        cpu.cycles += jump
-        cpu._wait -= jump
-
-    def _advance(self, cycles):
-        """Advance the lone running DSP by `cycles`, at most its
-        cycles_left(): the replay with nothing taken."""
-        self._replay(b"", cycles)
 
     def _replay(self, taken, cycles):
         """Advance the DSPs in RUN over the next `cycles` cycles, in which

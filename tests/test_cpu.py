@@ -226,12 +226,14 @@ class TestDeterminism:
 
 
 class TestReferenceIss:
+    # lockstep co-simulation, offline: the same ROM through World and
+    # through tests/iss_ref.py, which shares no code with the CPU
+
     @settings(max_examples=100, deadline=None)
     @given(words=rv_programs())
     def test_random_programs_match_reference(self, words):
-        # lockstep co-simulation, offline: the same ROM through World and
-        # through tests/iss_ref.py, which shares no code with the CPU,
-        # compared after every instruction and at the end
+        # compared at every return of run_until, after stepping the
+        # reference over the instructions that call retired, and at the end
         world = World(SimConfig(max_cycles=100_000), with_cpu=True)
         world.rom.load(words)
         cpu, ref = world.cpu, RefCpu(words)
@@ -241,13 +243,43 @@ class TestReferenceIss:
                 world.run_until(lambda: cpu.retired != retired or cpu.halted)
             except SimulationFault:
                 pass
-            ref.step()
+            _step_reference(ref, cpu)
             assert (cpu.pc, cpu.regs) == (ref.pc, ref.x)
-        assert world.sram.words == ref.sram
-        assert cpu.retired == ref.retired
-        assert cpu.halted == ref.halted
-        assert (cpu.fault and (cpu.fault.kind, cpu.fault.pc)) == ref.fault
-        # every completed instruction costs its class; a faulting one a cycle
-        costs = CycleCostTable()
-        assert cpu.cycles == sum(getattr(costs, c) for c in ref.classes) + bool(ref.fault)
-        assert world.cycle == cpu.cycles
+        _assert_same_end(world, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(words=rv_programs())
+    def test_random_programs_match_reference_stepped(self, words):
+        # compared after every instruction that World.step() completes,
+        # and at the end
+        world = World(SimConfig(max_cycles=100_000), with_cpu=True)
+        world.rom.load(words)
+        cpu, ref = world.cpu, RefCpu(words)
+        while not (cpu.halted or cpu.fault):
+            retired = cpu.retired
+            while cpu.retired == retired and not (cpu.halted or cpu.fault):
+                world.step()
+            assert cpu.retired - retired <= 1
+            _step_reference(ref, cpu)
+            assert (cpu.pc, cpu.regs) == (ref.pc, ref.x)
+        _assert_same_end(world, ref)
+
+
+def _step_reference(ref, cpu):
+    """Step `ref` over the instructions `cpu` retired since, and over the
+    fault, if any, of one that did not retire."""
+    while ref.retired < cpu.retired or cpu.fault and not ref.fault:
+        assert not (ref.halted or ref.fault)
+        ref.step()
+
+
+def _assert_same_end(world, ref):
+    cpu = world.cpu
+    assert world.sram.words == ref.sram
+    assert cpu.retired == ref.retired
+    assert cpu.halted == ref.halted
+    assert (cpu.fault and (cpu.fault.kind, cpu.fault.pc)) == ref.fault
+    # every completed instruction costs its class; a faulting one a cycle
+    costs = CycleCostTable()
+    assert cpu.cycles == sum(getattr(costs, c) for c in ref.classes) + bool(ref.fault)
+    assert world.cycle == cpu.cycles

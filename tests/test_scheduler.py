@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import conv1d, conv_partial_accum, dot
 from random_programs import rv_programs
 from rvdsp import conv as conv_regs
+from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
 from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u64
@@ -425,6 +426,16 @@ def _poll_program(body, status, restart, lead):
     return asm.words()
 
 
+def _count_jumps(monkeypatch):
+    """A list that gets the iterations of each spin-loop jump
+    (``rvdsp.cpu._jump``) from here on."""
+    jumps = []
+    jump = cpu_module._jump
+    monkeypatch.setattr(cpu_module, "_jump", lambda times, *counters: (
+        jumps.append(times), jump(times, *counters))[1])
+    return jumps
+
+
 def _rom_word(draw):
     """A random 32-bit word; a random instruction with small offsets, mostly
     from x0 and the prologue's base registers; or a short backward jump."""
@@ -470,7 +481,7 @@ class TestFastForwardLockstep:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_advance_matches_stepping(self, data):
-        # World._advance(c), the replay with nothing taken, must equal c steps
+        # World._replay(b"", c), the replay with nothing taken, must equal c steps
         # for any c up to cycles_left(), and cycles_left() must be the steps
         # to the unit's finish, also from a request that lost arbitration,
         # starting anywhere in the busy phase: in a later output, inside an
@@ -511,7 +522,7 @@ class TestFastForwardLockstep:
         left = dsp.cycles_left()
         cycles = left - data.draw(st.integers(0, left), label="short of the finish")
         fast, _, fast_lines = build()
-        fast._advance(cycles)
+        fast._replay(b"", cycles)
         for _ in range(cycles):
             stepped.step()
         assert fast_lines == lines
@@ -662,8 +673,8 @@ class TestFastForwardLockstep:
 
     def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
         # testbench runs step only for their register writes; a full-system
-        # run retires the driver's instructions whole and jumps the poll
-        # loop beside the running DSP
+        # run runs the driver in windows, which jump the poll loop beside
+        # the running DSP, and steps only what closes a window
         steps = []
         step = World.step
         monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
@@ -674,9 +685,9 @@ class TestFastForwardLockstep:
         assert len(steps) == 4
         steps.clear()
         report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
-        # the wait of the CONTROL store, two 6-cycle poll iterations (the
-        # first ends where its pc, registers and counters are kept, the
-        # second finds them again), and at most one iteration after the jump
+        # windows step only the driver's 7 register stores, its ebreak and
+        # at most a STATUS load on the unit's finishing cycle, inside the
+        # bound of three 6-cycle poll iterations and the CONTROL store's wait
         assert len(steps) <= 2 + 3 * 6 < report["conv"]["busy_cycles"]
 
     # the plain loop also after 1 to 5 one-cycle nops, so that over the six
@@ -692,10 +703,7 @@ class TestFastForwardLockstep:
                 "starts": [], "rom": _poll_program(body, status, restart, lead),
                 "posted": False}
         stepped, lines, outcome = _lockstep_run(case, 1500, fast=False)
-        jumps = []
-        advance = World._advance
-        monkeypatch.setattr(World, "_advance", lambda world, cycles: (
-            jumps.append(cycles), advance(world, cycles)))
+        jumps = _count_jumps(monkeypatch)
         fast, fast_lines, fast_outcome = _lockstep_run(case, 1500, fast=True)
         assert fast_outcome == outcome
         assert outcome == ("SimulationTimeout: exceeded 1500 cycles"
@@ -703,6 +711,160 @@ class TestFastForwardLockstep:
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
         assert bool(jumps) == jumped
+
+    def test_jump_to_self_beside_a_long_conv_is_jumped(self, monkeypatch):
+        # a `jal x0, 0` loop beside a running conv N=1024 K=16 is jumped
+        # inside its window, as far as the conv's last cycle allows, then
+        # to the timeout once the conv has finished
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(DATA_BASE, SplitMix64(1).words(1024)),
+                            (DATA_BASE + 0x1000, SplitMix64(2).words(16))],
+                "starts": [("conv", CONV_BASE, (
+                    (conv_regs.OFF_IN_ADDR, DATA_BASE),
+                    (conv_regs.OFF_KERN_ADDR, DATA_BASE + 0x1000),
+                    (conv_regs.OFF_OUT_ADDR, DATA_BASE + 0x1100),
+                    (conv_regs.OFF_IN_LEN, 1024), (conv_regs.OFF_KERN_LEN, 16),
+                    (conv_regs.OFF_CONTROL, 1)))],
+                "rom": [encode(I("jal", rd=0, imm=0))], "posted": False}
+        busy = (1024 - 16 + 1) * (3 * 16 + 1)
+        stepped, lines, outcome = _lockstep_run(case, busy + 100, fast=False)
+        jumps = _count_jumps(monkeypatch)
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        fast, fast_lines, fast_outcome = _lockstep_run(case, busy + 100, fast=True)
+        assert fast_outcome == outcome == f"SimulationTimeout: exceeded {busy + 100} cycles"
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert stepped.conv.state is DspState.DONE
+        # two 2-cycle iterations find the loop, and the jump ends with the
+        # conv's last cycle
+        assert jumps[0] == (busy - 4) // 2
+        assert len(steps) == 1  # into the timeout
+
+    # register loads that read a unit at its finish: conv's STATUS, dot's
+    # STATUS and RESULT_LO
+    _FINISH_READS = {"conv STATUS": ("conv", CONV_BASE + conv_regs.OFF_STATUS),
+                     "dot STATUS": ("dot", DOT_BASE + dot_regs.OFF_STATUS),
+                     "dot RESULT_LO": ("dot", DOT_BASE + dot_regs.OFF_RESULT_LO)}
+
+    @pytest.mark.parametrize("issue", [-2, -1, 0, 1], ids=lambda i: f"finish{i:+d}")
+    @pytest.mark.parametrize("beside", [False, True], ids=["lone", "beside both"])
+    @pytest.mark.parametrize("read", sorted(_FINISH_READS))
+    def test_register_load_on_the_finishing_cycle(self, read, beside, issue):
+        # a load of a running unit's register issued on the cycle of its
+        # uncontended finish, or just before or after it, reads what stepping
+        # reads: the DSPs step before the bus serves the load, so on the
+        # finishing cycle it already sees the unit done.  Beside conv, dot
+        # loses arbitration and finishes later.
+        unit, addr = self._FINISH_READS[read]
+        conv_n, length = (4, 12) if unit == "conv" else (10, 5)
+        starts = [("conv", CONV_BASE, _conv_start(conv_n, 2)),
+                  ("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                     (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                     (dot_regs.OFF_LEN, length),
+                                     (dot_regs.OFF_CONTROL, 1)))]
+        if not beside:  # the other unit, which would finish later, stays idle
+            starts = [start for start in starts if start[0] == unit]
+        finish = (conv_n - 1) * 7 if unit == "conv" else 3 * length + 1
+        asm = Assembler()
+        asm.li(23, addr)
+        prologue = len(asm.words())  # one cycle each
+        asm.emit(*[I("addi")] * (finish + issue - 1 - prologue),
+                 I("lw", rd=5, rs1=23), I("ebreak"))
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(conv_n)),
+                            (_CONV_H, SplitMix64(2).words(2)),
+                            (_DOT_A, SplitMix64(3).words(length)),
+                            (_DOT_B, SplitMix64(4).words(length))],
+                "starts": starts, "rom": asm.words(), "posted": False}
+        stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast_outcome == outcome == "finished"
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        done = next(int(line.split()[1]) for line in lines if line.endswith(f"{unit} | done"))
+        assert done == finish if unit == "conv" or not beside else done > finish
+        assert (stepped.cpu.regs[5] != 0) == (finish + issue >= done)
+
+    def test_idle_and_done_unit_loads_run_in_a_window(self, monkeypatch):
+        # loads of the done conv's and the idle dot's registers are served
+        # in a window and counted as stepping counts them
+        asm = Assembler()
+        asm.li(20, CONV_BASE)
+        asm.li(21, DOT_BASE)
+        asm.emit(*[I("addi")] * 30)  # past the conv's finish
+        for _ in range(3):
+            asm.emit(I("lw", rd=5, rs1=20, imm=conv_regs.OFF_STATUS),
+                     I("lw", rd=6, rs1=21, imm=dot_regs.OFF_STATUS),
+                     I("lw", rd=7, rs1=20, imm=conv_regs.OFF_IN_LEN),
+                     I("lw", rd=8, rs1=21, imm=dot_regs.OFF_RESULT_HI))
+        asm.emit(I("ebreak"))
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(4)),
+                            (_CONV_H, SplitMix64(2).words(2))],
+                "starts": [("conv", CONV_BASE, _conv_start(4, 2))],
+                "rom": asm.words(), "posted": False}
+        stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast_outcome == outcome == "finished"
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert fast.bus.register_accesses == 12
+        assert fast.cpu.regs[5:9] == [1, 0, 4, 0]
+        assert len(steps) == 1  # the ebreak
+
+    @pytest.mark.parametrize("running", [False, True], ids=["alone", "beside conv"])
+    def test_register_load_that_errs_is_stepped(self, running):
+        # a load of an offset where conv has no register closes the
+        # window, and the bus step counts it once and faults
+        asm = Assembler()
+        asm.li(20, CONV_BASE)
+        asm.emit(I("lw", rd=5, rs1=20, imm=conv_regs.OFF_STATUS),
+                 I("lw", rd=6, rs1=20, imm=0x40), I("ebreak"))
+        case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
+                "preload": [(_CONV_X, SplitMix64(1).words(40)),
+                            (_CONV_H, SplitMix64(2).words(5))],
+                "starts": [("conv", CONV_BASE, _conv_start(40, 5))] if running else [],
+                "rom": asm.words(), "posted": False}
+        stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast_outcome == outcome == ("SimulationFault: bus fault at pc=0x00000008: "
+                                           "conv: no register at offset 0x40")
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert fast.bus.register_accesses == 2
+
+    @pytest.mark.parametrize("world_state", ["no cpu", "done unit", "halted cpu"])
+    def test_idle_world_jumps_to_the_timeout(self, world_state, monkeypatch):
+        # with nothing that can change, run_until jumps to max_cycles and
+        # times out on the same cycle as stepping, with one step
+        def build():
+            world = World(SimConfig(max_cycles=100_000), with_cpu=world_state == "halted cpu")
+            if world_state == "done unit":
+                for offset, value in _conv_start(4, 2):
+                    world.reg_write(CONV_BASE + offset, value)
+            elif world_state == "halted cpu":
+                world.rom.load([encode(I("addi", rd=5, imm=3)), encode(I("ebreak"))])
+                world.run_until_halt()
+            world.run_until(lambda: world.conv.state is not DspState.RUN)
+            return world
+
+        stepped, fast = build(), build()
+        with pytest.raises(SimulationTimeout):
+            while True:
+                stepped.step()
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        with pytest.raises(SimulationTimeout, match="exceeded 100000 cycles"):
+            fast.run_until(lambda: False)
+        assert _observable(fast) == _observable(stepped)
+        assert stepped.cycle == 100_001
+        assert len(steps) <= 1
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
