@@ -6,7 +6,12 @@ fetch into a handler-table entry kept in ``Rom.decoded``.  The CPU wins
 DataMem arbitration, so it serves its DataMem loads and stores from
 ``sram.words`` in their issue cycle (``Bus.serve_cpu``); other addresses
 get a word ``BusTransaction`` with byte strobes for sub-word stores,
-except in ``run_alone``, which serves loads at issue too.
+except in ``run_alone``, which serves loads at issue too.  ``run_alone``
+also runs hot loops as blocks: Python functions generated from the
+predecoded entries and kept in ``Rom.blocks``, which do what the handlers
+do for a straight run of words, with the issue cycle of each fixed when
+the block is generated (after QEMU's TCG and Shade).  ``step`` and the
+handlers stay the single-cycle reference.
 """
 
 from __future__ import annotations
@@ -135,67 +140,178 @@ class Cpu:
         the stretch between read only values that stay fixed, so it
         repeats exactly, and ``_jump`` credits as many more iterations as
         fit in `cycles`.  Each ends with its jump, so its loads still issue
-        before the last cycle.  Returns the cycles run."""
-        regs, decoded, bus = self.regs, self.rom.decoded, self.bus
+        before the last cycle.
+
+        A hot loop runs as a block (``_translate``): the target of a
+        backward jump reached after a DataMem access gets one, kept in
+        ``Rom.blocks``.  At the window's start and wherever a jump lands,
+        the block there runs if its last instruction issues before
+        `cycles`; it exits before an access the handlers must serve, and
+        the handlers go on from there.  Returns the cycles run."""
+        regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
+        decoded = self.rom.decoded
         t, retired = min(self._wait, cycles), 0
         self._wait -= t
         head, clean = None, True  # the last backward-jump target; no DataMem since
+        pc = -1  # of the last jump, which landed at self.pc
         while t < cycles:
-            pc = self.pc
-            if pc & 3 or pc > INST_END:
-                break
-            entry = decoded[pc >> 2]
-            if entry is None:
-                try:
-                    entry = decoded[pc >> 2] = self._predecode(pc)
-                except IllegalInstructionError:
-                    break
-            handler = entry[0]
-            if handler in _SCREENED:
-                if handler in _JUMPS:
-                    retired += 1
-                    t += 1 + handler(self, entry)
-                    target = self.pc
-                    if target > pc:
-                        continue
-                    if not clean:
-                        head, clean = None, True
-                        continue
+            target = self.pc
+            if target <= pc:
+                if not clean:
+                    head, clean = None, True
+                    if target not in blocks:
+                        blocks[target] = self._translate(target)
+                else:
                     if head is not None and head[0] == target and head[1] == regs:
                         n = (cycles - t) // (t - head[2])
                         if n > 0:
                             t, retired, bus.register_accesses = _jump(
                                 n, head[2:], t, retired, bus.register_accesses)
                     head = (target, regs[:], t, retired, bus.register_accesses)
-                    continue
-                if handler is _ecall or handler is _ebreak:
-                    break
-                addr = (regs[entry[2]] + entry[4]) & _MASK
-                if addr & (entry[5] - 1):
-                    break
-                if DATA_BASE <= addr <= DATA_END:
-                    if guard[(addr - DATA_BASE) >> 2]:
-                        break
-                    taken[t] = 1
+            block = blocks.get(target)
+            if block is not None and t + block[1] < cycles:
+                dt, n, grants = block[0](self, regs, words, taken, guard, t)
+                t += dt
+                retired += n
+                if grants:
+                    bus._grants[0] += grants
                     clean = False
-                else:
-                    word = None if t + 1 == cycles else bus.peek(addr & ~3, handler is _store)
-                    if word is None:
-                        break
-                    if handler is _load:
-                        _write_back(self, entry, addr, word)
-                    self.pc = pc + 4
-                    retired += 1
-                    t += 1 + entry[6]
+                if n == block[2]:  # through its last instruction
+                    pc = target + 4 * n - 4
                     continue
-            retired += 1
-            t += 1 + handler(self, entry)
-        bus.cpu_served = False  # the DSPs' replay counts what it cost them
+            while t < cycles:  # the handlers, up to the next jump
+                pc = self.pc
+                if pc & 3 or pc > INST_END:
+                    return self._close(t, retired, cycles)
+                entry = decoded[pc >> 2]
+                if entry is None:
+                    try:
+                        entry = decoded[pc >> 2] = self._predecode(pc)
+                    except IllegalInstructionError:
+                        return self._close(t, retired, cycles)
+                handler = entry[0]
+                if handler in _SCREENED:
+                    if handler in _JUMPS:
+                        retired += 1
+                        t += 1 + handler(self, entry)
+                        break
+                    if handler is _ecall or handler is _ebreak:
+                        return self._close(t, retired, cycles)
+                    addr = (regs[entry[2]] + entry[4]) & _MASK
+                    if addr & (entry[5] - 1):
+                        return self._close(t, retired, cycles)
+                    if DATA_BASE <= addr <= DATA_END:
+                        if guard[(addr - DATA_BASE) >> 2]:
+                            return self._close(t, retired, cycles)
+                        taken[t] = 1
+                        clean = False
+                    else:
+                        word = None if t + 1 == cycles else bus.peek(addr & ~3, handler is _store)
+                        if word is None:
+                            return self._close(t, retired, cycles)
+                        if handler is _load:
+                            _write_back(self, entry, addr, word)
+                        self.pc = pc + 4
+                        retired += 1
+                        t += 1 + entry[6]
+                        continue
+                retired += 1
+                t += 1 + handler(self, entry)
+        return self._close(t, retired, cycles)
+
+    def _close(self, t, retired, cycles):
+        """End a ``run_alone`` window after `t` cycles and `retired`
+        instructions; returns the cycles run."""
+        self.bus.cpu_served = False  # the DSPs' replay counts what it cost them
         self.retired += retired
         if t > cycles:
             self._wait, t = t - cycles, cycles
         self.cycles += t
         return t
+
+    def _translate(self, start):
+        """The block at `start`: (function, issue offset of its last
+        instruction, instructions), or None if the first word may not run
+        in one.  The function, generated from the predecoded entries,
+        runs the words from `start` through the first branch or jump, or
+        up to a word that stops a window; it keeps each register the block
+        names in a local.  It returns (cycles, instructions, DataMem
+        accesses) up to where it ends, or up to a load or store that is
+        misaligned, outside DataMem or on a guarded word, which it leaves
+        to the handlers, with what came before committed."""
+        body, ns, regs, written = [], {}, set(), set()
+        off = grants = n = 0
+
+        def x(reg):
+            if reg:
+                regs.add(reg)
+            return f"x{reg}" if reg else "0"
+
+        def leave(cycles, pc):
+            stores = "".join(f"r[{reg}] = x{reg}; " for reg in sorted(written))
+            return f"{stores}c.pc = {pc}; return {cycles}, {n}, {grants}"
+
+        def op(f, a, b):
+            if f in _INFIX:
+                return f"{a} {_INFIX[f]} {b}"
+            ns[f"f{len(ns)}"] = f
+            return f"f{len(ns) - 1}({a}, {b})"
+
+        pc = start
+        while not pc & 3 and pc <= INST_END:
+            e = self.rom.decoded[pc >> 2]
+            if e is None:
+                try:
+                    e = self.rom.decoded[pc >> 2] = self._predecode(pc)
+                except IllegalInstructionError:
+                    break
+            h, rd = e[0], e[1]
+            if h is _ecall or h is _ebreak:
+                break
+            last, end = off, pc + 4
+            if h is _op_reg or h is _op_imm:
+                b = x(e[3]) if h is _op_reg else e[4]
+                body.append(f"x{rd} = ({op(e[5], x(e[2]), b)}) & {_MASK}")
+                written.add(rd)
+            elif h is _load or h is _store:
+                body += [f"a = ({x(e[2])} + {e[4]}) & {_MASK}; i = (a - {DATA_BASE}) >> 2",
+                         f"if a & {e[5] - 1} or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
+                         f" or g[i]: {leave(off, pc)}", f"tk[t + {off}] = 1"]
+                grants += 1
+                lane = (1 << 8 * e[5]) - 1
+                if h is _store and e[5] == 4:
+                    body.append(f"w[i] = {x(e[3])}")
+                elif h is _store:
+                    body.append(f"l = (a & 3) << 3; m = {lane} << l; "
+                                f"w[i] = w[i] & ~m | {x(e[3])} << l & m")
+                elif rd:
+                    v = "w[i]" if e[5] == 4 else f"(w[i] >> ((a & 3) << 3) & {lane})"
+                    if e[8]:
+                        v = f"({v} ^ {lane + 1 >> 1}) - {lane + 1 >> 1} & {_MASK}"
+                    body.append(f"x{rd} = {v}")
+                    written.add(rd)
+            n += 1
+            off += 1 + e[6]
+            if h is _branch:
+                body.append(f"if {op(e[5], x(e[2]), x(e[3]))}: {leave(off, e[4])}")
+                off = last + 1 + e[7]
+            elif h is _jal or h is _jalr:
+                body.append(f"a = {e[4]}" if h is _jal else
+                            f"a = ({x(e[2])} + {e[4]}) & {_MASK - 1}")
+                if rd:
+                    body.append(f"x{rd} = {pc + 4}")
+                    written.add(rd)
+                end = "a"
+            pc += 4
+            if h in _JUMPS:
+                break
+        if not n:
+            return None
+        head = [f"x{reg} = r[{reg}]" for reg in sorted(regs)]
+        tail = leave(off, end)
+        code = "\n    ".join(["def block(c, r, w, tk, g, t):", *head, *body, tail])
+        exec(compile(code, f"<block 0x{start:08x}>", "exec"), ns)
+        return ns["block"], last, n
 
     def _predecode(self, pc):
         """The handler-table entry of the ROM word at `pc`; pc-relative
@@ -347,6 +463,9 @@ _OPS.update({imm: (_op_imm, f) for _, imm, f in _ALU if imm})
 _OPS.update(lui=(_op_imm, add), auipc=(_op_imm, add))
 _BRANCHES = {"beq": eq, "bne": ne, "blt": _OPS["slt"][1], "bltu": lt, "bgeu": ge,
              "bge": lambda a, b: s32(a) >= s32(b)}
+# the operations a block writes as Python operators; it calls the others
+_INFIX = {add: "+", sub: "-", mul: "*", and_: "&", or_: "|", xor: "^",
+          eq: "==", ne: "!=", lt: "<", ge: ">="}
 _WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "sb": 1, "sh": 2, "sw": 4}
 _OTHERS = {"jal": _jal, "jalr": _jalr, "fence": _next, "ecall": _ecall,
            "ebreak": _ebreak}

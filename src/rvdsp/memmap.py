@@ -80,13 +80,15 @@ class Rom:
 
     ``decoded`` holds the CPU's predecoded entry of each word, filled on
     the word's first fetch; load() clears the entries of the words it
-    writes.
+    writes.  ``blocks`` maps a pc to the CPU's translated block there
+    (``Cpu._translate``); load() clears it all, since a block spans words.
     """
 
     def __init__(self, base=INST_BASE):
         self.base = base
         self.words = [0] * MEM_WORDS
         self.decoded = [None] * MEM_WORDS
+        self.blocks = {}
 
     def load(self, words, word_offset=0):
         end = word_offset + len(words)
@@ -94,6 +96,7 @@ class Rom:
             raise MemoryAccessError("ROM image does not fit")
         self.words[word_offset:end] = [u32(w) for w in words]
         self.decoded[word_offset:end] = [None] * len(words)
+        self.blocks.clear()
 
     def read_word(self, byte_offset):
         idx = byte_offset >> 2

@@ -35,6 +35,8 @@ from .scenario import Kind, Mode, Scenario
 REPORT_SCHEMA_VERSION = 1
 # the most cycles one window runs, which bounds the memory of its log
 _WINDOW = 1 << 16
+# the guard of a window with no DSP in RUN: no DataMem word is marked
+_CLEAR = bytes(MEM_WORDS)
 
 
 @dataclass
@@ -74,6 +76,8 @@ class World:
         self.dot = DotDsp(trace=trace)
         self.bus = Bus(self.rom, self.sram, self.conv, self.dot)
         self.cpu = Cpu(self.rom, self.bus, costs=self.config.costs) if with_cpu else None
+        # the log of the CPU's windows with no DSP in RUN, which nothing reads
+        self._log = bytearray(_WINDOW) if with_cpu else None
 
     def _trace(self, component, event):
         self.config.trace(f"cycle {self.cycle} | {component} | {event}")
@@ -100,11 +104,12 @@ class World:
         - with a CPU, and nothing posted, the CPU runs alone
           (``Cpu.run_alone``), logging the cycles in which it took
           DataMem, for as long as it stores to no DSP register and touches
-          no word of a running unit's buffers, jumping spin loops whole;
-          then each DSP in RUN is replayed against that log.  The
-          arbiter's fixed priority (CPU > conv > dot) makes this exact:
-          the CPU never waits for a DSP, and conv's grants, marked in the
-          log, are all that dot waits for besides the CPU's;
+          no word of a running unit's buffers, jumping spin loops whole
+          and running hot loops as generated blocks; then each DSP in RUN
+          is replayed against that log.  The arbiter's fixed priority
+          (CPU > conv > dot) makes this exact: the CPU never waits for a
+          DSP, and conv's grants, marked in the log, are all that dot
+          waits for besides the CPU's;
         - with no CPU or a halted one and nothing posted, the DSPs in RUN
           are replayed against an empty log (a lone one to the end of its
           run), and with none in RUN nothing changes until the timeout.
@@ -148,7 +153,7 @@ class World:
         taken = b""  # no CPU, and no grants of conv for dot to wait for
         if cpu is not None or len(units) == 2:
             cycles = min(cycles, _WINDOW)
-            taken = bytearray(cycles)
+            taken = bytearray(cycles) if units else self._log
         if cpu is not None:
             cycles = cpu.run_alone(cycles, self._guard(units), taken)
             if not cycles:
@@ -165,6 +170,8 @@ class World:
     def _guard(units):
         """A map of DataMem words, with the words the `units` read or
         write marked."""
+        if not units:
+            return _CLEAR
         guard = bytearray(MEM_WORDS)
         for dsp in units:
             for lo, hi in dsp.buffers():

@@ -2,19 +2,20 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum, dot
-from random_programs import rv_programs
+from random_programs import _BASE_ADDR, rv_programs
 from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
+from rvdsp import scheduler
 from rvdsp.accel import DspState
-from rvdsp.bits import s32, s64, u64
+from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.conv import ConvState
-from rvdsp.cpu import SYSCALL_ADDR, CycleCostTable
+from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE, RESERVED_BASE
@@ -909,6 +910,207 @@ class TestFastForwardLockstep:
         assert fast_outcome == outcome
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
+
+
+def _count_blocks(monkeypatch):
+    """A list that gets (start, instructions in the block, instructions run)
+    for each run of a block translated from here on."""
+    runs = []
+    translate = Cpu._translate
+
+    def counted(cpu, start):
+        block = translate(cpu, start)
+        if block is None:
+            return None
+        fn, last, size = block
+
+        def run(*args):
+            out = fn(*args)
+            runs.append((start, size, out[1]))
+            return out
+        return run, last, size
+    monkeypatch.setattr(Cpu, "_translate", counted)
+    return runs
+
+
+def _blocks_match_stepping(case, max_cycles):
+    """Run `case` through run_until, which runs hot loops as blocks, and
+    through step(); both must end alike with the same trace and state.
+    Returns True if a block was translated."""
+    stepped, lines, outcome = _lockstep_run(case, max_cycles, fast=False)
+    fast, fast_lines, fast_outcome = _lockstep_run(case, max_cycles, fast=True)
+    assert fast_outcome == outcome
+    assert fast_lines == lines
+    assert _observable(fast) == _observable(stepped)
+    return any(fast.rom.blocks.values())
+
+
+def _loop(body, count, x9):
+    """A program: x9 set to `x9`, then `count` iterations of `body`,
+    counted in x13, then ebreak."""
+    asm = Assembler()
+    asm.li(9, x9)
+    asm.li(13, count)
+    asm.label("loop")
+    asm.emit(*body, I("addi", rd=13, rs1=13, imm=-1))
+    asm.branch("bne", 13, 0, "loop")
+    asm.emit(I("ebreak"))
+    return asm.words()
+
+
+class TestBlocks:
+    _PRELOAD = [(_CONV_X, SplitMix64(1).words(64)), (_CONV_H, SplitMix64(2).words(8)),
+                (_DOT_A, SplitMix64(3).words(64)), (_DOT_B, SplitMix64(4).words(64)),
+                (_SW_X, SplitMix64(5).words(40)), (_SW_H, SplitMix64(6).words(8))]
+
+    def _case(self, rom, starts=(), costs=None):
+        return {"truncation": Truncation.WRAP, "costs": costs or CycleCostTable(),
+                "preload": self._PRELOAD, "starts": list(starts), "rom": rom,
+                "posted": False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_programs_match_stepping(self, data):
+        # random programs, whose bounded loops load and store DataMem words
+        # that start out random, alone or beside a running conv or dot whose
+        # input may lie on those words, over random cost tables and budgets
+        draw = data.draw
+        rom = draw(rv_programs(), label="program")
+        unit = draw(st.sampled_from([None, "conv", "dot"]), label="unit")
+        # the program's loads and stores reach 64 bytes below x1 and 60 above
+        src = draw(st.sampled_from([_CONV_X, _BASE_ADDR - 64]), label="unit input")
+        starts = []
+        if unit == "conv":
+            n = draw(st.integers(1, 64), label="n")
+            starts = [("conv", CONV_BASE, (
+                (conv_regs.OFF_IN_ADDR, src), (conv_regs.OFF_KERN_ADDR, _CONV_H),
+                (conv_regs.OFF_OUT_ADDR, DATA_BASE + 0x1800), (conv_regs.OFF_IN_LEN, n),
+                (conv_regs.OFF_KERN_LEN, draw(st.integers(1, n), label="k")),
+                (conv_regs.OFF_CONTROL, 1)))]
+        elif unit == "dot":
+            starts = [("dot", DOT_BASE, ((dot_regs.OFF_VA_ADDR, src),
+                                         (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                         (dot_regs.OFF_LEN, draw(st.integers(0, 64))),
+                                         (dot_regs.OFF_CONTROL, 1)))]
+        costs = CycleCostTable()
+        if draw(st.booleans(), label="other costs"):
+            costs = CycleCostTable(*draw(st.lists(st.integers(1, 4), min_size=8,
+                                                  max_size=8), label="costs"))
+        budget = draw(st.none() | st.integers(1, 3000), label="max_cycles")
+        case = self._case(rom, starts, costs)
+        case["preload"] = case["preload"] + [(_BASE_ADDR - 64, _words(data, 32))]
+        translated = _blocks_match_stepping(case, budget or SimConfig().max_cycles)
+        event(f"block translated: {translated}")
+
+    def test_kernel_with_other_costs_runs_in_blocks(self, monkeypatch):
+        # the cost table fixes each block's issue offsets and exit cycles
+        runs = _count_blocks(monkeypatch)
+        costs = CycleCostTable(load=5, mul=3, branch_taken=4)
+        assert _blocks_match_stepping(self._case(conv_sw_kernel(40, 6, _SW_X, _SW_H, _SW_Y),
+                                                 costs=costs), SimConfig().max_cycles)
+        assert runs and all(n == size for _, size, n in runs)
+
+    def test_block_exits_before_a_guarded_load(self, monkeypatch):
+        # the loop's pointer walks from below a running conv's input into
+        # it: the block commits the instructions before the load of the
+        # first guarded word, and the handlers close the window there
+        runs = _count_blocks(monkeypatch)
+        rom = _loop([I("addi", rd=8, rs1=8, imm=1), I("lw", rd=5, rs1=9),
+                     I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4)], 12,
+                    _CONV_X - 4 * 6)
+        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                        _conv_start(64, 8))]),
+                                      SimConfig().max_cycles)
+        assert (runs[0][2], runs[0][1]) == (6, 6)  # the first block runs through
+        exits = [n for _, size, n in runs if n < size]
+        assert exits and all(n == 1 for n in exits)  # after the addi, before the lw
+
+    def test_block_that_does_not_fit_runs_in_handlers(self, monkeypatch):
+        # the window beside a conv ends at the conv's uncontended finish;
+        # where what is left of it is too short for the block at the loop
+        # head, the handlers run up to its end
+        runs = _count_blocks(monkeypatch)
+        ends = []
+        run_alone = Cpu.run_alone
+        monkeypatch.setattr(Cpu, "run_alone", lambda cpu, *args: (
+            run_alone(cpu, *args), ends.append((cpu.pc, len(runs))))[0])
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
+        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                        _conv_start(8, 1))]),
+                                      SimConfig().max_cycles)
+        # the loop's head, after lui and li, is reached in cycle 2 and its
+        # first 8-cycle iteration runs in the handlers; blocks run the
+        # iterations from cycles 10 and 18, but the one from 26 would issue
+        # its last instruction in cycle 32, where the window ends at the
+        # conv's finish, so the handlers run it up to its bne
+        assert all(n == size for _, size, n in runs)
+        assert ends[0] == (4 * 2 + 4 * 4, 2)
+
+    def test_reloaded_rom_runs_its_new_loop(self):
+        # Rom.load drops every block, so the second program's loop, at the
+        # pcs of the first one's, runs its own code
+        results = []
+        for fast in (True, False):
+            world = World(SimConfig(), with_cpu=True)
+            world.write_words(_SW_X, SplitMix64(5).words(40))
+            for op in ("add", "xor"):
+                world.rom.load(_loop([I("lw", rd=5, rs1=9), I(op, rd=6, rs1=6, rs2=5),
+                                      I("addi", rd=9, rs1=9, imm=4)], 40, _SW_X))
+                world.cpu.pc, world.cpu.halted = 0, False
+                if fast:
+                    world.run_until_halt()
+                    assert any(world.rom.blocks.values())
+                else:
+                    while not world.cpu.halted:
+                        world.step()
+                results.append(world.cpu.regs[6])
+            results.append(_observable(world))
+        words = SplitMix64(5).words(40)
+        total = u32(sum(words))
+        for word in words:
+            total ^= word
+        assert results[0] == results[3] == u32(sum(words))
+        assert results[1] == results[4] == total
+        assert results[2] == results[5]
+
+    def test_windows_without_a_dsp_share_their_log_and_guard(self, monkeypatch):
+        # nothing reads the log of a window with no DSP in RUN, so those
+        # windows share the World's log and the all-clear guard; a window
+        # beside a running unit gets a fresh, zeroed log and its own guard
+        windows = []
+        run_alone = Cpu.run_alone
+        monkeypatch.setattr(Cpu, "run_alone", lambda cpu, cycles, guard, taken: (
+            windows.append((taken, guard, not any(taken[:cycles]))),
+            run_alone(cpu, cycles, guard, taken))[1])
+        asm = Assembler()
+        asm.li(20, CONV_BASE)
+        asm.li(9, _SW_X)
+        for offset, value in _conv_start(16, 2):  # each store closes a window
+            asm.li(21, value)
+            asm.emit(I("lw", rd=5, rs1=9), I("sw", rs1=20, rs2=21, imm=offset))
+        asm.li(13, 20)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=9, imm=4), I("add", rd=6, rs1=6, rs2=5),
+                 I("addi", rd=13, rs1=13, imm=-1))
+        asm.branch("bne", 13, 0, "loop")
+        asm.emit(I("ebreak"))
+        assert _blocks_match_stepping(self._case(asm.words()), SimConfig().max_cycles)
+        alone = [(taken, guard) for taken, guard, _ in windows if guard is scheduler._CLEAR]
+        beside = [(taken, zeroed) for taken, guard, zeroed in windows
+                  if guard is not scheduler._CLEAR]
+        assert len(alone) >= 6 and beside
+        assert all(taken is alone[0][0] for taken, _ in alone)
+        assert all(zeroed and taken is not alone[0][0] for taken, zeroed in beside)
+
+    def test_poll_loop_is_not_translated(self, monkeypatch):
+        # a STATUS poll takes no DataMem, so it is jumped and never translated
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        _, world = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
+        assert not any(world.rom.blocks.values())
+        assert len(steps) == 8
 
 
 class TestHostAccess:
