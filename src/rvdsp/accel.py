@@ -33,6 +33,7 @@ a run may touch.
 from __future__ import annotations
 
 import enum
+from array import array
 from operator import mul
 from types import FunctionType
 
@@ -267,11 +268,14 @@ class MmioAccelerator:
         """The taps and output ends that ``step`` performs over the next
         `span` cycles (a value of ``output_span``) when no other requester
         touches DataMem, read from and written to the SRAM `words`
-        directly.  Each output's reads precede its write, so an output
-        buffer overlapping the inputs reads what the stepped path reads.
-        A span that ends the last output leaves the run for the caller to
-        ``_complete``.  Returns the DataMem grants used: 2 per MAC and 1
-        per write."""
+        directly.  The span's a words (from output ``out_idx`` on) and b
+        words are reinterpreted as signed once, as arrays, and each output
+        sums plain int products over them.  Each output's reads precede
+        its write, and a write inside either view is stored there too, so
+        an output buffer overlapping the inputs reads what the stepped
+        path reads.  A span that ends the last output leaves the run for
+        the caller to ``_complete``.  Returns the DataMem grants used: 2
+        per MAC and 1 per write."""
         a, b, outputs, taps = self._cfg
         a0 = (a - DATA_BASE) >> 2
         b0 = (b - DATA_BASE) >> 2
@@ -279,22 +283,29 @@ class MmioAccelerator:
         i, j, accum = self.out_idx, self.kern_idx, self.accum
         end = 3 * j + span  # cycles from the start of output i
         last, last_stop = i + end // per, end % per // 3
+        lo = a0 + i  # the SRAM index of sa[0]
+        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
+        sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
         macs = writes = 0
         write = None  # the span's last write
         read_last = False  # the span's last access is a read
         while True:
             stop = taps if i < last else last_stop
             if stop > j:
-                xs = words[a0 + i + j:a0 + i + stop]
-                accum = s64(accum + sum(map(mul, map(s32, xs),
-                                            map(s32, words[b0 + j:b0 + stop]))))
-                x = xs[-1]
+                k = a0 + i - lo  # output i's first a word in sa
+                accum = s64(accum + sum(map(mul, sa[k + j:k + stop], sb[j:stop])))
+                x = sa[k + stop - 1]
                 macs += stop - j
                 read_last = True
                 if stop == taps:
                     out = self._output(i, accum)
                     if out is not None:
-                        words[(out[0] - DATA_BASE) >> 2] = out[1]
+                        o = (out[0] - DATA_BASE) >> 2
+                        words[o] = out[1]
+                        if 0 <= o - lo < len(sa):
+                            sa[o - lo] = s32(out[1])
+                        if 0 <= o - b0 < taps:
+                            sb[o - b0] = s32(out[1])
                         writes += 1
                         write, read_last = out, False
             if i == last:
@@ -309,7 +320,7 @@ class MmioAccelerator:
             mmi.request_read(b + 4 * tap)
             mmi.rddata = words[b0 + tap]
         if macs:
-            self._x_val = s32(x)
+            self._x_val = x
         pending = last < outputs and last_stop == taps  # END is next
         mmi.req = mmi.done = pending and not read_last  # a landed write
         self.busy_cycles += span

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from .bits import u32
+from .bits import MASK32, u32
 
 INST_BASE = 0x0000_0000
 INST_END = 0x0000_7FFF
@@ -139,7 +139,7 @@ class Sram:
         each of them; nothing is written if one of them fails the check."""
         if words:
             idx = self._span(byte_offset, len(words))
-            self.words[idx:idx + len(words)] = [u32(w) for w in words]
+            self.words[idx:idx + len(words)] = [w & MASK32 for w in words]
 
     def _span(self, byte_offset, count):
         """Index of the first of `count` words, raising the error that the

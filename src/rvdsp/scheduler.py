@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import conv as conv_regs
 from . import dotprod as dot_regs
 from .accel import DspState
-from .bits import u32
+from .bits import MASK32, u32
 from .bus import Bus, BusTransaction, Requester
 from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
@@ -236,11 +236,11 @@ def scenario_data(scenario):
     if scenario.kind is Kind.CONV:
         x = scenario.x_data if scenario.x_data is not None else rng.words(scenario.n)
         h = scenario.h_data if scenario.h_data is not None else rng.words(scenario.k)
-        return [u32(v) for v in x], [u32(v) for v in h]
+        return [v & MASK32 for v in x], [v & MASK32 for v in h]
     if scenario.kind is Kind.DOT:
         a = scenario.x_data if scenario.x_data is not None else rng.words(scenario.length)
         b = scenario.h_data if scenario.h_data is not None else rng.words(scenario.length)
-        return [u32(v) for v in a], [u32(v) for v in b]
+        return [v & MASK32 for v in a], [v & MASK32 for v in b]
     raise ValueError(f"no direct data for scenario kind {scenario.kind}")
 
 

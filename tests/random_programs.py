@@ -10,6 +10,7 @@ illegal word, a bus error or a bad fetch.
 """
 
 import random
+from array import array
 
 from hypothesis import strategies as st
 
@@ -28,6 +29,14 @@ _EDGES = (0, 1, 2, 31, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
 # words the core does not decode: zero, all ones, div, fence.i, csrrw
 _ILLEGAL_WORDS = (0x0000_0000, 0xFFFF_FFFF, 0x0231_40B3, 0x0000_100F, 0x3401_1073)
 _ENDINGS = ("ebreak", "ecall", "misaligned", "illegal", "bus", "fetch")
+
+
+def assert_sram_words(words):
+    """Every SRAM word is an int in [0, 2**32): the range the 32-bit
+    unsigned array views of the MAC datapath accept (they raise
+    OverflowError outside it)."""
+    assert array("I").itemsize == array("i").itemsize == 4
+    assert all(type(w) is int and 0 <= w < 1 << 32 for w in words)
 
 
 def _access_imm(rng, width):

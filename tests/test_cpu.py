@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from iss_ref import RefCpu
-from random_programs import rv_programs
+from random_programs import assert_sram_words, rv_programs
 from rvdsp.bits import u32
 from rvdsp.bus import BusTransaction, Requester
 from rvdsp.cpu import CycleCostTable, SYSCALL_ADDR
@@ -276,6 +276,7 @@ def _step_reference(ref, cpu):
 def _assert_same_end(world, ref):
     cpu = world.cpu
     assert world.sram.words == ref.sram
+    assert_sram_words(world.sram.words)
     assert cpu.retired == ref.retired
     assert cpu.halted == ref.halted
     assert (cpu.fault and (cpu.fault.kind, cpu.fault.pc)) == ref.fault

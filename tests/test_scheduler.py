@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum, dot
-from random_programs import _BASE_ADDR, rv_programs
+from random_programs import _BASE_ADDR, assert_sram_words, rv_programs
 from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
@@ -248,10 +248,10 @@ _CONV_X, _CONV_H, _DOT_A, _DOT_B = (DATA_BASE + off for off in
 _SW_X, _SW_H, _SW_Y = (DATA_BASE + off for off in (0x3000, 0x3100, 0x3200))
 
 
-def _conv_start(n, k):
+def _conv_start(n, k, out=DATA_BASE + 0x1800):
     """The register writes that start a conv n/k on the lockstep buffers."""
     return ((conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
-            (conv_regs.OFF_OUT_ADDR, DATA_BASE + 0x1800), (conv_regs.OFF_IN_LEN, n),
+            (conv_regs.OFF_OUT_ADDR, out), (conv_regs.OFF_IN_LEN, n),
             (conv_regs.OFF_KERN_LEN, k), (conv_regs.OFF_CONTROL, 1))
 
 
@@ -364,6 +364,7 @@ def _lockstep_run(case, max_cycles, fast):
         outcome = "finished"
     except (SimulationTimeout, SimulationFault) as exc:
         outcome = f"{type(exc).__name__}: {exc}"
+    assert_sram_words(world.sram.words)
     return world, lines, outcome
 
 
@@ -532,6 +533,74 @@ class TestFastForwardLockstep:
             stepped.step()
             cycles += 1
         assert cycles == left
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_run_output_matches_stepping(self, data):
+        # one run_output call over output_span(limit), from inside an output
+        # (kern_idx >= 2, reached by stepping) across several outputs, must
+        # equal stepping that span: its signed views of the a and b words
+        # must see each output that conv writes onto them, the last a word
+        # an output reads included, under either truncation
+        draw = data.draw
+        unit = draw(st.sampled_from(["conv", "dot"]), label="unit")
+        truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
+        if unit == "conv":
+            k = draw(st.integers(2, 10), label="k")
+            n = draw(st.integers(k, k + 15), label="n")
+            outputs = n - k + 1
+            first = draw(st.integers(0, outputs - 1), label="first output")
+            onto = draw(st.sampled_from(["a", "b", "off"]), label="out onto")
+            if onto == "a":
+                shift = draw(st.sampled_from([k - 1, n - 1]) | st.integers(-outputs, n),
+                             label="out shift")
+                out = _CONV_X + 4 * shift
+            elif onto == "b":  # the first output written lands on a b word
+                out = _CONV_H + 4 * (draw(st.integers(0, k - 1), label="out on b") - first)
+            else:
+                out = DATA_BASE + 0x1800
+            base, writes = CONV_BASE, _conv_start(n, k, out)
+            preload = [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
+        else:
+            k = draw(st.integers(2, 40), label="l")
+            outputs, first = 1, 0
+            base, writes = DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                      (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                      (dot_regs.OFF_LEN, k), (dot_regs.OFF_CONTROL, 1))
+            preload = [(_DOT_A, _words(data, k)), (_DOT_B, _words(data, k))]
+        tap = draw(st.integers(2, k), label="first tap")
+
+        def build():
+            lines = []
+            world = World(SimConfig(truncation=truncation, trace=lines.append))
+            for addr, words in preload:
+                world.write_words(addr, words)
+            for offset, value in writes:
+                world.reg_write(base + offset, value)
+            dsp = getattr(world, unit)
+            while not (dsp.out_idx == first and dsp.kern_idx == tap
+                       and dsp.output_span(1 << 30)):
+                assert dsp.state is DspState.RUN
+                world.step()
+            return world, dsp, lines
+
+        stepped, dsp, lines = build()
+        per, left = 3 * k + 1, dsp.cycles_left()
+        span = dsp.output_span(draw(st.integers(min(left, 3 * per), left), label="limit"))
+        fast, fast_dsp, fast_lines = build()
+        requester = Requester.CONV if unit == "conv" else Requester.DOT
+        granted = stepped.bus.grants[requester]
+        for _ in range(span):
+            stepped.step()
+        grants = fast_dsp.run_output(span, fast.sram.words)
+        fast.bus.credit(fast_dsp.mmi, grants, 0)
+        fast.cycle += span
+        if fast_dsp.out_idx == outputs:
+            fast_dsp._complete()
+        event(f"outputs crossed: {min(3, dsp.out_idx - first)}")
+        assert grants == stepped.bus.grants[requester] - granted
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
