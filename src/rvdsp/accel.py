@@ -23,9 +23,9 @@ A subclass declares its register layout in the ``CONFIG`` and
 its configuration in ``_start`` and hands ``_run`` the run's shape.
 Beside ``step``, for ``World.run_until``: ``cycles_left`` is the number
 of cycles to the finish while the unit is the only DataMem requester,
-``output_span``/``run_output`` perform whole taps and outputs at once in
-such a stretch, and ``replay`` steps the unit over many cycles against a
-log of the cycles that requesters of higher priority took.  Each gives
+and ``replay`` advances the unit over many cycles against a log of the
+cycles that requesters of higher priority took, tap by tap or, over a
+stretch with nothing taken, whole taps and outputs at once.  Both give
 exactly the result of stepping those cycles; ``buffers`` names the words
 a run may touch.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 from array import array
 from operator import mul
-from types import FunctionType
 
 from .bits import s32, s64, u32
 from .bus import MmiPort, RegisterAccessError
@@ -65,7 +64,7 @@ _STAGE = {_Sub.POST_A: 0, _Sub.WAIT_A: 2, _Sub.WAIT_B: 4, _Sub.END: 6}
 _SUBS = (_Sub.POST_A, _Sub.WAIT_A, _Sub.WAIT_A, _Sub.WAIT_B, _Sub.WAIT_B,
          _Sub.END, _Sub.END)
 # a free stretch shorter than this many cycles is replayed tap by tap,
-# which costs less than a call to run_output
+# which costs less than building the signed views of its words
 _SPAN_MIN = 24
 
 
@@ -75,16 +74,6 @@ class MmioAccelerator:
     READ_ONLY = {}     # offset -> attribute, writes are ignored
     CONTROL = None     # offset of CONTROL
     IRQ_CLEAR = None   # offset of IRQ_CLEAR (reads as zero)
-
-    def __init_subclass__(cls):
-        # Each unit steps with its own copy of step's code: CPython
-        # specializes attribute access per code object for the type it
-        # meets there, so one code object stepping both units in turn
-        # every cycle would keep falling back to the generic lookup.  The
-        # copy also sits in the unit's class dict, where
-        # perfbench/tracing.py looks it up.
-        step = MmioAccelerator.step
-        cls.step = FunctionType(step.__code__.replace(), step.__globals__, "step")
 
     def __init__(self, trace=None):
         self.trace = trace
@@ -254,83 +243,6 @@ class MmioAccelerator:
                 - 3 * self.kern_idx - _PHASE[self._sub]
                 + (mmi.req and not mmi.done))  # a stalled request lands a cycle late
 
-    def output_span(self, limit):
-        """At a tap boundary (POST_A, or END with its write landed): the
-        most cycles up to `limit` and the finish that end at one; 0
-        anywhere else."""
-        mmi = self.mmi
-        if _PHASE[self._sub] or mmi.req and not mmi.done:
-            return 0
-        per = 3 * self._cfg[3] + 1
-        return min(limit - (3 * self.kern_idx + limit) % per % 3, self.cycles_left())
-
-    def run_output(self, span, words):
-        """The taps and output ends that ``step`` performs over the next
-        `span` cycles (a value of ``output_span``) when no other requester
-        touches DataMem, read from and written to the SRAM `words`
-        directly.  The span's a words (from output ``out_idx`` on) and b
-        words are reinterpreted as signed once, as arrays, and each output
-        sums plain int products over them.  Each output's reads precede
-        its write, and a write inside either view is stored there too, so
-        an output buffer overlapping the inputs reads what the stepped
-        path reads.  A span that ends the last output leaves the run for
-        the caller to ``_complete``.  Returns the DataMem grants used: 2
-        per MAC and 1 per write."""
-        a, b, outputs, taps = self._cfg
-        a0 = (a - DATA_BASE) >> 2
-        b0 = (b - DATA_BASE) >> 2
-        per = 3 * taps + 1
-        i, j, accum = self.out_idx, self.kern_idx, self.accum
-        end = 3 * j + span  # cycles from the start of output i
-        last, last_stop = i + end // per, end % per // 3
-        lo = a0 + i  # the SRAM index of sa[0]
-        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
-        sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
-        macs = writes = 0
-        write = None  # the span's last write
-        read_last = False  # the span's last access is a read
-        while True:
-            stop = taps if i < last else last_stop
-            if stop > j:
-                k = a0 + i - lo  # output i's first a word in sa
-                accum = s64(accum + sum(map(mul, sa[k + j:k + stop], sb[j:stop])))
-                x = sa[k + stop - 1]
-                macs += stop - j
-                read_last = True
-                if stop == taps:
-                    out = self._output(i, accum)
-                    if out is not None:
-                        o = (out[0] - DATA_BASE) >> 2
-                        words[o] = out[1]
-                        if 0 <= o - lo < len(sa):
-                            sa[o - lo] = s32(out[1])
-                        if 0 <= o - b0 < taps:
-                            sb[o - b0] = s32(out[1])
-                        writes += 1
-                        write, read_last = out, False
-            if i == last:
-                break
-            i, j, total, accum = i + 1, 0, accum, 0
-        mmi = self.mmi  # left as the span's last write and last access leave it
-        if write is not None:
-            mmi.request_write(*write)
-            mmi.rddata = 0  # the bus answers a write with 0
-        if read_last:
-            tap = (last_stop or taps) - 1
-            mmi.request_read(b + 4 * tap)
-            mmi.rddata = words[b0 + tap]
-        if macs:
-            self._x_val = x
-        pending = last < outputs and last_stop == taps  # END is next
-        mmi.req = mmi.done = pending and not read_last  # a landed write
-        self.busy_cycles += span
-        self.macs += macs
-        self.out_idx, self.kern_idx, self.accum = last, last_stop, accum
-        self._sub = _Sub.END if pending else _Sub.POST_A
-        if last == outputs:
-            self.accum = total
-        return 2 * macs + writes
-
     def replay(self, taken, cycles, words, mark=False):
         """Step the running unit over the next `cycles` cycles, in which a
         requester of higher priority holds DataMem wherever `taken` is set
@@ -338,101 +250,141 @@ class MmioAccelerator:
         exactly the result of stepping them: a request on a taken cycle
         waits a cycle and counts a stall.  The SRAM `words` are read and
         written directly.  If `mark`, each cycle granted to the unit is set
-        in `taken`; otherwise stretches with nothing taken go through
-        ``output_span``/``run_output``.  Returns (grants, stalls, end):
-        `end` counts the cycles up to and including the one that ends the
-        last output, 0 if that is not among them; the caller then
+        in `taken`, and the unit goes tap by tap.  Otherwise, at a tap
+        boundary that starts at least ``_SPAN_MIN`` free cycles, the whole
+        taps and output ends that fit run at once: the a words from output
+        i on and the b words are reinterpreted as signed once, as arrays,
+        and each output sums plain int products over them.  Each output's
+        reads precede its write, and a write inside either view is stored
+        there too, so an output buffer overlapping the inputs reads what
+        the stepped path reads.  Returns (grants, stalls, end): `end`
+        counts the cycles up to and including the one that ends the last
+        output, 0 if that is not among them; the caller then
         ``_complete``s the run on its own cycle."""
         a, b, outputs, taps = self._cfg
         a0 = (a - DATA_BASE) >> 2
         b0 = (b - DATA_BASE) >> 2
+        per = 3 * taps + 1
+        if cycles <= 0:
+            return 0, 0, 0
         mmi, find, size = self.mmi, taken.find, len(taken)
-        grants = stalls = p = 0
+        grants = stalls = macs = p = 0
         taken_next = -1  # the first taken cycle from some p on, unless marking
-        while p < cycles and self.out_idx < outputs:
-            start, macs, free = p, 0, 0
-            i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
-            x = y = rd = mmi.rddata
-            wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
-            stage = _STAGE[self._sub] - (mmi.req and not mmi.done)
-            while True:
-                if stage & 1:  # a request pending from cycle p on
-                    g = p
-                    if g < size and taken[g]:  # lost: wait for a free cycle
-                        g = find(0, g)
-                        if g < 0:
-                            g = size
-                        if g >= cycles:
-                            stalls += cycles - p
-                            p = cycles
+        i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
+        x = y = rd = mmi.rddata
+        wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
+        stage = _STAGE[self._sub] - (mmi.req and not mmi.done)
+        while True:
+            if stage & 1:  # a request pending from cycle p on
+                g = p
+                if g < size and taken[g]:  # lost: wait for a free cycle
+                    g = find(0, g)
+                    if g < 0:
+                        g = size
+                    if g >= cycles:
+                        stalls += cycles - p
+                        p = cycles
+                        break
+                    stalls += g - p
+                grants += 1
+                if mark:
+                    taken[g] = 1
+                p = g + 1
+                if stage == 1:
+                    x = rd = words[a0 + i + j]
+                elif stage == 3:
+                    y = rd = words[b0 + j]
+                else:
+                    words[(wrote[0] - DATA_BASE) >> 2] = wrote[1]
+                    rd = 0
+                stage += 1
+            if p >= cycles:
+                break
+            if stage == 0:  # POST_A: post the a read
+                if not mark:
+                    if taken_next < p:
+                        taken_next = find(1, p)
+                        if taken_next < 0:
+                            taken_next = cycles
+                    free = taken_next - p
+                    if free >= _SPAN_MIN:  # the whole taps that fit, at once
+                        span = min(free - (3 * j + free) % per % 3,
+                                   (outputs - i) * per - 3 * j)
+                        p += span
+                        end = 3 * j + span  # cycles from the start of output i
+                        last, stop = i + end // per, end % per // 3
+                        lo = a0 + i  # the SRAM index of sa[0]
+                        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
+                        sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
+                        while True:
+                            n = taps if i < last else stop
+                            if n > j:
+                                k = a0 + i - lo  # output i's first a word in sa
+                                acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
+                                xv = sa[k + n - 1]
+                                rd = words[b0 + n - 1]
+                                macs += n - j
+                                grants += 2 * (n - j)
+                                j = n
+                                if n == taps:
+                                    out = self._output(i, acc)
+                                    if out is not None:
+                                        wrote, rd = out, 0
+                                        o = (out[0] - DATA_BASE) >> 2
+                                        words[o] = out[1]
+                                        if 0 <= o - lo < len(sa):
+                                            sa[o - lo] = s32(out[1])
+                                        if 0 <= o - b0 < taps:
+                                            sb[o - b0] = s32(out[1])
+                                        grants += 1
+                            if i == last:
+                                break
+                            i, j = i + 1, 0
+                            if i < outputs:
+                                acc = 0
+                        if i == outputs:
                             break
-                        stalls += g - p
-                    grants += 1
-                    if mark:
-                        taken[g] = 1
-                    p = g + 1
-                    if stage == 1:
-                        x = rd = words[a0 + i + j]
-                    elif stage == 3:
-                        y = rd = words[b0 + j]
-                    else:
-                        words[(wrote[0] - DATA_BASE) >> 2] = wrote[1]
-                        rd = 0
-                    stage += 1
-                if p >= cycles:
-                    break
-                if stage == 0:  # POST_A: post the a read
-                    if not mark:
-                        if taken_next < p:
-                            taken_next = find(1, p)
-                            if taken_next < 0:
-                                taken_next = cycles
-                        free = taken_next - p
-                        if free >= _SPAN_MIN:
-                            break
-                    stage = 1
-                elif stage == 2:  # capture a, post the b read
-                    xv = x - (x >> 31 << 32)  # s32 of the SRAM word
-                    stage = 3
-                elif stage == 4:  # MAC; after the last tap, post the output
-                    acc += xv * (y - (y >> 31 << 32))
-                    macs += 1
-                    j += 1
-                    if j < taps:
-                        stage = 0
-                        p += 1
-                    else:
-                        acc = s64(acc)
-                        wrote = self._output(i, acc)
-                        stage = 6 if wrote is None else 5
-                        p += wrote is None
-                else:  # END
-                    i += 1
-                    j = 0
+                        stage = 6 if j == taps else 0
+                        continue
+                stage = 1
+            elif stage == 2:  # capture a, post the b read
+                xv = x - (x >> 31 << 32)  # s32 of the SRAM word
+                stage = 3
+            elif stage == 4:  # MAC; after the last tap, post the output
+                acc += xv * (y - (y >> 31 << 32))
+                macs += 1
+                j += 1
+                if j < taps:
                     stage = 0
                     p += 1
-                    if i == outputs:
-                        break
-                    acc = 0
-            self.busy_cycles += p - start
-            self.macs += macs
-            if p > start:  # leave the unit and its port as stepping leaves them
-                self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, s64(acc), xv
-                self._sub = _SUBS[stage]
-                mmi.rddata = rd
-                if wrote is not None:
-                    mmi.wrdata = wrote[1]
-                if 0 < stage < 5:  # the a or b read in progress
-                    mmi.addr = b + 4 * j if stage > 2 else a + 4 * (i + j)
-                    mmi.wr_en = False
-                elif wrote is not None and (stage or not j):  # the output's write
-                    mmi.addr, mmi.wr_en = wrote[0], True
-                elif j or taps:  # the last b read
-                    mmi.addr, mmi.wr_en = b + 4 * ((j or taps) - 1), False
-                mmi.req = 0 < stage < 6 or stage == 6 and wrote is not None
-                mmi.done = mmi.req and not stage & 1
-            if free >= _SPAN_MIN:
-                span = self.output_span(free)
-                grants += self.run_output(span, words)
-                p += span
-        return grants, stalls, p if self.out_idx == outputs else 0
+                else:
+                    acc = s64(acc)
+                    wrote = self._output(i, acc)
+                    stage = 6 if wrote is None else 5
+                    p += wrote is None
+            else:  # END
+                i += 1
+                j = 0
+                stage = 0
+                p += 1
+                if i == outputs:
+                    break
+                acc = 0
+        self.busy_cycles += p
+        self.macs += macs
+        # leave the unit and its port as stepping leaves them
+        self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, s64(acc), xv
+        self._sub = _SUBS[stage]
+        mmi.rddata = rd
+        if wrote is not None:
+            mmi.wrdata = wrote[1]
+        if 0 < stage < 5:  # the a or b read in progress
+            mmi.addr = b + 4 * j if stage > 2 else a + 4 * (i + j)
+            mmi.wr_en = False
+        elif wrote is not None and (stage or not j):  # the output's write
+            mmi.addr, mmi.wr_en = wrote[0], True
+        elif j or taps:  # the last b read
+            mmi.addr, mmi.wr_en = b + 4 * ((j or taps) - 1), False
+        mmi.req = 0 < stage < 6 or stage == 6 and wrote is not None
+        mmi.done = mmi.req and not stage & 1
+        return grants, stalls, p if i == outputs else 0

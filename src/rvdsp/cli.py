@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 ok, 2 config/usage error, 3 scenario validation error,
 4 simulation fault (also a host register access the bus refuses),
 5 timeout.  A ``run`` whose stdout closes early (``sim run ... | head``)
-still writes its other outputs and exits 0.
+still writes its other outputs and exits 0; one whose output file cannot
+be written exits 2.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def _cmd_run(args):
         return EXIT_FAULT
 
     text = report_to_json(report)
+    files = []  # (path, text) for each output file
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        files.append((args.report, text + "\n"))
     else:
         try:
             print(text, flush=True)
@@ -81,16 +82,21 @@ def _cmd_run(args):
             # interpreter's flush at exit does not raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace_lines) + "\n")
+        files.append((args.trace, "\n".join(trace_lines) + "\n"))
     if args.dump:
         region, path = args.dump
         if region == "datamem":
             words, base = world.sram.words, DATA_BASE
         else:
             words, base = world.rom.words, INST_BASE
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_hexwords(words, base))
+        files.append((path, dump_hexwords(words, base)))
+    for path, body in files:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ OFF_CONTROL = 0x14
 OFF_STATUS = 0x18
 OFF_IRQ_CLEAR = 0x1C
 
-ConvState = DspState
+ConvState = DspState  # perfbench/workloads.py reads this name
 
 
 class ConvDsp(MmioAccelerator):
@@ -33,6 +33,7 @@ class ConvDsp(MmioAccelerator):
     READ_ONLY = {OFF_STATUS: "status"}
     CONTROL = OFF_CONTROL
     IRQ_CLEAR = OFF_IRQ_CLEAR
+    step = MmioAccelerator.step  # in the class dict, for perfbench/tracing.py
 
     def __init__(self, truncation=Truncation.WRAP, trace=None):
         super().__init__(trace)

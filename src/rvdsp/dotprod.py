@@ -21,7 +21,7 @@ OFF_RESULT_LO = 0x14
 OFF_RESULT_HI = 0x18
 OFF_IRQ_CLEAR = 0x1C
 
-DotState = DspState
+DotState = DspState  # perfbench/workloads.py reads this name
 
 
 class DotDsp(MmioAccelerator):
@@ -31,6 +31,7 @@ class DotDsp(MmioAccelerator):
                  OFF_RESULT_HI: "result_hi"}
     CONTROL = OFF_CONTROL
     IRQ_CLEAR = OFF_IRQ_CLEAR
+    step = MmioAccelerator.step  # in the class dict, for perfbench/tracing.py
 
     def __init__(self, trace=None):
         super().__init__(trace)

@@ -13,10 +13,9 @@ import pytest
 from oracles import conv1d, conv_partial_accum, dot
 from rvdsp import conv as conv_regs
 from rvdsp import dotprod as dot_regs
+from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, arbitrate
-from rvdsp.conv import ConvState
-from rvdsp.dotprod import DotState
 from rvdsp.isa import DecodedInstruction, decode, encode
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE
 from rvdsp.perfmodel import (ConvWorkload, EnergyMode, EnergyParams,
@@ -73,7 +72,7 @@ def run_conv_case(x, h):
     world.write_words(in_addr, [u32(v) for v in x])
     world.write_words(kern_addr, [u32(v) for v in h])
     drive_conv(world, in_addr, kern_addr, out_addr, n, k)
-    world.run_until(lambda: world.conv.state is not ConvState.RUN)
+    world.run_until(lambda: world.conv.state is not DspState.RUN)
     return world.read_words(out_addr, n - k + 1), world.conv.busy_cycles
 
 
@@ -85,7 +84,7 @@ def run_dot_case(a, b):
     world.write_words(va, [u32(v) for v in a])
     world.write_words(vb, [u32(v) for v in b])
     drive_dot(world, va, vb, length)
-    world.run_until(lambda: world.dot.state is not DotState.RUN)
+    world.run_until(lambda: world.dot.state is not DspState.RUN)
     result = (world.dot.result_hi << 32) | world.dot.result_lo
     return result, world.dot.busy_cycles
 
@@ -163,7 +162,7 @@ def test_criterion_05_dot_product_figures():
     world = World(SimConfig(max_cycles=1_000_000))
     world.write_words(DATA_BASE, [u32(i - 4096) for i in range(8192)])
     drive_dot(world, DATA_BASE, DATA_BASE, 8192)
-    world.run_until(lambda: world.dot.state is not DotState.RUN)
+    world.run_until(lambda: world.dot.state is not DspState.RUN)
     parts.append(world.dot.busy_cycles == 3 * 8192 + 1 == 24_577)
     parts.append(sw_dot_cycles(8192) == 81_925)
     parts.append(dsp_dot_cycles(8192) == 24_577)
@@ -222,7 +221,7 @@ def test_criterion_07_functional_property_suite():
         world.write_words(DATA_BASE + 4 * n, [u32(v) for v in h])
         drive_conv(world, DATA_BASE, DATA_BASE + 4 * n,
                    DATA_BASE + 4 * (n + k), n, k)
-        while world.conv.state is ConvState.RUN:
+        while world.conv.state is DspState.RUN:
             if s64(world.conv.accum) != conv_partial_accum(
                     x, h, world.conv.out_idx, world.conv.kern_idx):
                 failures.append(f"invariant seed={seed}")
@@ -254,7 +253,7 @@ def test_criterion_08_timing_property_suite():
     world.write_words(DATA_BASE + 4 * n, list(range(1, k + 1)))
     drive_conv(world, DATA_BASE, DATA_BASE + 4 * n,
                DATA_BASE + 4 * (n + k), n, k)
-    while world.conv.state is ConvState.RUN:
+    while world.conv.state is DspState.RUN:
         if world.cycle % 2 == 0:
             world.bus.post(BusTransaction(Requester.CPU, DATA_BASE + 0x4000))
         world.step()
@@ -308,7 +307,7 @@ def test_criterion_09_protocol_suite():
                           (conv_regs.OFF_KERN_LEN, 1),
                           (conv_regs.OFF_CONTROL, 0b11)):
         world.reg_write(CONV_BASE + offset, value)
-    world.run_until(lambda: world.conv.state is not ConvState.RUN)
+    world.run_until(lambda: world.conv.state is not DspState.RUN)
     if not (world.conv.status_done and world.conv.irq_line):
         failures.append("done/irq not asserted on completion")
     first_busy = world.conv.busy_cycles
@@ -321,7 +320,7 @@ def test_criterion_09_protocol_suite():
     if world.conv.irq_line or world.conv.status_done:
         failures.append("irq_clear did not clear done/irq")
     world.reg_write(CONV_BASE + conv_regs.OFF_CONTROL, 1)
-    world.run_until(lambda: world.conv.state is not ConvState.RUN)
+    world.run_until(lambda: world.conv.state is not DspState.RUN)
     if world.conv.busy_cycles <= first_busy:
         failures.append("not restartable after irq_clear")
 

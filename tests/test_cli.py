@@ -97,6 +97,18 @@ out_features = 2
         lines = trace_path.read_text().splitlines()
         assert lines and all(" | " in ln for ln in lines)
 
+    @pytest.mark.parametrize("option", ["--report", "--trace", "--dump"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, option, where):
+        # an output path that cannot be opened exits 2 with one error line
+        path = write_scenario(tmp_path, CONV_SCENARIO)
+        target = str(tmp_path / "missing" / "out.txt" if where == "missing directory"
+                     else tmp_path)
+        value = ["datamem", target] if option == "--dump" else [target]
+        assert main(["run", "--scenario", path, option, *value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and target in err
+
     def test_full_system_run(self, tmp_path, capsys):
         body = CONV_SCENARIO.replace('"testbench"', '"full_system"')
         path = write_scenario(tmp_path, body)

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum
 from rvdsp import conv as regs
+from rvdsp.accel import DspState
 from rvdsp.bits import s64, u32
-from rvdsp.conv import ConvState
 from rvdsp.mac import Truncation, truncate_accumulator
 from rvdsp.memmap import CONV_BASE, DATA_BASE
 from rvdsp.scheduler import SimConfig, World
@@ -33,7 +33,7 @@ def start_conv(world, x, h, in_addr=IN, kern_addr=KERN, out_addr=OUT,
 def run_conv(x, h, truncation=Truncation.WRAP, control=1):
     world = World(SimConfig(truncation=truncation, max_cycles=2_000_000))
     start_conv(world, x, h, control=control)
-    world.run_until(lambda: world.conv.state is not ConvState.RUN)
+    world.run_until(lambda: world.conv.state is not DspState.RUN)
     y = world.read_words(OUT, len(x) - len(h) + 1)
     return world, y
 
@@ -61,7 +61,7 @@ class TestRegisterFile:
         world, _ = run_conv([1, 2], [1])
         world.reg_write(CONV_BASE + regs.OFF_STATUS, 0)
         assert world.reg_read(CONV_BASE + regs.OFF_STATUS) == 0b01
-        assert world.conv.state is ConvState.DONE
+        assert world.conv.state is DspState.DONE
 
     def test_irq_clear_reads_zero(self):
         world = World(SimConfig())
@@ -76,7 +76,7 @@ class TestRegisterFile:
         world = World(SimConfig())
         start_conv(world, [1, 2, 3, 4], [1, 1])
         assert world.reg_read(CONV_BASE + regs.OFF_STATUS) & 1 == 0
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         assert world.reg_read(CONV_BASE + regs.OFF_STATUS) & 1 == 1
 
 
@@ -134,11 +134,11 @@ class TestLifecycle:
     def test_done_once_and_irq(self):
         world = World(SimConfig())
         start_conv(world, [1, 2, 3], [1], control=0b11)  # start + int_en
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         assert world.conv.status_done and world.conv.irq_line
         world.reg_write(CONV_BASE + regs.OFF_IRQ_CLEAR, 1)
         assert not world.conv.irq_line
-        assert world.conv.state is ConvState.IDLE
+        assert world.conv.state is DspState.IDLE
         assert world.reg_read(CONV_BASE + regs.OFF_STATUS) == 0
 
     def test_no_irq_without_int_en(self):
@@ -148,7 +148,7 @@ class TestLifecycle:
     def test_start_ignored_until_irq_clear(self):
         world = World(SimConfig())
         start_conv(world, [1, 2, 3], [1])
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         busy = world.conv.busy_cycles
         world.reg_write(CONV_BASE + regs.OFF_CONTROL, 1)  # no irq_clear yet
         for _ in range(10):
@@ -158,21 +158,21 @@ class TestLifecycle:
     def test_restart_with_new_config(self):
         world = World(SimConfig())
         start_conv(world, [1, 2, 3, 4], [1, 1])
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         world.reg_write(CONV_BASE + regs.OFF_IRQ_CLEAR, 1)
         x2, h2 = [9, 8, 7], [2]
         start_conv(world, x2, h2, in_addr=IN + 0x400, kern_addr=KERN + 0x400,
                    out_addr=OUT + 0x400)
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         assert world.read_words(OUT + 0x400, 3) == conv1d(x2, h2)
 
     def test_config_writes_while_busy_ignored(self):
         world = World(SimConfig())
         start_conv(world, list(range(20)), [1, 2, 3, 4])
         world.reg_write(CONV_BASE + regs.OFF_IN_LEN, 9999)
-        assert world.conv.state is ConvState.RUN
+        assert world.conv.state is DspState.RUN
         assert world.reg_read(CONV_BASE + regs.OFF_IN_LEN) == 20
-        world.run_until(lambda: world.conv.state is not ConvState.RUN)
+        world.run_until(lambda: world.conv.state is not DspState.RUN)
         assert world.read_words(OUT, 17) == conv1d(list(range(20)), [1, 2, 3, 4])
 
 
@@ -181,7 +181,7 @@ class TestStartValidation:
     def test_bad_lengths(self, n, k):
         world = World(SimConfig())
         start_conv(world, [1, 2, 3, 4], [1, 1], n=n, k=k)
-        assert world.conv.state is ConvState.DONE
+        assert world.conv.state is DspState.DONE
         assert world.conv.status_error
         assert world.conv.busy_cycles == 0
 
@@ -216,7 +216,7 @@ class TestLoopInvariant:
         h = [2, 7, -1]
         world = World(SimConfig())
         start_conv(world, x, h)
-        while world.conv.state is ConvState.RUN:
+        while world.conv.state is DspState.RUN:
             assert s64(world.conv.accum) == conv_partial_accum(
                 x, h, world.conv.out_idx, world.conv.kern_idx)
             world.step()

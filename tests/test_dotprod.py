@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from oracles import dot
 from rvdsp import dotprod as regs
+from rvdsp.accel import DspState
 from rvdsp.bits import u32, u64
-from rvdsp.dotprod import DotState
 from rvdsp.memmap import DATA_BASE, DOT_BASE
 from rvdsp.scheduler import SimConfig, World
 
@@ -27,7 +27,7 @@ def start_dot(world, a, b, va=VA, vb=VB, length=None, control=1):
 def run_dot(a, b, **kwargs):
     world = World(SimConfig(max_cycles=2_000_000))
     start_dot(world, a, b, **kwargs)
-    world.run_until(lambda: world.dot.state is not DotState.RUN)
+    world.run_until(lambda: world.dot.state is not DspState.RUN)
     lo = world.reg_read(DOT_BASE + regs.OFF_RESULT_LO)
     hi = world.reg_read(DOT_BASE + regs.OFF_RESULT_HI)
     return world, (hi << 32) | lo
@@ -102,7 +102,7 @@ class TestTiming:
         world = World(SimConfig())
         start_dot(world, [10, 20], [1, 1])
         seen = []
-        while world.dot.state is DotState.RUN:
+        while world.dot.state is DspState.RUN:
             seen.append(world.reg_read(DOT_BASE + regs.OFF_RESULT_LO))
         # never exposes a partial sum mid-run; a read landing on the
         # finalize cycle may already observe the latched total
@@ -117,7 +117,7 @@ class TestLifecycle:
         assert world.dot.irq_line
         world.reg_write(DOT_BASE + regs.OFF_IRQ_CLEAR, 1)
         assert not world.dot.irq_line
-        assert world.dot.state is DotState.IDLE
+        assert world.dot.state is DspState.IDLE
 
     def test_result_survives_irq_clear(self):
         world, _ = run_dot([6], [7])
@@ -128,7 +128,7 @@ class TestLifecycle:
         world, first = run_dot([2], [3])
         world.reg_write(DOT_BASE + regs.OFF_IRQ_CLEAR, 1)
         start_dot(world, [5], [5], va=VA + 0x400, vb=VB + 0x400)
-        world.run_until(lambda: world.dot.state is not DotState.RUN)
+        world.run_until(lambda: world.dot.state is not DspState.RUN)
         assert first == 6
         assert world.reg_read(DOT_BASE + regs.OFF_RESULT_LO) == 25
 
@@ -136,9 +136,9 @@ class TestLifecycle:
         world = World(SimConfig())
         start_dot(world, list(range(16)), list(range(16)))
         world.reg_write(DOT_BASE + regs.OFF_LEN, 1)
-        assert world.dot.state is DotState.RUN
+        assert world.dot.state is DspState.RUN
         assert world.reg_read(DOT_BASE + regs.OFF_LEN) == 16
-        world.run_until(lambda: world.dot.state is not DotState.RUN)
+        world.run_until(lambda: world.dot.state is not DspState.RUN)
         assert world.dot.macs == 16
 
 
@@ -156,6 +156,6 @@ class TestStartValidation:
         world.reg_write(DOT_BASE + regs.OFF_VB_ADDR, VA)
         world.reg_write(DOT_BASE + regs.OFF_LEN, 2)
         world.reg_write(DOT_BASE + regs.OFF_CONTROL, 1)
-        world.run_until(lambda: world.dot.state is not DotState.RUN)
+        world.run_until(lambda: world.dot.state is not DspState.RUN)
         assert world.reg_read(DOT_BASE + regs.OFF_RESULT_LO) == 25
         assert world.dot.busy_cycles == 3 * 2 + 1

@@ -11,10 +11,9 @@ from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
 from rvdsp import scheduler
-from rvdsp.accel import DspState
+from rvdsp.accel import DspState, _Sub
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
-from rvdsp.conv import ConvState
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
@@ -132,7 +131,7 @@ class TestContention:
         # post CPU traffic every other cycle: the fixed-priority arbiter
         # would starve the DSP forever under a 100% duty cycle
         scratch = DATA_BASE + 0x4000
-        while world.conv.state is ConvState.RUN:
+        while world.conv.state is DspState.RUN:
             if world.cycle % 2 == 0:
                 world.bus.post(BusTransaction(Requester.CPU, scratch))
             world.step()
@@ -536,12 +535,14 @@ class TestFastForwardLockstep:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_run_output_matches_stepping(self, data):
-        # one run_output call over output_span(limit), from inside an output
-        # (kern_idx >= 2, reached by stepping) across several outputs, must
-        # equal stepping that span: its signed views of the a and b words
-        # must see each output that conv writes onto them, the last a word
-        # an output reads included, under either truncation
+    def test_replay_free_stretch_matches_stepping(self, data):
+        # one replay with nothing taken over any span (tap-aligned or not)
+        # from three outputs' cycles up to cycles_left(), from a tap
+        # boundary inside an output (kern_idx >= 2, reached by stepping)
+        # across several outputs, must equal stepping that span:
+        # the signed views of the a and b words that its free stretches run
+        # whole taps over must see each output that conv writes onto them,
+        # the last a word an output reads included, under either truncation
         draw = data.draw
         unit = draw(st.sampled_from(["conv", "dot"]), label="unit")
         truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
@@ -563,7 +564,7 @@ class TestFastForwardLockstep:
             preload = [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
         else:
             k = draw(st.integers(2, 40), label="l")
-            outputs, first = 1, 0
+            first = 0
             base, writes = DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
                                       (dot_regs.OFF_VB_ADDR, _DOT_B),
                                       (dot_regs.OFF_LEN, k), (dot_regs.OFF_CONTROL, 1))
@@ -578,27 +579,31 @@ class TestFastForwardLockstep:
             for offset, value in writes:
                 world.reg_write(base + offset, value)
             dsp = getattr(world, unit)
+            # a tap boundary: POST_A, or END with its write landed
             while not (dsp.out_idx == first and dsp.kern_idx == tap
-                       and dsp.output_span(1 << 30)):
+                       and dsp._sub in (_Sub.POST_A, _Sub.END)
+                       and not (dsp.mmi.req and not dsp.mmi.done)):
                 assert dsp.state is DspState.RUN
                 world.step()
             return world, dsp, lines
 
         stepped, dsp, lines = build()
         per, left = 3 * k + 1, dsp.cycles_left()
-        span = dsp.output_span(draw(st.integers(min(left, 3 * per), left), label="limit"))
+        span = draw(st.integers(min(left, 3 * per), left), label="span")
         fast, fast_dsp, fast_lines = build()
         requester = Requester.CONV if unit == "conv" else Requester.DOT
         granted = stepped.bus.grants[requester]
         for _ in range(span):
             stepped.step()
-        grants = fast_dsp.run_output(span, fast.sram.words)
-        fast.bus.credit(fast_dsp.mmi, grants, 0)
+        grants, stalls, end = fast_dsp.replay(b"", span, fast.sram.words)
+        fast.bus.credit(fast_dsp.mmi, grants, stalls)
         fast.cycle += span
-        if fast_dsp.out_idx == outputs:
+        if end:
+            assert end == span
             fast_dsp._complete()
         event(f"outputs crossed: {min(3, dsp.out_idx - first)}")
         assert grants == stepped.bus.grants[requester] - granted
+        assert stalls == 0
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
 
@@ -1231,7 +1236,7 @@ class TestLoopInvariantTrace:
         world.reg_write(CONV_BASE + regs.OFF_IN_LEN, sc.n)
         world.reg_write(CONV_BASE + regs.OFF_KERN_LEN, sc.k)
         world.reg_write(CONV_BASE + regs.OFF_CONTROL, 1)
-        while world.conv.state is ConvState.RUN:
+        while world.conv.state is DspState.RUN:
             assert s64(world.conv.accum) == conv_partial_accum(
                 x, h, world.conv.out_idx, world.conv.kern_idx)
             world.step()

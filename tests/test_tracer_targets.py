@@ -2,7 +2,7 @@
 callable it lists with ``setattr(owner, attr, wrap(vars(owner)[attr]))``,
 so every one must sit in its owner's own ``__dict__``: a method that a
 class only inherits would raise there, as ``ConvDsp.step`` would without
-the copy that ``MmioAccelerator.__init_subclass__`` gives each unit."""
+the ``step = MmioAccelerator.step`` line in each unit's class body."""
 
 import importlib
 import importlib.util
