@@ -24,8 +24,8 @@ its configuration in ``_start`` and hands ``_run`` the run's shape.
 Beside ``step``, for ``World.run_until``: ``cycles_left`` is the number
 of cycles to the finish while the unit is the only DataMem requester,
 and ``replay`` advances the unit over many cycles against a log of the
-cycles that requesters of higher priority took, tap by tap or, over a
-stretch with nothing taken, whole taps and outputs at once.  Both give
+cycles that requesters of higher priority took: it walks the grant times
+of whole taps, then commits their MACs at once.  Both give
 exactly the result of stepping those cycles; ``buffers`` names the words
 a run may touch.
 """
@@ -33,6 +33,7 @@ a run may touch.
 from __future__ import annotations
 
 import enum
+import re
 from array import array
 from operator import mul
 
@@ -63,9 +64,13 @@ _PHASE = {_Sub.POST_A: 0, _Sub.WAIT_A: 1, _Sub.WAIT_B: 2, _Sub.END: 0}
 _STAGE = {_Sub.POST_A: 0, _Sub.WAIT_A: 2, _Sub.WAIT_B: 4, _Sub.END: 6}
 _SUBS = (_Sub.POST_A, _Sub.WAIT_A, _Sub.WAIT_A, _Sub.WAIT_B, _Sub.WAIT_B,
          _Sub.END, _Sub.END)
-# a free stretch shorter than this many cycles is replayed tap by tap,
-# which costs less than building the signed views of its words
-_SPAN_MIN = 24
+# a tap in a log of taken (1) and free (0) cycles: the a and b reads at the
+# first two free cycles, where groups 1 and 2 end, then the MAC's cycle
+_TAP = re.compile(rb"(\x01*)\x00(\x01*)\x00.", re.S)
+# an output's last tap, then its end cycle: after the MAC's cycle, or after
+# conv's write at the first free cycle from the MAC's (where group 3 ends)
+_LAST = (re.compile(rb"(\x01*)\x00(\x01*)\x00..", re.S),
+         re.compile(rb"(\x01*)\x00(\x01*)\x00(\x01*)\x00.", re.S))
 
 
 class MmioAccelerator:
@@ -246,20 +251,19 @@ class MmioAccelerator:
     def replay(self, taken, cycles, words, mark=False):
         """Step the running unit over the next `cycles` cycles, in which a
         requester of higher priority holds DataMem wherever `taken` is set
-        (index 0 is the next cycle; nothing is taken past its end), with
-        exactly the result of stepping them: a request on a taken cycle
-        waits a cycle and counts a stall.  The SRAM `words` are read and
-        written directly.  If `mark`, each cycle granted to the unit is set
-        in `taken`, and the unit goes tap by tap.  Otherwise, at a tap
-        boundary that starts at least ``_SPAN_MIN`` free cycles, the whole
-        taps and output ends that fit run at once: the a words from output
-        i on and the b words are reinterpreted as signed once, as arrays,
-        and each output sums plain int products over them.  Each output's
-        reads precede its write, and a write inside either view is stored
-        there too, so an output buffer overlapping the inputs reads what
-        the stepped path reads.  Returns (grants, stalls, end): `end`
-        counts the cycles up to and including the one that ends the last
-        output, 0 if that is not among them; the caller then
+        (index 0 is the next cycle; an empty `taken` takes none, any other
+        covers the `cycles`), with exactly the result of stepping them: a
+        request on a taken cycle waits a cycle and counts a stall.  The
+        SRAM `words` are read and written directly.  If `mark`, each cycle
+        granted to the unit is set in `taken`.  From a tap boundary on,
+        the grant times of the whole taps that fit are walked first (in
+        closed form over free cycles, else by ``_TAP`` and ``_LAST``), then
+        their MACs are committed at once over signed array views of the a
+        and b words; an output written inside a view is stored there too,
+        after its reads, as stepping orders them.  Only the partial taps at
+        the two ends go stage by stage.  Returns (grants, stalls, end):
+        `end` counts the cycles up to and including the one that ends the
+        last output, 0 if that is not among them; the caller then
         ``_complete``s the run on its own cycle."""
         a, b, outputs, taps = self._cfg
         a0 = (a - DATA_BASE) >> 2
@@ -267,25 +271,26 @@ class MmioAccelerator:
         per = 3 * taps + 1
         if cycles <= 0:
             return 0, 0, 0
-        mmi, find, size = self.mmi, taken.find, len(taken)
+        taken = taken or bytes(cycles)
+        mmi, find = self.mmi, taken.find
+        writes = self._output(0, 0) is not None
+        tap, last_tap = _TAP.match, _LAST[writes].match
+        # the cycles of an output that are granted when none is taken
+        granted = (b"\1\1\0" * taps)[:-1] + (b"\1\0" if writes else b"\0\0")
         grants = stalls = macs = p = 0
-        taken_next = -1  # the first taken cycle from some p on, unless marking
+        nxt = -1  # the first taken cycle from some cycle of the walk on
         i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
         x = y = rd = mmi.rddata
         wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
         stage = _STAGE[self._sub] - (mmi.req and not mmi.done)
         while True:
             if stage & 1:  # a request pending from cycle p on
-                g = p
-                if g < size and taken[g]:  # lost: wait for a free cycle
-                    g = find(0, g)
-                    if g < 0:
-                        g = size
-                    if g >= cycles:
-                        stalls += cycles - p
-                        p = cycles
-                        break
-                    stalls += g - p
+                g = find(0, p, cycles) if taken[p] else p  # lost: wait for a free one
+                if g < 0:
+                    stalls += cycles - p
+                    p = cycles
+                    break
+                stalls += g - p
                 grants += 1
                 if mark:
                     taken[g] = 1
@@ -300,52 +305,70 @@ class MmioAccelerator:
                 stage += 1
             if p >= cycles:
                 break
-            if stage == 0:  # POST_A: post the a read
-                if not mark:
-                    if taken_next < p:
-                        taken_next = find(1, p)
-                        if taken_next < 0:
-                            taken_next = cycles
-                    free = taken_next - p
-                    if free >= _SPAN_MIN:  # the whole taps that fit, at once
-                        span = min(free - (3 * j + free) % per % 3,
-                                   (outputs - i) * per - 3 * j)
-                        p += span
-                        end = 3 * j + span  # cycles from the start of output i
-                        last, stop = i + end // per, end % per // 3
-                        lo = a0 + i  # the SRAM index of sa[0]
-                        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
-                        sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
-                        while True:
-                            n = taps if i < last else stop
-                            if n > j:
-                                k = a0 + i - lo  # output i's first a word in sa
-                                acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
-                                xv = sa[k + n - 1]
-                                rd = words[b0 + n - 1]
-                                macs += n - j
-                                grants += 2 * (n - j)
-                                j = n
-                                if n == taps:
-                                    out = self._output(i, acc)
-                                    if out is not None:
-                                        wrote, rd = out, 0
-                                        o = (out[0] - DATA_BASE) >> 2
-                                        words[o] = out[1]
-                                        if 0 <= o - lo < len(sa):
-                                            sa[o - lo] = s32(out[1])
-                                        if 0 <= o - b0 < taps:
-                                            sb[o - b0] = s32(out[1])
-                                        grants += 1
-                            if i == last:
-                                break
-                            i, j = i + 1, 0
-                            if i < outputs:
-                                acc = 0
-                        if i == outputs:
+            if stage == 0:  # POST_A: walk the grant times of whole taps from
+                last, stop, q = i, j, p  # tap j of output i at cycle p on
+                while q < cycles:
+                    if nxt < q:
+                        nxt = find(1, q, cycles)
+                        if nxt < 0:
+                            nxt = cycles
+                    if nxt - q > 2:  # whole taps on free cycles, short of the run's last
+                        end = 3 * stop + nxt - q  # cycles from output last's start
+                        end = min(end - end % per % 3, (outputs - last) * per - 4)
+                        end -= 3 * (end % per == per - 1)  # or of a last tap that nxt cuts off
+                        if mark:
+                            taken[q:q + end - 3 * stop] = \
+                                (granted * (end // per + 1))[3 * stop:end]
+                        last, stop, q = last + end // per, end % per // 3, q + end - 3 * stop
+                    while stop < taps - 1:  # the output's taps short of its last
+                        m = tap(taken, q, cycles)
+                        if m is None:
                             break
-                        stage = 6 if j == taps else 0
-                        continue
+                        if mark:
+                            taken[m.end(1)] = taken[m.end(2)] = 1
+                        stop, q = stop + 1, m.end()
+                    m = stop == taps - 1 and last_tap(taken, q, cycles)
+                    if not m:
+                        break
+                    if mark:  # the a and b reads and any write
+                        taken[m.end(1)] = taken[m.end(2)] = taken[m.end(2 + writes)] = 1
+                    last, stop, q = last + 1, 0, m.end()
+                    if last == outputs:
+                        break
+                walked = (last - i) * taps + stop - j
+                macs += walked
+                grants += 2 * walked + writes * (last - i)
+                stalls += q - p - 3 * walked - (last - i)  # less the uncontended
+                p = q
+                if walked:  # commit them at once
+                    lo = a0 + i  # the SRAM index of sa[0]
+                    sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
+                    sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
+                    while True:
+                        n = taps if i < last else stop
+                        if n > j:
+                            k = a0 + i - lo  # output i's first a word in sa
+                            acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
+                            xv = sa[k + n - 1]
+                            rd = words[b0 + n - 1]
+                            j = n
+                            if n == taps:
+                                out = self._output(i, acc)
+                                if out is not None:
+                                    wrote, rd = out, 0
+                                    o = (out[0] - DATA_BASE) >> 2
+                                    words[o] = out[1]
+                                    if 0 <= o - lo < len(sa):
+                                        sa[o - lo] = s32(out[1])
+                                    if 0 <= o - b0 < taps:
+                                        sb[o - b0] = s32(out[1])
+                        if i == last:
+                            break
+                        i, j = i + 1, 0
+                        if i < outputs:
+                            acc = 0
+                if i == outputs or p >= cycles:
+                    break
                 stage = 1
             elif stage == 2:  # capture a, post the b read
                 xv = x - (x >> 31 << 32)  # s32 of the SRAM word

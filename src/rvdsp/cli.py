@@ -55,6 +55,11 @@ def _cmd_run(args):
               "simulation per call and keeps none of their memories", file=sys.stderr)
         return EXIT_CONFIG
 
+    for path in (args.report, args.trace, args.dump and args.dump[1]):
+        why = path and _unwritable(path)
+        if why:  # before the run, so that no output file is written
+            print(f"error: cannot write {path}: {why}", file=sys.stderr)
+            return EXIT_CONFIG
     trace_lines = [] if args.trace else None
     config = SimConfig(max_cycles=args.max_cycles,
                        trace=trace_lines.append if trace_lines is not None else None)
@@ -94,10 +99,22 @@ def _cmd_run(args):
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(body)
-        except OSError as exc:  # a missing directory, a directory, no permission
+        except OSError as exc:  # such as a full disk
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     return EXIT_OK
+
+
+def _unwritable(path):
+    """Why a file cannot be written at `path`, or None if it can."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def _cmd_model(args):

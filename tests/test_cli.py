@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rvdsp
+from rvdsp import cli
 from rvdsp import conv as conv_regs
 from rvdsp.cli import (EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_TIMEOUT,
                        EXIT_VALIDATION, main)
@@ -108,6 +109,19 @@ out_features = 2
         assert main(["run", "--scenario", path, option, *value]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and target in err
+
+    def test_bad_output_path_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # every output path is checked before the run: a bad --dump path
+        # exits 2 with one error line, no simulation and no --report file
+        path = write_scenario(tmp_path, CONV_SCENARIO)
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: ran.append(args))
+        assert main(["run", "--scenario", path, "--report", "r.json",
+                     "--dump", "datamem", "nodir/m.hex"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot write nodir/m.hex: no directory nodir\n")
+        assert not ran and not (tmp_path / "r.json").exists()
 
     def test_full_system_run(self, tmp_path, capsys):
         body = CONV_SCENARIO.replace('"testbench"', '"full_system"')

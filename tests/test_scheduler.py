@@ -660,6 +660,91 @@ class TestFastForwardLockstep:
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_replay_walk_matches_stepping(self, data):
+        # World._replay(log, c) over a log of up to 2,000 cycles at any
+        # density, whose walk of whole taps crosses several outputs, from
+        # any phase of a tap to a cut in any phase of a chosen unit's tap
+        # (also with the output's write waiting after its last MAC), must
+        # equal c steps with the CPU's DataMem grant set in each logged
+        # cycle: conv alone, dot alone, or both, where conv marks its
+        # grants in the log for dot; conv's outputs may land on its own a
+        # or b words
+        draw = data.draw
+        units = draw(st.sampled_from(["conv", "dot", "both"]), label="units")
+        truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
+        lead = draw(st.integers(0, 100), label="lead")
+        starts, preload = [], []
+        if units != "dot":
+            k = draw(st.integers(1, 8), label="k")
+            n = draw(st.integers(k, k + 40), label="n")
+            onto = draw(st.sampled_from([_CONV_X, _CONV_H, None]), label="out onto")
+            # output i writes word i + shift of a, or of b from about the
+            # replay's first output on, where later outputs read it
+            shift = draw(st.integers(0, k), label="out shift")
+            if onto == _CONV_H:
+                shift -= lead // (3 * k + 1)
+            out = DATA_BASE + 0x1800 if onto is None else onto + 4 * shift
+            starts.append((CONV_BASE, _conv_start(n, k, out)))
+            preload += [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
+        if units != "conv":
+            length = draw(st.integers(0, 64), label="l")
+            starts.append((DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                      (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                      (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1))))
+            preload += [(_DOT_A, _words(data, length)), (_DOT_B, _words(data, length))]
+        stall = draw(st.booleans(), label="stall")
+        density = draw(st.integers(0, 16), label="taken in 16")
+        rng = random.Random(draw(st.integers(0, 2**32), label="log seed"))
+        log = [rng.randrange(16) < density
+               for _ in range(draw(st.integers(1, 2000), label="cycles"))]
+        cut_unit = draw(st.sampled_from(["conv", "dot"] if units == "both" else [units]),
+                        label="cut unit")
+
+        def build():
+            lines = []
+            world = World(SimConfig(truncation=truncation, trace=lines.append))
+            for addr, words in preload:
+                world.write_words(addr, words)
+            for base, writes in starts:
+                for offset, value in writes:
+                    world.reg_write(base + offset, value)
+            for _ in range(lead):
+                world.step()
+            if stall:  # the host wins DataMem for a cycle
+                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
+                world.step()
+            return world, lines
+
+        def phase(dsp):
+            return dsp.state.value, dsp._sub.name, dsp.mmi.req and not dsp.mmi.done
+
+        stepped, _ = build()
+        if DspState.RUN not in (stepped.conv.state, stepped.dot.state):
+            return
+        cuts = {}  # the phase of the cut unit after each number of steps
+        for cycle, taken in enumerate(log, 1):
+            stepped.bus.cpu_served = taken
+            stepped.step()
+            cuts.setdefault(phase(getattr(stepped, cut_unit)), []).append(cycle)
+        waiting = ("run", "END", True)  # the output's write lost its grant
+        cut_phase = waiting if waiting in cuts and draw(st.booleans(), label="waiting") \
+            else draw(st.sampled_from(sorted(cuts)), label="cut phase")
+        cut = draw(st.sampled_from(cuts[cut_phase]), label="cut")
+        event(f"cut in {cut_phase}")
+        event(f"log of {min(3, len(log) // 500)}+ x 500 cycles")
+        stepped, lines = build()
+        for taken in log[:cut]:
+            stepped.bus.cpu_served = taken
+            stepped.step()
+        fast, fast_lines = build()
+        i0 = fast.conv.out_idx
+        fast._replay(bytearray(log[:cut]), cut)
+        event(f"conv outputs crossed {min(3, fast.conv.out_idx - i0)}")
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
     # a software conv beside a running conv and dot on other buffers
     _BESIDE_BOTH = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
                 "preload": [(_CONV_X, SplitMix64(1).words(64)),
