@@ -48,22 +48,11 @@ class DspState(enum.Enum):
     DONE = "done"
 
 
-class _Sub(enum.Enum):
-    POST_A = 0  # post the read of the tap's a word
-    WAIT_A = 1  # capture a, post the read of the tap's b word
-    WAIT_B = 2  # capture b and MAC; after the last tap, post the output
-    END = 3     # wait for the output's write, then the next output or finish
+# the stages of an output, in ``_stage`` and ``replay``: 0 post the a read,
+# 1 a pending, 2 a landed, 3 b pending, 4 b landed (MAC), 5 the output's
+# write pending, 6 END; the unit keeps an even stage, and a request still
+# pending on its port stands for the odd stage before it
 
-
-# cycles already spent on the current tap when a sub-state is next to step
-_PHASE = {_Sub.POST_A: 0, _Sub.WAIT_A: 1, _Sub.WAIT_B: 2, _Sub.END: 0}
-
-# replay's stages of an output: 0 post the a read, 1 a pending, 2 a landed,
-# 3 b pending, 4 b landed (MAC), 5 the output's write pending, 6 END; a
-# sub-state with a pending request is the stage one before its own
-_STAGE = {_Sub.POST_A: 0, _Sub.WAIT_A: 2, _Sub.WAIT_B: 4, _Sub.END: 6}
-_SUBS = (_Sub.POST_A, _Sub.WAIT_A, _Sub.WAIT_A, _Sub.WAIT_B, _Sub.WAIT_B,
-         _Sub.END, _Sub.END)
 # a tap in a log of taken (1) and free (0) cycles: the a and b reads at the
 # first two free cycles, where groups 1 and 2 end, then the MAC's cycle
 _TAP = re.compile(rb"(\x01*)\x00(\x01*)\x00.", re.S)
@@ -92,7 +81,7 @@ class MmioAccelerator:
         self.state = DspState.IDLE
         self.accum = 0
         self._cfg = None  # (a, b, outputs, taps), latched by _run
-        self._sub = _Sub.POST_A
+        self._stage = 0
         self.out_idx = 0   # the output in progress
         self.kern_idx = 0  # its taps done
         self._x_val = 0    # the a word of the tap in progress
@@ -148,7 +137,7 @@ class MmioAccelerator:
         self._cfg = cfg
         self.accum = 0
         self.out_idx = self.kern_idx = 0
-        self._sub = _Sub.POST_A if cfg[3] else _Sub.END  # an empty product only ends
+        self._stage = 0 if cfg[3] else 6  # an empty product only ends
         self.state = DspState.RUN
         if self.trace:
             self.trace(self.NAME, f"start {detail}")
@@ -162,17 +151,6 @@ class MmioAccelerator:
         if self.trace:
             self.trace(self.NAME, "error" if error else "done")
 
-    def _landed(self):
-        """True once the posted access has completed without a bus error;
-        a bus error ends the run with STATUS.error set."""
-        mmi = self.mmi
-        if not mmi.done:
-            return False
-        if mmi.error is not None:
-            self._finish(error=True)
-            return False
-        return True
-
     def _output(self, i, accum):
         """(address, word) that output i with accumulator `accum` writes,
         or None for a unit that writes no output word."""
@@ -184,19 +162,17 @@ class MmioAccelerator:
             return
         self.busy_cycles += 1
         mmi = self.mmi
-        sub = self._sub
-        if sub is _Sub.POST_A:
+        if mmi.req and not mmi.done:  # the posted access waits for its grant
+            return
+        stage = self._stage
+        if stage == 0:
             mmi.request_read(self._cfg[0] + 4 * (self.out_idx + self.kern_idx))
-            self._sub = _Sub.WAIT_A
-        elif sub is _Sub.WAIT_A:
-            if not self._landed():
-                return
+            self._stage = 2
+        elif stage == 2:
             self._x_val = s32(mmi.rddata)
             mmi.request_read(self._cfg[1] + 4 * self.kern_idx)
-            self._sub = _Sub.WAIT_B
-        elif sub is _Sub.WAIT_B:
-            if not self._landed():
-                return
+            self._stage = 4
+        elif stage == 4:
             self.accum = s64(self.accum + self._x_val * s32(mmi.rddata))
             self.macs += 1
             self.kern_idx += 1
@@ -206,17 +182,15 @@ class MmioAccelerator:
                     mmi.clear()
                 else:
                     mmi.request_write(*write)
-                self._sub = _Sub.END
+                self._stage = 6
             else:
                 mmi.clear()
-                self._sub = _Sub.POST_A
-        else:  # END
-            if mmi.req and not self._landed():  # the output's write
-                return
+                self._stage = 0
+        else:  # END, once the output's write has landed
             mmi.clear()
             self.out_idx += 1
             self.kern_idx = 0
-            self._sub = _Sub.POST_A
+            self._stage = 0
             if self.out_idx == self._cfg[2]:
                 self._complete()
             else:
@@ -245,7 +219,7 @@ class MmioAccelerator:
         _, _, outputs, taps = self._cfg
         mmi = self.mmi
         return ((outputs - self.out_idx) * (3 * taps + 1)
-                - 3 * self.kern_idx - _PHASE[self._sub]
+                - 3 * self.kern_idx - self._stage % 6 // 2  # spent on the tap
                 + (mmi.req and not mmi.done))  # a stalled request lands a cycle late
 
     def replay(self, taken, cycles, words, mark=False):
@@ -282,7 +256,7 @@ class MmioAccelerator:
         i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
         x = y = rd = mmi.rddata
         wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
-        stage = _STAGE[self._sub] - (mmi.req and not mmi.done)
+        stage = self._stage - (mmi.req and not mmi.done)
         while True:
             if stage & 1:  # a request pending from cycle p on
                 g = find(0, p, cycles) if taken[p] else p  # lost: wait for a free one
@@ -305,7 +279,7 @@ class MmioAccelerator:
                 stage += 1
             if p >= cycles:
                 break
-            if stage == 0:  # POST_A: walk the grant times of whole taps from
+            if stage == 0:  # walk the grant times of whole taps from
                 last, stop, q = i, j, p  # tap j of output i at cycle p on
                 while q < cycles:
                     if nxt < q:
@@ -397,7 +371,7 @@ class MmioAccelerator:
         self.macs += macs
         # leave the unit and its port as stepping leaves them
         self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, s64(acc), xv
-        self._sub = _SUBS[stage]
+        self._stage = stage + (stage & 1)
         mmi.rddata = rd
         if wrote is not None:
             mmi.wrdata = wrote[1]

@@ -8,8 +8,11 @@ accesses at issue, since it always wins arbitration, and reports each
 with ``serve_cpu``; its other accesses, except those ``peek`` serves in a
 window of the CPU alone, and host accesses are posted as a
 ``BusTransaction``.  Each DSP's ``MmiPort`` is served in place while
-``req and not done``.  Word-aligned DataMem addresses index the SRAM
-directly; only other addresses go through ``decode_address``.
+``req and not done``, and carries only word-aligned DataMem addresses:
+a unit starts only once ``buffer_in_datamem`` holds for every buffer,
+and ignores configuration writes in RUN.  Word-aligned DataMem addresses
+index the SRAM directly; only the CPU's other addresses go through
+``_route`` and ``decode_address``.
 """
 
 from __future__ import annotations
@@ -59,14 +62,13 @@ class MmiPort:
     wrdata: int = 0
     rddata: int = 0
     done: bool = False
-    error: str | None = None
+    error: str | None = None  # stays None: a port carries only DataMem words
 
     def request_read(self, addr):
         self.req = True
         self.wr_en = False
         self.addr = addr
         self.done = False
-        self.error = None
 
     def request_write(self, addr, wdata):
         self.req = True
@@ -74,7 +76,6 @@ class MmiPort:
         self.addr = addr
         self.wrdata = u32(wdata)
         self.done = False
-        self.error = None
 
     def clear(self):
         self.req = False
@@ -185,7 +186,6 @@ class Bus:
     def step(self):
         """Resolve one bus cycle: route register space, arbitrate DataMem."""
         cpu = self.cpu_served  # word-aligned DataMem requests this cycle
-        conv = dot = False
         tx = self._cpu_tx
         if cpu:
             self.cpu_served = False
@@ -196,20 +196,8 @@ class Bus:
                 tx.rdata, tx.error = self._route(cpu_addr, tx.write, tx.wdata)
                 self._cpu_tx, tx.state = None, TxState.DONE
         conv_port, dot_port = self._ports
-        if conv_port.req and not conv_port.done:
-            conv_addr = conv_port.addr & _MASK
-            conv = not conv_addr & 3 and DATA_BASE <= conv_addr <= DATA_END
-            if not conv:
-                conv_port.rddata, conv_port.error = self._route(
-                    conv_addr, conv_port.wr_en, conv_port.wrdata)
-                conv_port.done = True
-        if dot_port.req and not dot_port.done:
-            dot_addr = dot_port.addr & _MASK
-            dot = not dot_addr & 3 and DATA_BASE <= dot_addr <= DATA_END
-            if not dot:
-                dot_port.rddata, dot_port.error = self._route(
-                    dot_addr, dot_port.wr_en, dot_port.wrdata)
-                dot_port.done = True
+        conv = conv_port.req and not conv_port.done
+        dot = dot_port.req and not dot_port.done
         if not (cpu or conv or dot):
             return
 
@@ -233,13 +221,14 @@ class Bus:
         if winner is _CONV:
             self._grants[1] += 1
             self._stalls[2] += dot
-            port, addr = conv_port, conv_addr
+            port = conv_port
         else:
             self._grants[2] += 1
-            port, addr = dot_port, dot_addr
+            port = dot_port
+        index = (port.addr - DATA_BASE) >> 2  # in DataMem: see the module docstring
         if port.wr_en:
-            words[(addr - DATA_BASE) >> 2] = port.wrdata
+            words[index] = port.wrdata
             port.rddata = 0
         else:
-            port.rddata = words[(addr - DATA_BASE) >> 2]
+            port.rddata = words[index]
         port.done = True

@@ -11,7 +11,7 @@ from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
 from rvdsp import scheduler
-from rvdsp.accel import DspState, _Sub
+from rvdsp.accel import DspState
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
@@ -581,7 +581,7 @@ class TestFastForwardLockstep:
             dsp = getattr(world, unit)
             # a tap boundary: POST_A, or END with its write landed
             while not (dsp.out_idx == first and dsp.kern_idx == tap
-                       and dsp._sub in (_Sub.POST_A, _Sub.END)
+                       and dsp._stage in (0, 6)
                        and not (dsp.mmi.req and not dsp.mmi.done)):
                 assert dsp.state is DspState.RUN
                 world.step()
@@ -718,7 +718,7 @@ class TestFastForwardLockstep:
             return world, lines
 
         def phase(dsp):
-            return dsp.state.value, dsp._sub.name, dsp.mmi.req and not dsp.mmi.done
+            return dsp.state.value, dsp._stage, dsp.mmi.req and not dsp.mmi.done
 
         stepped, _ = build()
         if DspState.RUN not in (stepped.conv.state, stepped.dot.state):
@@ -728,7 +728,7 @@ class TestFastForwardLockstep:
             stepped.bus.cpu_served = taken
             stepped.step()
             cuts.setdefault(phase(getattr(stepped, cut_unit)), []).append(cycle)
-        waiting = ("run", "END", True)  # the output's write lost its grant
+        waiting = ("run", 6, True)  # the output's write lost its grant
         cut_phase = waiting if waiting in cuts and draw(st.booleans(), label="waiting") \
             else draw(st.sampled_from(sorted(cuts)), label="cut phase")
         cut = draw(st.sampled_from(cuts[cut_phase]), label="cut")
