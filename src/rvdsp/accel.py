@@ -21,13 +21,15 @@ after the last output (where dot latches its result).
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
 its configuration in ``_start`` and hands ``_run`` the run's shape.
-Beside ``step``, for ``World.run_until``: ``cycles_left`` is the number
-of cycles to the finish while the unit is the only DataMem requester,
-and ``replay`` advances the unit over many cycles against a log of the
-cycles that requesters of higher priority took: it walks the grant times
-of whole taps, then commits their MACs at once.  Both give
-exactly the result of stepping those cycles; ``buffers`` names the words
-a run may touch.
+``_cycle`` is the one definition of a cycle of the datapath, which
+``step`` runs in RUN.  Beside ``step``, for ``World.run_until``:
+``cycles_left`` is the number of cycles to the finish while the unit is
+the only DataMem requester, and ``replay`` advances the unit over many
+cycles against a log of the cycles that requesters of higher priority
+took: it runs ``_cycle`` over the partial taps at its two ends and, in
+between, walks the grant times of whole taps, then commits their MACs at
+once.  Both give exactly the result of stepping those cycles;
+``buffers`` names the words a run may touch.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ class DspState(enum.Enum):
     DONE = "done"
 
 
-# the stages of an output, in ``_stage`` and ``replay``: 0 post the a read,
-# 1 a pending, 2 a landed, 3 b pending, 4 b landed (MAC), 5 the output's
-# write pending, 6 END; the unit keeps an even stage, and a request still
-# pending on its port stands for the odd stage before it
+# ``_stage``, the next step of the output in progress: 0 post the a read,
+# 2 capture a (landed) and post the b read, 4 capture b and MAC, 6 END;
+# while its port has a request pending, the unit waits before that step
 
 # a tap in a log of taken (1) and free (0) cycles: the a and b reads at the
 # first two free cycles, where groups 1 and 2 end, then the MAC's cycle
@@ -158,12 +159,16 @@ class MmioAccelerator:
 
     def step(self):
         """One global cycle; captures completions from the previous cycle."""
-        if self.state is not DspState.RUN:
-            return
+        if self.state is DspState.RUN and self._cycle():
+            self._complete()
+
+    def _cycle(self):
+        """One cycle in RUN; True if it ends the run's last output, which
+        the caller then ``_complete``s."""
         self.busy_cycles += 1
         mmi = self.mmi
         if mmi.req and not mmi.done:  # the posted access waits for its grant
-            return
+            return False
         stage = self._stage
         if stage == 0:
             mmi.request_read(self._cfg[0] + 4 * (self.out_idx + self.kern_idx))
@@ -192,9 +197,9 @@ class MmioAccelerator:
             self.kern_idx = 0
             self._stage = 0
             if self.out_idx == self._cfg[2]:
-                self._complete()
-            else:
-                self.accum = 0
+                return True
+            self.accum = 0
+        return False
 
     def _complete(self):
         """Finish a run whose last output has ended, latching its
@@ -229,159 +234,134 @@ class MmioAccelerator:
         covers the `cycles`), with exactly the result of stepping them: a
         request on a taken cycle waits a cycle and counts a stall.  The
         SRAM `words` are read and written directly.  If `mark`, each cycle
-        granted to the unit is set in `taken`.  From a tap boundary on,
-        the grant times of the whole taps that fit are walked first (in
-        closed form over free cycles, else by ``_TAP`` and ``_LAST``), then
-        their MACs are committed at once over signed array views of the a
-        and b words; an output written inside a view is stored there too,
-        after its reads, as stepping orders them.  Only the partial taps at
-        the two ends go stage by stage.  Returns (grants, stalls, end):
-        `end` counts the cycles up to and including the one that ends the
-        last output, 0 if that is not among them; the caller then
-        ``_complete``s the run on its own cycle."""
+        granted to the unit is set in `taken`.  The partial taps at the two
+        ends run one ``_cycle`` at a time, the port served against the log
+        as ``Bus.step`` serves it; from a tap boundary, ``_walk`` runs the
+        whole taps that fit.  Returns (grants, stalls, end): `end` counts
+        the cycles up to and including the one that ends the last output,
+        0 if that is not among them; the caller then ``_complete``s the
+        run on its own cycle."""
+        taken = taken or bytes(cycles)
+        mmi, outputs = self.mmi, self._cfg[2]
+        grants = stalls = p = 0
+        while p < cycles:
+            if not self._stage:  # a tap boundary
+                g, s, p = self._walk(taken, p, cycles, words, mark)
+                grants, stalls = grants + g, stalls + s
+                if self.out_idx == outputs:
+                    return grants, stalls, p
+                if p == cycles:
+                    break
+            ended = self._cycle()
+            if mmi.req and not mmi.done:  # serve the port as Bus.step does
+                if taken[p]:
+                    stalls += 1
+                else:
+                    grants += 1
+                    if mark:
+                        taken[p] = 1
+                    index = (mmi.addr - DATA_BASE) >> 2
+                    if mmi.wr_en:
+                        words[index] = mmi.wrdata
+                        mmi.rddata = 0
+                    else:
+                        mmi.rddata = words[index]
+                    mmi.done = True
+            p += 1
+            if ended:
+                return grants, stalls, p
+        return grants, stalls, 0
+
+    def _walk(self, taken, p, cycles, words, mark):
+        """Run the whole taps that fit in cycles p to `cycles` of `taken`
+        from a tap boundary, as stepping runs them: their grant times
+        are walked first (in closed form over free cycles, else by
+        ``_TAP`` and ``_LAST``), then their MACs are committed at once over
+        signed array views of the a and b words; an output written inside
+        a view is stored there too, after its reads, as stepping orders
+        them.  Leaves the unit and its port at the tap boundary it reaches,
+        as stepping leaves them, and returns (grants, stalls, cycle reached)."""
         a, b, outputs, taps = self._cfg
         a0 = (a - DATA_BASE) >> 2
         b0 = (b - DATA_BASE) >> 2
         per = 3 * taps + 1
-        if cycles <= 0:
-            return 0, 0, 0
-        taken = taken or bytes(cycles)
-        mmi, find = self.mmi, taken.find
+        find = taken.find
         writes = self._output(0, 0) is not None
         tap, last_tap = _TAP.match, _LAST[writes].match
         # the cycles of an output that are granted when none is taken
         granted = (b"\1\1\0" * taps)[:-1] + (b"\1\0" if writes else b"\0\0")
-        grants = stalls = macs = p = 0
         nxt = -1  # the first taken cycle from some cycle of the walk on
-        i, j, acc, xv = self.out_idx, self.kern_idx, self.accum, self._x_val
-        x = y = rd = mmi.rddata
-        wrote = (mmi.addr, mmi.wrdata) if mmi.req and mmi.wr_en else None
-        stage = self._stage - (mmi.req and not mmi.done)
-        while True:
-            if stage & 1:  # a request pending from cycle p on
-                g = find(0, p, cycles) if taken[p] else p  # lost: wait for a free one
-                if g < 0:
-                    stalls += cycles - p
-                    p = cycles
-                    break
-                stalls += g - p
-                grants += 1
+        i, j = self.out_idx, self.kern_idx
+        last, stop, q = i, j, p  # walk from tap j of output i at cycle p
+        while q < cycles:
+            if nxt < q:
+                nxt = find(1, q, cycles)
+                if nxt < 0:
+                    nxt = cycles
+            if nxt - q > 2:  # whole taps on free cycles, short of the run's last
+                end = 3 * stop + nxt - q  # cycles from output last's start
+                end = min(end - end % per % 3, (outputs - last) * per - 4)
+                end -= 3 * (end % per == per - 1)  # or of a last tap that nxt cuts off
                 if mark:
-                    taken[g] = 1
-                p = g + 1
-                if stage == 1:
-                    x = rd = words[a0 + i + j]
-                elif stage == 3:
-                    y = rd = words[b0 + j]
-                else:
-                    words[(wrote[0] - DATA_BASE) >> 2] = wrote[1]
-                    rd = 0
-                stage += 1
-            if p >= cycles:
+                    taken[q:q + end - 3 * stop] = \
+                        (granted * (end // per + 1))[3 * stop:end]
+                last, stop, q = last + end // per, end % per // 3, q + end - 3 * stop
+            while stop < taps - 1:  # the output's taps short of its last
+                m = tap(taken, q, cycles)
+                if m is None:
+                    break
+                if mark:
+                    taken[m.end(1)] = taken[m.end(2)] = 1
+                stop, q = stop + 1, m.end()
+            m = stop == taps - 1 and last_tap(taken, q, cycles)
+            if not m:
                 break
-            if stage == 0:  # walk the grant times of whole taps from
-                last, stop, q = i, j, p  # tap j of output i at cycle p on
-                while q < cycles:
-                    if nxt < q:
-                        nxt = find(1, q, cycles)
-                        if nxt < 0:
-                            nxt = cycles
-                    if nxt - q > 2:  # whole taps on free cycles, short of the run's last
-                        end = 3 * stop + nxt - q  # cycles from output last's start
-                        end = min(end - end % per % 3, (outputs - last) * per - 4)
-                        end -= 3 * (end % per == per - 1)  # or of a last tap that nxt cuts off
-                        if mark:
-                            taken[q:q + end - 3 * stop] = \
-                                (granted * (end // per + 1))[3 * stop:end]
-                        last, stop, q = last + end // per, end % per // 3, q + end - 3 * stop
-                    while stop < taps - 1:  # the output's taps short of its last
-                        m = tap(taken, q, cycles)
-                        if m is None:
-                            break
-                        if mark:
-                            taken[m.end(1)] = taken[m.end(2)] = 1
-                        stop, q = stop + 1, m.end()
-                    m = stop == taps - 1 and last_tap(taken, q, cycles)
-                    if not m:
-                        break
-                    if mark:  # the a and b reads and any write
-                        taken[m.end(1)] = taken[m.end(2)] = taken[m.end(2 + writes)] = 1
-                    last, stop, q = last + 1, 0, m.end()
-                    if last == outputs:
-                        break
-                walked = (last - i) * taps + stop - j
-                macs += walked
-                grants += 2 * walked + writes * (last - i)
-                stalls += q - p - 3 * walked - (last - i)  # less the uncontended
-                p = q
-                if walked:  # commit them at once
-                    lo = a0 + i  # the SRAM index of sa[0]
-                    sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
-                    sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
-                    while True:
-                        n = taps if i < last else stop
-                        if n > j:
-                            k = a0 + i - lo  # output i's first a word in sa
-                            acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
-                            xv = sa[k + n - 1]
-                            rd = words[b0 + n - 1]
-                            j = n
-                            if n == taps:
-                                out = self._output(i, acc)
-                                if out is not None:
-                                    wrote, rd = out, 0
-                                    o = (out[0] - DATA_BASE) >> 2
-                                    words[o] = out[1]
-                                    if 0 <= o - lo < len(sa):
-                                        sa[o - lo] = s32(out[1])
-                                    if 0 <= o - b0 < taps:
-                                        sb[o - b0] = s32(out[1])
-                        if i == last:
-                            break
-                        i, j = i + 1, 0
-                        if i < outputs:
-                            acc = 0
-                if i == outputs or p >= cycles:
-                    break
-                stage = 1
-            elif stage == 2:  # capture a, post the b read
-                xv = x - (x >> 31 << 32)  # s32 of the SRAM word
-                stage = 3
-            elif stage == 4:  # MAC; after the last tap, post the output
-                acc += xv * (y - (y >> 31 << 32))
-                macs += 1
-                j += 1
-                if j < taps:
-                    stage = 0
-                    p += 1
-                else:
-                    acc = s64(acc)
-                    wrote = self._output(i, acc)
-                    stage = 6 if wrote is None else 5
-                    p += wrote is None
-            else:  # END
-                i += 1
-                j = 0
-                stage = 0
-                p += 1
-                if i == outputs:
-                    break
+            if mark:  # the a and b reads and any write
+                taken[m.end(1)] = taken[m.end(2)] = taken[m.end(2 + writes)] = 1
+            last, stop, q = last + 1, 0, m.end()
+            if last == outputs:
+                break
+        ends = last - i  # the outputs whose end cycles the walk runs
+        walked = ends * taps + stop - j
+        if not walked:
+            return 0, 0, p
+        self.busy_cycles += q - p
+        self.macs += walked
+        acc, wrote = self.accum, None
+        lo = a0 + i  # the SRAM index of sa[0]
+        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
+        sb = array("i", array("I", words[b0:b0 + taps]).tobytes())
+        while True:  # commit the MACs at once
+            n = taps if i < last else stop
+            if n > j:
+                k = a0 + i - lo  # output i's first a word in sa
+                acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
+                xv = sa[k + n - 1]
+                rd = words[b0 + n - 1]
+                j = n
+                if n == taps:
+                    out = self._output(i, acc)
+                    if out is not None:
+                        wrote, rd = out, 0
+                        o = (out[0] - DATA_BASE) >> 2
+                        words[o] = out[1]
+                        if 0 <= o - lo < len(sa):
+                            sa[o - lo] = s32(out[1])
+                        if 0 <= o - b0 < taps:
+                            sb[o - b0] = s32(out[1])
+            if i == last:
+                break
+            i, j = i + 1, 0
+            if i < outputs:
                 acc = 0
-        self.busy_cycles += p
-        self.macs += macs
-        # leave the unit and its port as stepping leaves them
-        self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, s64(acc), xv
-        self._stage = stage + (stage & 1)
+        self.out_idx, self.kern_idx, self.accum, self._x_val = i, j, acc, xv
+        mmi = self.mmi  # as the last b read or the output's write leaves it
         mmi.rddata = rd
         if wrote is not None:
             mmi.wrdata = wrote[1]
-        if 0 < stage < 5:  # the a or b read in progress
-            mmi.addr = b + 4 * j if stage > 2 else a + 4 * (i + j)
-            mmi.wr_en = False
-        elif wrote is not None and (stage or not j):  # the output's write
+        if wrote is not None and not j:  # the output's write
             mmi.addr, mmi.wr_en = wrote[0], True
-        elif j or taps:  # the last b read
+        else:
             mmi.addr, mmi.wr_en = b + 4 * ((j or taps) - 1), False
-        mmi.req = 0 < stage < 6 or stage == 6 and wrote is not None
-        mmi.done = mmi.req and not stage & 1
-        return grants, stalls, p if i == outputs else 0
+        # the stalls are the cycles beyond the uncontended ones
+        return 2 * walked + writes * ends, q - p - 3 * walked - ends, q

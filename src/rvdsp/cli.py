@@ -223,11 +223,8 @@ def _cmd_asm(args):
     except (OSError, HexwordsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not pairs:
-        return EXIT_OK
-    base = pairs[0][0]
-    words = [w for _, w in pairs]
-    print(listing(words, base=base))
+    for addr, word in pairs:  # each word at its own address, across `@` lines
+        print(listing([word], base=addr))
     return EXIT_OK
 
 

@@ -25,6 +25,13 @@ OFF_IRQ_CLEAR = 0x1C
 ConvState = DspState  # perfbench/workloads.py reads this name
 
 
+def start_writes(n, k, in_addr, kern_addr, out_addr, int_en=False):
+    """The (offset, value) register writes that configure a run and start it."""
+    return ((OFF_IN_ADDR, in_addr), (OFF_KERN_ADDR, kern_addr),
+            (OFF_OUT_ADDR, out_addr), (OFF_IN_LEN, n), (OFF_KERN_LEN, k),
+            (OFF_CONTROL, 1 | (2 if int_en else 0)))
+
+
 class ConvDsp(MmioAccelerator):
     NAME = "conv"
     CONFIG = {OFF_IN_ADDR: "in_addr", OFF_KERN_ADDR: "kern_addr",

@@ -24,6 +24,12 @@ OFF_IRQ_CLEAR = 0x1C
 DotState = DspState  # perfbench/workloads.py reads this name
 
 
+def start_writes(length, va_addr, vb_addr, int_en=False):
+    """The (offset, value) register writes that configure a run and start it."""
+    return ((OFF_VA_ADDR, va_addr), (OFF_VB_ADDR, vb_addr), (OFF_LEN, length),
+            (OFF_CONTROL, 1 | (2 if int_en else 0)))
+
+
 class DotDsp(MmioAccelerator):
     NAME = "dot"
     CONFIG = {OFF_VA_ADDR: "va_addr", OFF_VB_ADDR: "vb_addr", OFF_LEN: "length"}

@@ -131,25 +131,11 @@ def _driver(base, writes, status_offset, irq_clear_offset):
 
 def conv_driver(n, k, in_addr, kern_addr, out_addr, int_en=False):
     """Full-system driver: configure the conv DSP, start, poll, clear."""
-    control = 1 | (2 if int_en else 0)
-    writes = [
-        (convregs.OFF_IN_ADDR, in_addr),
-        (convregs.OFF_KERN_ADDR, kern_addr),
-        (convregs.OFF_OUT_ADDR, out_addr),
-        (convregs.OFF_IN_LEN, n),
-        (convregs.OFF_KERN_LEN, k),
-        (convregs.OFF_CONTROL, control),
-    ]
+    writes = convregs.start_writes(n, k, in_addr, kern_addr, out_addr, int_en)
     return _driver(CONV_BASE, writes, convregs.OFF_STATUS, convregs.OFF_IRQ_CLEAR)
 
 
 def dot_driver(length, va_addr, vb_addr, int_en=False):
     """Full-system driver for the dot-product DSP."""
-    control = 1 | (2 if int_en else 0)
-    writes = [
-        (dotregs.OFF_VA_ADDR, va_addr),
-        (dotregs.OFF_VB_ADDR, vb_addr),
-        (dotregs.OFF_LEN, length),
-        (dotregs.OFF_CONTROL, control),
-    ]
+    writes = dotregs.start_writes(length, va_addr, vb_addr, int_en)
     return _driver(DOT_BASE, writes, dotregs.OFF_STATUS, dotregs.OFF_IRQ_CLEAR)

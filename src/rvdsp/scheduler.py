@@ -326,13 +326,9 @@ def _drive(scenario, config, dsp_name, base, writes, driver):
 def _run_conv(scenario, config):
     n, k = scenario.n, scenario.k
     addrs = (scenario.in_addr, scenario.kern_addr, scenario.out_addr)
-    world = _drive(scenario, config, "conv", CONV_BASE, (
-        (conv_regs.OFF_IN_ADDR, scenario.in_addr),
-        (conv_regs.OFF_KERN_ADDR, scenario.kern_addr),
-        (conv_regs.OFF_OUT_ADDR, scenario.out_addr),
-        (conv_regs.OFF_IN_LEN, n),
-        (conv_regs.OFF_KERN_LEN, k),
-        (conv_regs.OFF_CONTROL, 1)), lambda: conv_driver(n, k, *addrs))
+    world = _drive(scenario, config, "conv", CONV_BASE,
+                   conv_regs.start_writes(n, k, *addrs),
+                   lambda: conv_driver(n, k, *addrs))
     w = ConvWorkload(n, k)
     model = {"sw_cycles": sw_conv_cycles(w), "dsp_cycles": dsp_conv_cycles(w),
              "c_cfg": DEFAULT_C_CFG, "speedup": conv_speedup(w)}
@@ -344,12 +340,10 @@ def _run_conv(scenario, config):
 
 def _run_dot(scenario, config):
     length = scenario.length
-    world = _drive(scenario, config, "dot", DOT_BASE, (
-        (dot_regs.OFF_VA_ADDR, scenario.in_addr),
-        (dot_regs.OFF_VB_ADDR, scenario.kern_addr),
-        (dot_regs.OFF_LEN, length),
-        (dot_regs.OFF_CONTROL, 1)),
-        lambda: dot_driver(length, scenario.in_addr, scenario.kern_addr))
+    addrs = (scenario.in_addr, scenario.kern_addr)
+    world = _drive(scenario, config, "dot", DOT_BASE,
+                   dot_regs.start_writes(length, *addrs),
+                   lambda: dot_driver(length, *addrs))
     model = {"sw_cycles": sw_dot_cycles(length),
              "dsp_cycles": dsp_dot_cycles(length),
              "sw_cycles_per_element_only": sw_dot_cycles_rounded(length),

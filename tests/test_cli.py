@@ -467,6 +467,14 @@ class TestAsm:
         assert out[0] == "00000000: 00700093  addi x1, x0, 7"
         assert "ebreak" in out[1]
 
+    def test_words_after_a_later_cursor_keep_their_addresses(self, tmp_path, capsys):
+        prog = tmp_path / "prog.hex"
+        prog.write_text("@00000000\n00000013\n@00000100\n00100073\n")
+        assert main(["asm", "--list", str(prog)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["00000000: 00000013  addi x0, x0, 0",
+                       "00000100: 00100073  ebreak"]
+
     def test_bad_image(self, tmp_path, capsys):
         prog = tmp_path / "bad.hex"
         prog.write_text("zzz\n")

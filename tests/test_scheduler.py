@@ -11,7 +11,7 @@ from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
 from rvdsp import scheduler
-from rvdsp.accel import DspState
+from rvdsp.accel import DspState, MmioAccelerator
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
@@ -249,9 +249,7 @@ _SW_X, _SW_H, _SW_Y = (DATA_BASE + off for off in (0x3000, 0x3100, 0x3200))
 
 def _conv_start(n, k, out=DATA_BASE + 0x1800):
     """The register writes that start a conv n/k on the lockstep buffers."""
-    return ((conv_regs.OFF_IN_ADDR, _CONV_X), (conv_regs.OFF_KERN_ADDR, _CONV_H),
-            (conv_regs.OFF_OUT_ADDR, out), (conv_regs.OFF_IN_LEN, n),
-            (conv_regs.OFF_KERN_LEN, k), (conv_regs.OFF_CONTROL, 1))
+    return conv_regs.start_writes(n, k, _CONV_X, _CONV_H, out)
 
 
 def _words(data, count):
@@ -665,36 +663,37 @@ class TestFastForwardLockstep:
     def test_replay_walk_matches_stepping(self, data):
         # World._replay(log, c) over a log of up to 2,000 cycles at any
         # density, whose walk of whole taps crosses several outputs, from
-        # any phase of a tap to a cut in any phase of a chosen unit's tap
-        # (also with the output's write waiting after its last MAC), must
-        # equal c steps with the CPU's DataMem grant set in each logged
-        # cycle: conv alone, dot alone, or both, where conv marks its
-        # grants in the log for dot; conv's outputs may land on its own a
-        # or b words
+        # a unit in any phase of a tap (also with the output's write
+        # waiting after its last MAC) to a cut in any phase of a chosen
+        # unit's tap, must equal c steps with the CPU's DataMem grant set
+        # in each logged cycle: conv alone, dot alone, or both, where conv
+        # marks its grants in the log for dot; conv's outputs may land on
+        # its own a or b words
         draw = data.draw
         units = draw(st.sampled_from(["conv", "dot", "both"]), label="units")
         truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
-        lead = draw(st.integers(0, 100), label="lead")
         starts, preload = [], []
         if units != "dot":
             k = draw(st.integers(1, 8), label="k")
             n = draw(st.integers(k, k + 40), label="n")
             onto = draw(st.sampled_from([_CONV_X, _CONV_H, None]), label="out onto")
-            # output i writes word i + shift of a, or of b from about the
-            # replay's first output on, where later outputs read it
             shift = draw(st.integers(0, k), label="out shift")
-            if onto == _CONV_H:
-                shift -= lead // (3 * k + 1)
-            out = DATA_BASE + 0x1800 if onto is None else onto + 4 * shift
-            starts.append((CONV_BASE, _conv_start(n, k, out)))
+
+            def conv_start(lead):
+                # output i writes word i + shift of a, or of b from about
+                # the replay's first output on, where later outputs read it
+                s = shift - lead // (3 * k + 1) if onto == _CONV_H else shift
+                out = DATA_BASE + 0x1800 if onto is None else onto + 4 * s
+                return CONV_BASE, _conv_start(n, k, out)
+            starts.append(conv_start)
             preload += [(_CONV_X, _words(data, n)), (_CONV_H, _words(data, k))]
         if units != "conv":
             length = draw(st.integers(0, 64), label="l")
-            starts.append((DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
-                                      (dot_regs.OFF_VB_ADDR, _DOT_B),
-                                      (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1))))
+            dot_start = (DOT_BASE, ((dot_regs.OFF_VA_ADDR, _DOT_A),
+                                    (dot_regs.OFF_VB_ADDR, _DOT_B),
+                                    (dot_regs.OFF_LEN, length), (dot_regs.OFF_CONTROL, 1)))
+            starts.append(lambda lead: dot_start)
             preload += [(_DOT_A, _words(data, length)), (_DOT_B, _words(data, length))]
-        stall = draw(st.booleans(), label="stall")
         density = draw(st.integers(0, 16), label="taken in 16")
         rng = random.Random(draw(st.integers(0, 2**32), label="log seed"))
         log = [rng.randrange(16) < density
@@ -702,12 +701,13 @@ class TestFastForwardLockstep:
         cut_unit = draw(st.sampled_from(["conv", "dot"] if units == "both" else [units]),
                         label="cut unit")
 
-        def build():
+        def build(lead, stall):
             lines = []
             world = World(SimConfig(truncation=truncation, trace=lines.append))
             for addr, words in preload:
                 world.write_words(addr, words)
-            for base, writes in starts:
+            for start in starts:
+                base, writes = start(lead)
                 for offset, value in writes:
                     world.reg_write(base + offset, value)
             for _ in range(lead):
@@ -720,25 +720,46 @@ class TestFastForwardLockstep:
         def phase(dsp):
             return dsp.state.value, dsp._stage, dsp.mmi.req and not dsp.mmi.done
 
-        stepped, _ = build()
-        if DspState.RUN not in (stepped.conv.state, stepped.dot.state):
-            return
+        # the phase in which a unit enters the replay after `lead` free
+        # steps, or after one more (`stall`) that runs the same cycle of the
+        # unit as the free step, but in which any request it has waits (the
+        # timing does not depend on where conv's outputs land)
+        entries = {}  # (unit, phase) -> the (lead, stall) that enter in it
+        probe, _ = build(0, False)
+        for lead in range(102):
+            for name in ("conv", "dot"):
+                dsp = getattr(probe, name)
+                if dsp.state is not DspState.RUN:
+                    continue
+                if lead <= 100:
+                    entries.setdefault((name, phase(dsp)), []).append((lead, False))
+                if lead:
+                    entries.setdefault((name, ("run", dsp._stage, dsp.mmi.req)),
+                                       []).append((lead - 1, True))
+            probe.step()
+        waiting = ("run", 6, True)  # the output's write lost its grant
+        enter = ("conv", waiting) if ("conv", waiting) in entries \
+            and draw(st.booleans(), label="enter waiting") \
+            else draw(st.sampled_from(sorted(entries)), label="entry phase")
+        lead, stall = draw(st.sampled_from(entries[enter]), label="lead, stall")
+        event(f"enter {enter[0]} in {enter[1]}")
+        stepped, _ = build(lead, stall)
+        assert phase(getattr(stepped, enter[0])) == enter[1]
         cuts = {}  # the phase of the cut unit after each number of steps
         for cycle, taken in enumerate(log, 1):
             stepped.bus.cpu_served = taken
             stepped.step()
             cuts.setdefault(phase(getattr(stepped, cut_unit)), []).append(cycle)
-        waiting = ("run", 6, True)  # the output's write lost its grant
         cut_phase = waiting if waiting in cuts and draw(st.booleans(), label="waiting") \
             else draw(st.sampled_from(sorted(cuts)), label="cut phase")
         cut = draw(st.sampled_from(cuts[cut_phase]), label="cut")
         event(f"cut in {cut_phase}")
         event(f"log of {min(3, len(log) // 500)}+ x 500 cycles")
-        stepped, lines = build()
+        stepped, lines = build(lead, stall)
         for taken in log[:cut]:
             stepped.bus.cpu_served = taken
             stepped.step()
-        fast, fast_lines = build()
+        fast, fast_lines = build(lead, stall)
         i0 = fast.conv.out_idx
         fast._replay(bytearray(log[:cut]), cut)
         event(f"conv outputs crossed {min(3, fast.conv.out_idx - i0)}")
@@ -849,6 +870,33 @@ class TestFastForwardLockstep:
         # at most a STATUS load on the unit's finishing cycle, inside the
         # bound of three 6-cycle poll iterations and the CONTROL store's wait
         assert len(steps) <= 2 + 3 * 6 < report["conv"]["busy_cycles"]
+
+    @pytest.mark.parametrize("scenario", [conv_scenario(1024, 16),
+                                          Scenario(kind=Kind.DOT, length=4096)],
+                             ids=["conv N=1024 K=16", "dot L=4096"])
+    def test_testbench_replay_walks_whole_taps_only(self, scenario, monkeypatch):
+        # a testbench run is replayed from its first tap boundary with
+        # nothing taken, so the walk of whole taps runs it to its finish:
+        # a walk that falls back to stepping calls _cycle inside replay
+        calls = {"replay": 0, "_cycle in replay": 0}
+        inside = [False]
+        cycle, replay = MmioAccelerator._cycle, MmioAccelerator.replay
+
+        def replayed(dsp, *args):
+            calls["replay"] += 1
+            inside[0] = True
+            try:
+                return replay(dsp, *args)
+            finally:
+                inside[0] = False
+
+        def counted(dsp):
+            calls["_cycle in replay"] += inside[0]
+            return cycle(dsp)
+        monkeypatch.setattr(MmioAccelerator, "replay", replayed)
+        monkeypatch.setattr(MmioAccelerator, "_cycle", counted)
+        run_scenario(scenario)
+        assert calls == {"replay": 1, "_cycle in replay": 0}
 
     # the plain loop also after 1 to 5 one-cycle nops, so that over the six
     # phases of the 6-cycle loop against the unit's finish, one jump ends on
