@@ -10,7 +10,7 @@ folded into each output's end cycle, so there is no separate init state.
 from __future__ import annotations
 
 from .accel import DspState, MmioAccelerator
-from .mac import Truncation, truncate_accumulator
+from .mac import Truncation, truncate_accumulator, truncate_accumulators
 from .memmap import buffer_in_datamem
 
 OFF_IN_ADDR = 0x00
@@ -59,3 +59,6 @@ class ConvDsp(MmioAccelerator):
     def _output(self, i, accum):
         # OUT_ADDR cannot change in RUN: writes to it are ignored there
         return self.out_addr + 4 * i, truncate_accumulator(accum, self.truncation)
+
+    def _outputs(self, accums):
+        return truncate_accumulators(accums, self.truncation)

@@ -7,7 +7,7 @@ wrap-around; a convolution output is then narrowed to one 32-bit word.
 
 import enum
 
-from .bits import u32
+from .bits import MASK32, u32
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -23,3 +23,10 @@ def truncate_accumulator(accum, policy):
     if policy is Truncation.SATURATE:
         return u32(max(INT32_MIN, min(INT32_MAX, accum)))
     return u32(accum)
+
+
+def truncate_accumulators(accums, policy):
+    """The words of truncate_accumulator over a list of accumulators."""
+    if policy is Truncation.SATURATE:
+        return [max(INT32_MIN, min(INT32_MAX, a)) & MASK32 for a in accums]
+    return [a & MASK32 for a in accums]

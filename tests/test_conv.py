@@ -1,12 +1,16 @@
+import random
+from operator import mul
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum
 from rvdsp import conv as regs
-from rvdsp.accel import DspState
-from rvdsp.bits import s64, u32
-from rvdsp.mac import Truncation, truncate_accumulator
+from rvdsp.accel import _BATCH_MIN, DspState, _convolve
+from rvdsp.bits import s32, s64, u32
+from rvdsp.mac import (INT32_MAX, INT32_MIN, Truncation, truncate_accumulator,
+                       truncate_accumulators)
 from rvdsp.memmap import CONV_BASE, DATA_BASE
 from rvdsp.scheduler import SimConfig, World
 
@@ -15,6 +19,7 @@ KERN = DATA_BASE + 0x1000
 OUT = DATA_BASE + 0x2000
 
 signed_words = st.integers(-(1 << 31), (1 << 31) - 1)
+EXTREMES = [0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF]
 
 
 def start_conv(world, x, h, in_addr=IN, kern_addr=KERN, out_addr=OUT,
@@ -208,6 +213,48 @@ class TestTruncateUnit:
     @given(st.integers(-(1 << 63), (1 << 63) - 1))
     def test_wrap_is_low_word(self, accum):
         assert truncate_accumulator(accum, Truncation.WRAP) == accum & 0xFFFF_FFFF
+
+    def test_list_form_matches_per_accumulator(self):
+        # the extreme words as accumulators, signed and shifted past 32 bits
+        accums = [sign * (w << shift) for w in EXTREMES for sign in (1, -1)
+                  for shift in (0, 1, 31, 32)] + [-(1 << 63), (1 << 63) - 1]
+        for policy in Truncation:
+            assert truncate_accumulators(accums, policy) == [
+                truncate_accumulator(accum, policy) for accum in accums]
+
+
+class TestBatchedCommit:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_output_sums(self, data):
+        # _convolve's accumulators and their words equal each output's
+        # s64(sum(map(mul, ...))) narrowed by truncate_accumulator, for
+        # words from the int32 limits and small or full-width random ones,
+        # mixed so that SATURATE both clamps and passes outputs through
+        draw = data.draw
+        taps = draw(st.integers(1, 64), label="taps")
+        count = draw(st.integers(1, 2 * _BATCH_MIN), label="outputs")
+        extreme = draw(st.sampled_from([0, 1, 4, 8]), label="extreme words in 8")
+        bits = draw(st.sampled_from([2, 8, 16, 32]), label="random word bits")
+        rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+        a, b = ([rng.choice(EXTREMES) if rng.randrange(8) < extreme
+                 else u32(rng.getrandbits(bits) - (1 << bits - 1)) for _ in range(size)]
+                for size in (count + taps - 1, taps))
+        policy = draw(st.sampled_from(list(Truncation)), label="truncation")
+        accums = [s64(sum(map(mul, map(s32, a[t:t + taps]), map(s32, b))))
+                  for t in range(count)]
+        assert _convolve(a, b, count) == accums
+        assert truncate_accumulators(accums, policy) == [
+            truncate_accumulator(accum, policy) for accum in accums]
+        for accum in accums:
+            event("clamped" if not INT32_MIN <= accum <= INT32_MAX else "in range")
+
+    def test_saturate_clamps_and_passes_outputs_through(self):
+        a = [0x7FFF_FFFF, 0x8000_0000, 5, 0xFFFF_FFFD, 0, 0x7FFF_FFFF, 0x7FFF_FFFF]
+        accums = _convolve(a, [2, 1], 6)
+        assert accums == [2**31 - 2, 5 - 2**32, 7, -6, 2**31 - 1, 3 * (2**31 - 1)]
+        assert truncate_accumulators(accums, Truncation.SATURATE) == [
+            0x7FFF_FFFE, 0x8000_0000, 7, 0xFFFF_FFFA, 0x7FFF_FFFF, 0x7FFF_FFFF]
 
 
 class TestLoopInvariant:

@@ -10,7 +10,7 @@ from random_programs import _BASE_ADDR, assert_sram_words, rv_programs
 from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
-from rvdsp import scheduler
+from rvdsp import accel, scheduler
 from rvdsp.accel import DspState, MmioAccelerator
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import BusTransaction, Requester, TxState
@@ -898,6 +898,59 @@ class TestFastForwardLockstep:
         run_scenario(scenario)
         assert calls == {"replay": 1, "_cycle in replay": 0}
 
+    @pytest.mark.parametrize("scenario, outputs",
+                             [(conv_scenario(1024, 32), 993),
+                              (conv_scenario(1024, 16, mode=Mode.FULL_SYSTEM), 1009)],
+                             ids=["testbench N=1024 K=32", "full_system N=1024 K=16"])
+    def test_whole_conv_outputs_commit_by_one_product(self, scenario, outputs, monkeypatch):
+        # the benchmark's conv runs are replayed in one walk from output 0,
+        # so all their outputs are whole and committed by one _convolve:
+        # a fallback to one sum per output fails here
+        batches = _count_batches(monkeypatch)
+        report, _ = run_scenario(scenario)
+        assert report["conv"]["macs"] == outputs * scenario.k
+        assert batches == [outputs]
+
+    # conv n=60 k=5 (56 outputs) writing in place, onto the next output's
+    # first a word, 21 words past the last a word an output reads (which
+    # output t + 21 reads), or onto b: the batches that replay commits by one
+    # product, of at least _BATCH_MIN (16) outputs
+    _OVERLAPS = {"in place": (_CONV_X, [56]), "a + 4": (_CONV_X + 4, []),
+                 "a + 4(k + 20)": (_CONV_X + 4 * 25, [21, 21]),
+                 "kernel": (_CONV_H, [51])}
+
+    @pytest.mark.parametrize("truncation", list(Truncation), ids=lambda t: t.value)
+    @pytest.mark.parametrize("onto", sorted(_OVERLAPS))
+    def test_batches_stop_where_an_output_feeds_a_later_one(self, onto, truncation,
+                                                          monkeypatch):
+        # a batch keeps stepping's order of each output's write before a
+        # later output's reads: it ends at the first output whose word a
+        # later one of the batch reads as a or b, and a batch's words reach
+        # the signed views of the outputs summed one by one after it
+        # (a + 4: all 56; a + 4(k + 20): the last 14; kernel: outputs 0 to 4)
+        out, expected = self._OVERLAPS[onto]
+        x = SplitMix64(5).words(60)
+        x[::6] = [0x7FFF_FFFF, 0x8000_0000] * 5  # also saturating sums
+
+        def build():
+            lines = []
+            world = World(SimConfig(truncation=truncation, trace=lines.append))
+            world.write_words(_CONV_X, x)
+            world.write_words(_CONV_H, [0x7FFF_FFFF, 3, 0xFFFF_FFFF, 0x8000_0000, 1])
+            for offset, value in _conv_start(60, 5, out):
+                world.reg_write(CONV_BASE + offset, value)
+            return world, lines
+
+        stepped, lines = build()
+        while stepped.conv.state is DspState.RUN:
+            stepped.step()
+        fast, fast_lines = build()
+        batches = _count_batches(monkeypatch)
+        fast.run_until(lambda: fast.conv.state is not DspState.RUN)
+        assert batches == expected
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
     # the plain loop also after 1 to 5 one-cycle nops, so that over the six
     # phases of the 6-cycle loop against the unit's finish, one jump ends on
     # the last iteration whose STATUS read still sees the unit running
@@ -1117,6 +1170,19 @@ class TestFastForwardLockstep:
         assert fast_outcome == outcome
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
+
+
+def _count_batches(monkeypatch):
+    """The output counts of the runs of whole outputs that replay commits
+    by one product, as a list that fills as the test runs."""
+    counts = []
+    convolve = accel._convolve
+
+    def counted(a, b, count):
+        counts.append(count)
+        return convolve(a, b, count)
+    monkeypatch.setattr(accel, "_convolve", counted)
+    return counts
 
 
 def _count_blocks(monkeypatch):
