@@ -13,24 +13,27 @@ multiplies the words at ``a + 4(i+j)`` and ``b + 4j``: conv is
 (N-K+1, K) and dot is (1, L).  Uncontended, a tap takes 3 cycles (post
 the a read; capture a and post the b read; capture b and MAC), and each
 output one end cycle more, so a run occupies outputs*(3*taps+1) busy
-cycles.  In the cycle of an output's last MAC the unit posts the word
-that ``_output`` returns, if any (conv's truncated result); the end
-cycle waits for that write, clears the accumulator and finishes the run
-after the last output (where dot latches its result).
+cycles.  A unit with an output buffer at `out` (conv) posts, in the
+cycle of output i's last MAC, the write of its word (``_outputs``, the
+truncated accumulator) to ``out + 4i``; the end cycle waits for that
+write, clears the accumulator and finishes the run after the last output
+(where dot, which has no output buffer, latches its result).
 
 A subclass declares its register layout in the ``CONFIG`` and
 ``READ_ONLY`` tables plus ``CONTROL``/``IRQ_CLEAR`` offsets, validates
-its configuration in ``_start`` and hands ``_run`` the run's shape.
+its configuration in ``_start`` and hands ``_run`` the run's shape and
+output buffer; a unit that writes outputs defines ``_outputs``.
 ``_cycle`` is the one definition of a cycle of the datapath, which
 ``step`` runs in RUN.  Beside ``step``, for ``World.run_until``:
 ``cycles_left`` is the number of cycles to the finish while the unit is
 the only DataMem requester, and ``replay`` advances the unit over many
 cycles against a log of the cycles that requesters of higher priority
-took: it runs ``_cycle`` over the partial taps at its two ends and, in
-between, walks the grant times of whole taps, then commits their MACs at
-once, a run of whole conv outputs as one big-int product (``_convolve``).
-Both give exactly the result of stepping those cycles; ``buffers`` names
-the words a run may touch.
+took: it runs ``_cycle`` over the partial taps at its two ends, its
+port served by ``MmiPort.serve`` as ``Bus.step`` serves it, and, in
+between, walks the grant times of whole taps, then commits their MACs
+from the SRAM words as they stand, a run of whole conv outputs as one
+big-int product (``_convolve``).  Both give exactly the result of
+stepping those cycles; ``buffers`` names the words a run may touch.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ _LOW = 3 if byteorder == "big" else 0  # array("I") item of a 128-bit slot's low
 _BIAS = b"\0\0\0\x80" + bytes(12)  # bit 31 of one 128-bit slot, little-endian
 
 
+def _signed(words):
+    """The 32-bit `words` as an array of their signed values."""
+    return array("i", array("I", words).tobytes())
+
+
 def _convolve(a, b, count):
     """The s64 sums of s32(a[t+j]) * s32(b[j]) over the taps j of b, t < count,
     by Kronecker substitution: slot t+taps-1 of the product of a and reversed
@@ -84,8 +92,8 @@ def _convolve(a, b, count):
     prod = ((int.from_bytes(pa, byteorder) ^ int.from_bytes(_BIAS * n, "little"))
             * (int.from_bytes(pb, byteorder) ^ int.from_bytes(_BIAS * taps, "little")))
     low = array("Q", prod.to_bytes(16 * (n + taps - 1), byteorder))
-    sums = list(accumulate(array("i", pa[_LOW::4].tobytes()), initial=0))
-    hb = sum(array("i", pb[_LOW::4].tobytes())) + (taps << 31)
+    sums = list(accumulate(_signed(a), initial=0))
+    hb = sum(_signed(b)) + (taps << 31)
     return [s64(p - ((hi - lo + hb) << 31)) for p, lo, hi in
             zip(low[2 * taps - 2 + _LOW // 2::2], sums, sums[taps:])]
 
@@ -108,7 +116,7 @@ class MmioAccelerator:
         self.irq_line = False
         self.state = DspState.IDLE
         self.accum = 0
-        self._cfg = None  # (a, b, outputs, taps), latched by _run
+        self._cfg = None  # (a, b, outputs, taps, out), latched by _run
         self._stage = 0
         self.out_idx = 0   # the output in progress
         self.kern_idx = 0  # its taps done
@@ -159,7 +167,8 @@ class MmioAccelerator:
         raise NotImplementedError
 
     def _run(self, cfg, detail):
-        """Enter RUN with cfg = (a, b, outputs, taps)."""
+        """Enter RUN with cfg = (a, b, outputs, taps, out), `out` the
+        address of output 0's word, or None for a unit that writes none."""
         self.status_done = False
         self.status_error = False
         self._cfg = cfg
@@ -178,11 +187,6 @@ class MmioAccelerator:
         self.mmi.clear()
         if self.trace:
             self.trace(self.NAME, "error" if error else "done")
-
-    def _output(self, i, accum):
-        """(address, word) that output i with accumulator `accum` writes,
-        or None for a unit that writes no output word."""
-        return None
 
     def step(self):
         """One global cycle; captures completions from the previous cycle."""
@@ -209,11 +213,11 @@ class MmioAccelerator:
             self.macs += 1
             self.kern_idx += 1
             if self.kern_idx == self._cfg[3]:
-                write = self._output(self.out_idx, self.accum)
-                if write is None:
+                out = self._cfg[4]
+                if out is None:
                     mmi.clear()
                 else:
-                    mmi.request_write(*write)
+                    mmi.request_write(out + 4 * self.out_idx, self._outputs([self.accum])[0])
                 self._stage = 6
             else:
                 mmi.clear()
@@ -237,18 +241,17 @@ class MmioAccelerator:
     def buffers(self):
         """The DataMem word index spans [lo, hi) that the run reads as a
         and b and writes as outputs (empty for a unit that writes none)."""
-        a, b, outputs, taps = self._cfg
+        a, b, outputs, taps, out = self._cfg
         a0 = (a - DATA_BASE) >> 2
         b0 = (b - DATA_BASE) >> 2
-        out = self._output(0, 0)  # the address of output 0's word
-        o0 = 0 if out is None else (out[0] - DATA_BASE) >> 2
+        o0 = 0 if out is None else (out - DATA_BASE) >> 2
         return ((a0, a0 + outputs + taps - 1), (b0, b0 + taps),
                 (o0, o0 if out is None else o0 + outputs))
 
     def cycles_left(self):
         """Cycles until and including the one that finishes the run, when
         no other requester touches DataMem (in RUN)."""
-        _, _, outputs, taps = self._cfg
+        outputs, taps = self._cfg[2:4]
         mmi = self.mmi
         return ((outputs - self.out_idx) * (3 * taps + 1)
                 - 3 * self.kern_idx - self._stage % 6 // 2  # spent on the tap
@@ -256,19 +259,18 @@ class MmioAccelerator:
 
     def replay(self, taken, cycles, words, mark=False):
         """Step the running unit over the next `cycles` cycles, in which a
-        requester of higher priority holds DataMem wherever `taken` is set
-        (index 0 is the next cycle; an empty `taken` takes none, any other
-        covers the `cycles`), with exactly the result of stepping them: a
-        request on a taken cycle waits a cycle and counts a stall.  The
-        SRAM `words` are read and written directly.  If `mark`, each cycle
-        granted to the unit is set in `taken`.  The partial taps at the two
-        ends run one ``_cycle`` at a time, the port served against the log
-        as ``Bus.step`` serves it; from a tap boundary, ``_walk`` runs the
+        requester of higher priority holds DataMem wherever the log `taken`
+        is set (index 0 is the next cycle; it covers the `cycles`), with
+        exactly the result of stepping them: a request on a taken cycle
+        waits a cycle and counts a stall.  The SRAM `words` are read and
+        written directly.  If `mark`, each cycle granted to the unit is set
+        in `taken`.  The partial taps at the two ends run one ``_cycle`` at
+        a time, the port served on a free cycle by ``MmiPort.serve``, as
+        ``Bus.step`` serves it; from a tap boundary, ``_walk`` runs the
         whole taps that fit.  Returns (grants, stalls, end): `end` counts
         the cycles up to and including the one that ends the last output,
         0 if that is not among them; the caller then ``_complete``s the
         run on its own cycle."""
-        taken = taken or bytes(cycles)
         mmi, outputs = self.mmi, self._cfg[2]
         grants = stalls = p = 0
         while p < cycles:
@@ -280,20 +282,14 @@ class MmioAccelerator:
                 if p == cycles:
                     break
             ended = self._cycle()
-            if mmi.req and not mmi.done:  # serve the port as Bus.step does
+            if mmi.req and not mmi.done:
                 if taken[p]:
                     stalls += 1
                 else:
                     grants += 1
                     if mark:
                         taken[p] = 1
-                    index = (mmi.addr - DATA_BASE) >> 2
-                    if mmi.wr_en:
-                        words[index] = mmi.wrdata
-                        mmi.rddata = 0
-                    else:
-                        mmi.rddata = words[index]
-                    mmi.done = True
+                    mmi.serve(words)
             p += 1
             if ended:
                 return grants, stalls, p
@@ -306,11 +302,11 @@ class MmioAccelerator:
         ``_TAP`` and ``_LAST``), then their MACs are committed: by one
         ``_convolve`` for a run of ``_BATCH_MIN`` or more whole outputs in
         which no output reads a word that an earlier one writes, else one
-        output at a time over signed views of the a and b words.  Written
-        words reach the views after their outputs' reads, as in stepping.
+        output at a time, each from the SRAM `words` as they stand after
+        the earlier outputs' writes, as in stepping.
         Leaves the unit and its port at the tap boundary it reaches, as
         stepping leaves them, and returns (grants, stalls, cycle reached)."""
-        _, b, outputs, taps = self._cfg
+        b, outputs, taps = self._cfg[1:4]
         (a0, _), (b0, b1), (o0, o1) = self.buffers()
         per = 3 * taps + 1
         find = taken.find
@@ -356,9 +352,6 @@ class MmioAccelerator:
         self.busy_cycles += q - p
         self.macs += walked
         acc, wrote = self.accum, None
-        lo = a0 + i  # the SRAM index of sa[0]
-        sa = array("i", array("I", words[lo:a0 + last + taps]).tobytes())
-        sb = array("i", array("I", words[b0:b1]).tobytes())
         reach = max(1, o0 - a0 - taps + 1) if o0 > a0 else outputs  # till a reads an output
         while True:  # commit the MACs at once
             n = taps if i < last else stop
@@ -366,18 +359,15 @@ class MmioAccelerator:
             e = min(last, i + reach, t + 1 if t < b1 - o0 else last)
             if writes and not j and e - i >= _BATCH_MIN:  # whole outputs i to e
                 accs = _convolve(words[a0 + i:a0 + e + taps - 1], words[b0:b1], e - i)
-                acc, xv, i, j = accs[-1], sa[a0 + e + taps - 2 - lo], e - 1, taps
+                acc, xv, i, j = accs[-1], s32(words[a0 + e + taps - 2]), e - 1, taps
             elif n > j:
-                k = a0 + i - lo  # output i's first a word in sa
-                acc = s64(acc + sum(map(mul, sa[k + j:k + n], sb[j:n])))
-                xv, rd, j, accs = sa[k + n - 1], words[b0 + n - 1], n, [acc]
+                k = a0 + i  # output i's first a word
+                acc = s64(acc + sum(map(mul, _signed(words[k + j:k + n]),
+                                        _signed(words[b0 + j:b0 + n]))))
+                xv, rd, j, accs = s32(words[k + n - 1]), words[b0 + n - 1], n, [acc]
             if writes and j == taps:  # the words of outputs i - len(accs) to i
-                x, y = o0 + i + 1 - len(accs), o0 + i + 1
-                words[x:y] = outs = self._outputs(accs)
-                for view, v0 in ((sa, lo), (sb, b0)):  # after their reads
-                    u, v = max(x, v0), min(y, v0 + len(view))
-                    if u < v:
-                        view[u - v0:v - v0] = array("i", array("I", words[u:v]).tobytes())
+                y = o0 + i + 1
+                words[y - len(accs):y] = outs = self._outputs(accs)
                 wrote, rd = (DATA_BASE + 4 * (y - 1), outs[-1]), 0
             if i == last:
                 break

@@ -7,12 +7,13 @@ complete in the cycle they are posted.  The CPU serves its own DataMem
 accesses at issue, since it always wins arbitration, and reports each
 with ``serve_cpu``; its other accesses, except those ``peek`` serves in a
 window of the CPU alone, and host accesses are posted as a
-``BusTransaction``.  Each DSP's ``MmiPort`` is served in place while
-``req and not done``, and carries only word-aligned DataMem addresses:
-a unit starts only once ``buffer_in_datamem`` holds for every buffer,
-and ignores configuration writes in RUN.  Word-aligned DataMem addresses
-index the SRAM directly; only the CPU's other addresses go through
-``_route`` and ``decode_address``.
+``BusTransaction``.  Each DSP's ``MmiPort`` is served by
+``MmiPort.serve``, here and in the DSPs' ``replay``, while ``req and not
+done``, and carries only word-aligned DataMem addresses: a unit starts
+only once ``buffer_in_datamem`` holds for every buffer, and latches its
+buffers for the run.  Word-aligned DataMem addresses index the SRAM
+directly; only the CPU's other addresses go through ``_route`` and
+``decode_address``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ class MmiPort:
     def clear(self):
         self.req = False
         self.done = False
+
+    def serve(self, words):
+        """Complete the posted access against the SRAM `words`."""
+        index = (self.addr - DATA_BASE) >> 2
+        if self.wr_en:
+            words[index] = self.wrdata
+            self.rddata = 0
+        else:
+            self.rddata = words[index]
+        self.done = True
 
 
 class RegisterAccessError(Exception):
@@ -225,10 +236,4 @@ class Bus:
         else:
             self._grants[2] += 1
             port = dot_port
-        index = (port.addr - DATA_BASE) >> 2  # in DataMem: see the module docstring
-        if port.wr_en:
-            words[index] = port.wrdata
-            port.rddata = 0
-        else:
-            port.rddata = words[index]
-        port.done = True
+        port.serve(words)

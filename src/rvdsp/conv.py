@@ -10,7 +10,7 @@ folded into each output's end cycle, so there is no separate init state.
 from __future__ import annotations
 
 from .accel import DspState, MmioAccelerator
-from .mac import Truncation, truncate_accumulator, truncate_accumulators
+from .mac import Truncation, truncate_accumulators
 from .memmap import buffer_in_datamem
 
 OFF_IN_ADDR = 0x00
@@ -54,11 +54,8 @@ class ConvDsp(MmioAccelerator):
                 or not buffer_in_datamem(self.out_addr, n - k + 1)):
             self._finish(error=True)
             return
-        self._run((self.in_addr, self.kern_addr, n - k + 1, k), f"n={n} k={k}")
-
-    def _output(self, i, accum):
-        # OUT_ADDR cannot change in RUN: writes to it are ignored there
-        return self.out_addr + 4 * i, truncate_accumulator(accum, self.truncation)
+        self._run((self.in_addr, self.kern_addr, n - k + 1, k, self.out_addr),
+                  f"n={n} k={k}")
 
     def _outputs(self, accums):
         return truncate_accumulators(accums, self.truncation)

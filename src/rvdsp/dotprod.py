@@ -50,7 +50,7 @@ class DotDsp(MmioAccelerator):
                 and buffer_in_datamem(self.vb_addr, length)):
             self._finish(error=True)
             return
-        self._run((self.va_addr, self.vb_addr, 1, length), f"l={length}")
+        self._run((self.va_addr, self.vb_addr, 1, length, None), f"l={length}")
 
     def _finish(self, error=False):
         if not error:  # the end cycle latches the architectural result

@@ -7,7 +7,7 @@ wrap-around; a convolution output is then narrowed to one 32-bit word.
 
 import enum
 
-from .bits import MASK32, u32
+from .bits import MASK32
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -18,15 +18,8 @@ class Truncation(enum.Enum):
     SATURATE = "saturate"
 
 
-def truncate_accumulator(accum, policy):
-    """Narrow a signed 64-bit accumulator to a 32-bit word."""
-    if policy is Truncation.SATURATE:
-        return u32(max(INT32_MIN, min(INT32_MAX, accum)))
-    return u32(accum)
-
-
 def truncate_accumulators(accums, policy):
-    """The words of truncate_accumulator over a list of accumulators."""
+    """Narrow a list of signed 64-bit accumulators to 32-bit words."""
     if policy is Truncation.SATURATE:
         return [max(INT32_MIN, min(INT32_MAX, a)) & MASK32 for a in accums]
     return [a & MASK32 for a in accums]

@@ -220,27 +220,12 @@ def load_scenario(path):
     if "l" in body and "length" in body:
         raise ScenarioError("l and length name the same key; set one")
     kind = body.get("kind", Kind.CONV)
-    mode = body.get("mode", Mode.TESTBENCH)
     unused = set(body) - {"kind", "mode", "name", "seed"} - _KIND_KEYS[kind]
     if unused:
         raise ScenarioError(f"{kind.value} scenarios do not use "
                             f"{', '.join(sorted(unused))}")
-    sc = Scenario(
-        kind=kind,
-        mode=mode,
-        n=body.get("n", 0),
-        k=body.get("k", 0),
-        length=body.get("l", body.get("length", 0)),
-        c=body.get("c", 0),
-        k_out=body.get("k_out", 0),
-        in_features=body.get("in_features", 0),
-        out_features=body.get("out_features", 0),
-        seed=body.get("seed", 1),
-        in_addr=body.get("in_addr"),
-        kern_addr=body.get("kern_addr"),
-        out_addr=body.get("out_addr"),
-        name=body.get("name", ""),
-    )
+    sc = Scenario(**{"kind": kind, **{"length" if key == "l" else key: value
+                                      for key, value in body.items()}})
     data = sections.get("data", {})
     for key, attr in (("x_file", "x_data"), ("h_file", "h_data")):
         if key in data:  # a relative path names a file beside the scenario

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import conv as conv_regs
 from . import dotprod as dot_regs
 from .accel import DspState
-from .bits import MASK32, u32
+from .bits import u32
 from .bus import Bus, BusTransaction, Requester
 from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
@@ -111,8 +111,9 @@ class World:
           DSP, and conv's grants, marked in the log, are all that dot
           waits for besides the CPU's;
         - with no CPU or a halted one and nothing posted, the DSPs in RUN
-          are replayed against an empty log (a lone one to the end of its
-          run), and with none in RUN nothing changes until the timeout.
+          are replayed against a log with nothing taken (a lone one to the
+          end of its run), and with none in RUN nothing changes until the
+          timeout.
         The instruction that closes a CPU window (a store to a DSP
         register, ``ecall``/``ebreak``, a fault) is stepped.  Windows
         never open while conv's output overlaps dot's inputs, and end no
@@ -150,10 +151,9 @@ class World:
             self.cycle = max_cycles
             return False
         cycles = min([max_cycles - self.cycle] + [dsp.cycles_left() for dsp in units])
-        taken = b""  # no CPU, and no grants of conv for dot to wait for
         if cpu is not None or len(units) == 2:
             cycles = min(cycles, _WINDOW)
-            taken = bytearray(cycles) if units else self._log
+        taken = bytearray(cycles) if units else self._log
         if cpu is not None:
             cycles = cpu.run_alone(cycles, self._guard(units), taken)
             if not cycles:
@@ -231,16 +231,18 @@ class World:
 
 
 def scenario_data(scenario):
-    """Deterministic signed test vectors for a scenario (splitmix64)."""
+    """A conv or dot scenario's two input vectors: its x_data and h_data as
+    given, else splitmix64 words of its seed (``Sram.write_words`` masks
+    each to 32 bits as it stores it)."""
     rng = SplitMix64(scenario.seed)
     if scenario.kind is Kind.CONV:
         x = scenario.x_data if scenario.x_data is not None else rng.words(scenario.n)
         h = scenario.h_data if scenario.h_data is not None else rng.words(scenario.k)
-        return [v & MASK32 for v in x], [v & MASK32 for v in h]
+        return x, h
     if scenario.kind is Kind.DOT:
         a = scenario.x_data if scenario.x_data is not None else rng.words(scenario.length)
         b = scenario.h_data if scenario.h_data is not None else rng.words(scenario.length)
-        return [v & MASK32 for v in a], [v & MASK32 for v in b]
+        return a, b
     raise ValueError(f"no direct data for scenario kind {scenario.kind}")
 
 

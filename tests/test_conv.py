@@ -9,8 +9,7 @@ from oracles import conv1d, conv_partial_accum
 from rvdsp import conv as regs
 from rvdsp.accel import _BATCH_MIN, DspState, _convolve
 from rvdsp.bits import s32, s64, u32
-from rvdsp.mac import (INT32_MAX, INT32_MIN, Truncation, truncate_accumulator,
-                       truncate_accumulators)
+from rvdsp.mac import INT32_MAX, INT32_MIN, Truncation, truncate_accumulators
 from rvdsp.memmap import CONV_BASE, DATA_BASE
 from rvdsp.scheduler import SimConfig, World
 
@@ -197,22 +196,29 @@ class TestStartValidation:
         assert world.conv.status_error
 
 
+def truncated(accum, policy):
+    """One accumulator narrowed to its word, as the datapath specifies it."""
+    if policy is Truncation.SATURATE:
+        accum = max(INT32_MIN, min(INT32_MAX, accum))
+    return u32(accum)
+
+
 class TestTruncateUnit:
     def test_wrap_two_to_32(self):
-        assert truncate_accumulator(1 << 32, Truncation.WRAP) == 0
+        assert truncate_accumulators([1 << 32], Truncation.WRAP) == [0]
 
     def test_saturate_positive(self):
-        assert truncate_accumulator(1 << 32, Truncation.SATURATE) == 0x7FFF_FFFF
+        assert truncate_accumulators([1 << 32], Truncation.SATURATE) == [0x7FFF_FFFF]
 
     def test_wrap_negative_one(self):
-        assert truncate_accumulator(-1, Truncation.WRAP) == 0xFFFF_FFFF
+        assert truncate_accumulators([-1], Truncation.WRAP) == [0xFFFF_FFFF]
 
     def test_saturate_negative(self):
-        assert truncate_accumulator(-(1 << 40), Truncation.SATURATE) == 0x8000_0000
+        assert truncate_accumulators([-(1 << 40)], Truncation.SATURATE) == [0x8000_0000]
 
     @given(st.integers(-(1 << 63), (1 << 63) - 1))
     def test_wrap_is_low_word(self, accum):
-        assert truncate_accumulator(accum, Truncation.WRAP) == accum & 0xFFFF_FFFF
+        assert truncate_accumulators([accum], Truncation.WRAP) == [accum & 0xFFFF_FFFF]
 
     def test_list_form_matches_per_accumulator(self):
         # the extreme words as accumulators, signed and shifted past 32 bits
@@ -220,7 +226,7 @@ class TestTruncateUnit:
                   for shift in (0, 1, 31, 32)] + [-(1 << 63), (1 << 63) - 1]
         for policy in Truncation:
             assert truncate_accumulators(accums, policy) == [
-                truncate_accumulator(accum, policy) for accum in accums]
+                truncated(accum, policy) for accum in accums]
 
 
 class TestBatchedCommit:
@@ -228,7 +234,7 @@ class TestBatchedCommit:
     @given(data=st.data())
     def test_matches_per_output_sums(self, data):
         # _convolve's accumulators and their words equal each output's
-        # s64(sum(map(mul, ...))) narrowed by truncate_accumulator, for
+        # s64(sum(map(mul, ...))) narrowed one at a time, for
         # words from the int32 limits and small or full-width random ones,
         # mixed so that SATURATE both clamps and passes outputs through
         draw = data.draw
@@ -245,7 +251,7 @@ class TestBatchedCommit:
                   for t in range(count)]
         assert _convolve(a, b, count) == accums
         assert truncate_accumulators(accums, policy) == [
-            truncate_accumulator(accum, policy) for accum in accums]
+            truncated(accum, policy) for accum in accums]
         for accum in accums:
             event("clamped" if not INT32_MIN <= accum <= INT32_MAX else "in range")
 

@@ -480,7 +480,7 @@ class TestFastForwardLockstep:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_advance_matches_stepping(self, data):
-        # World._replay(b"", c), the replay with nothing taken, must equal c steps
+        # World._replay(bytes(c), c), the replay with nothing taken, must equal c steps
         # for any c up to cycles_left(), and cycles_left() must be the steps
         # to the unit's finish, also from a request that lost arbitration,
         # starting anywhere in the busy phase: in a later output, inside an
@@ -521,7 +521,7 @@ class TestFastForwardLockstep:
         left = dsp.cycles_left()
         cycles = left - data.draw(st.integers(0, left), label="short of the finish")
         fast, _, fast_lines = build()
-        fast._replay(b"", cycles)
+        fast._replay(bytes(cycles), cycles)
         for _ in range(cycles):
             stepped.step()
         assert fast_lines == lines
@@ -538,9 +538,9 @@ class TestFastForwardLockstep:
         # from three outputs' cycles up to cycles_left(), from a tap
         # boundary inside an output (kern_idx >= 2, reached by stepping)
         # across several outputs, must equal stepping that span:
-        # the signed views of the a and b words that its free stretches run
-        # whole taps over must see each output that conv writes onto them,
-        # the last a word an output reads included, under either truncation
+        # the a and b words that its free stretches run whole taps over must
+        # be read with each output that conv writes onto them, the last a
+        # word an output reads included, under either truncation
         draw = data.draw
         unit = draw(st.sampled_from(["conv", "dot"]), label="unit")
         truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
@@ -593,7 +593,7 @@ class TestFastForwardLockstep:
         granted = stepped.bus.grants[requester]
         for _ in range(span):
             stepped.step()
-        grants, stalls, end = fast_dsp.replay(b"", span, fast.sram.words)
+        grants, stalls, end = fast_dsp.replay(bytes(span), span, fast.sram.words)
         fast.bus.credit(fast_dsp.mmi, grants, stalls)
         fast.cycle += span
         if end:
@@ -925,8 +925,8 @@ class TestFastForwardLockstep:
                                                           monkeypatch):
         # a batch keeps stepping's order of each output's write before a
         # later output's reads: it ends at the first output whose word a
-        # later one of the batch reads as a or b, and a batch's words reach
-        # the signed views of the outputs summed one by one after it
+        # later one of the batch reads as a or b, and the outputs summed one
+        # by one after a batch read the words it stored
         # (a + 4: all 56; a + 4(k + 20): the last 14; kernel: outputs 0 to 4)
         out, expected = self._OVERLAPS[onto]
         x = SplitMix64(5).words(60)
@@ -1319,6 +1319,39 @@ class TestBlocks:
         # conv's finish, so the handlers run it up to its bne
         assert all(n == size for _, size, n in runs)
         assert ends[0] == (4 * 2 + 4 * 4, 2)
+
+    @pytest.mark.parametrize("stop, outcome, retired", [
+        (0x0000_0000, "SimulationFault: illegal fault at pc=0x0000000c: "
+                      "illegal instruction 0x00000000: unsupported opcode 0x00", 5),
+        (encode(I("ebreak")), "finished", 6)], ids=["illegal", "ebreak"])
+    def test_block_ends_before_a_word_that_stops_a_window(self, stop, outcome, retired,
+                                                          monkeypatch):
+        # a backward jal after a load lands on a loop head whose second word,
+        # never fetched before, is illegal or ebreak: the block translated
+        # there holds only the addi before it, and the handlers stop the
+        # window at that word, which step() then runs in cycle 10
+        runs = _count_blocks(monkeypatch)
+        asm = Assembler()
+        asm.li(9, _SW_X)
+        asm.branch("jal", 0, 0, "load")
+        asm.label("head")
+        asm.emit(I("addi", rd=6, rs1=6, imm=1), I("addi"))  # the second word becomes `stop`
+        asm.label("load")
+        asm.emit(I("lw", rd=5, rs1=9))
+        asm.branch("jal", 0, 0, "head")
+        rom = asm.words()
+        rom[asm.labels["head"] + 1] = stop
+        case = self._case(rom)
+        stepped, lines, stepped_outcome = _lockstep_run(case, SimConfig().max_cycles,
+                                                        fast=False)
+        fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles,
+                                                       fast=True)
+        assert fast_outcome == stepped_outcome == outcome
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+        assert (fast.cycle, fast.cpu.retired, fast.cpu.regs[6]) == (10, retired, 1)
+        head = 4 * asm.labels["head"]
+        assert runs == [(head, 1, 1)]
 
     def test_reloaded_rom_runs_its_new_loop(self):
         # Rom.load drops every block, so the second program's loop, at the
