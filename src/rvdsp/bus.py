@@ -3,16 +3,17 @@
 DataMem is single-port, so at most one DataMem transaction completes
 per cycle; the arbiter is fixed-priority CPU > conv DSP > dot DSP.
 Register-space (AXI-Lite) accesses bypass the arbiter and always
-complete in the cycle they are posted.  The CPU serves its own DataMem
-accesses at issue, since it always wins arbitration, and reports each
-with ``serve_cpu``; its other accesses, except those ``peek`` serves in a
-window of the CPU alone, and host accesses are posted as a
-``BusTransaction``.  Each DSP's ``MmiPort`` is served by
-``MmiPort.serve``, here and in the DSPs' ``replay``, while ``req and not
-done``, and carries only word-aligned DataMem addresses: a unit starts
-only once ``buffer_in_datamem`` holds for every buffer, and latches its
-buffers for the run.  Word-aligned DataMem addresses index the SRAM
-directly; only the CPU's other addresses go through ``_route`` and
+complete in the cycle they are made.  Every CPU access completes in its
+issue cycle, after the DSPs have stepped: the CPU serves its own DataMem
+accesses, since it always wins arbitration, and reports each with
+``serve_cpu``; ``_route`` serves its other accesses at once, and ``peek``
+those of a window of the CPU alone.  Only host accesses are posted, as a
+``BusTransaction`` that ``step`` completes.  Each DSP's ``MmiPort`` is
+served by ``MmiPort.serve``, here and in the DSPs' ``replay``, while
+``req and not done``, and carries only word-aligned DataMem addresses: a
+unit starts only once ``buffer_in_datamem`` holds for every buffer, and
+latches its buffers for the run.  Word-aligned DataMem addresses index
+the SRAM directly; only other addresses go through ``_route`` and
 ``decode_address``.
 """
 
@@ -129,7 +130,7 @@ class Bus:
 
     @property
     def cpu_posted(self):
-        """True while a CPU transaction waits on the bus."""
+        """True while a posted transaction waits on the bus."""
         return self._cpu_tx is not None
 
     def credit(self, port, grants, stalls):
@@ -141,7 +142,9 @@ class Bus:
         self._stalls[k] += stalls
 
     def post(self, tx):
-        """Post the CPU's transaction; DSPs request through their MmiPort."""
+        """Post a host transaction (``World.reg_write``/``reg_read``),
+        completed by the next ``step``; the CPU completes its accesses at
+        issue, and DSPs request through their MmiPort."""
         if self._cpu_tx is not None:
             raise RuntimeError("cpu already has a transaction in flight")
         self._cpu_tx = tx
@@ -155,23 +158,23 @@ class Bus:
 
     def peek(self, addr, write):
         """For a window of the CPU alone: what the CPU's access to the
-        word at `addr` outside DataMem reads when served at its issue,
-        counted as ``step`` counts it, or None if it must be posted.  A
-        load of ROM or of a unit's registers, and any access to the
-        reserved block, which reads 0 and discards stores, is served; a
-        store elsewhere, which may start a unit, and an access that errs
-        are posted."""
+        word at `addr` outside DataMem reads, counted as a stepped access
+        counts it, or None if the access must be stepped.  A load of ROM
+        or of a unit's registers, and any access to the reserved block,
+        which reads 0 and discards stores, is served; a store elsewhere,
+        which may start a unit, and an access that errs, which faults,
+        are stepped."""
         if write and decode_address(addr)[0] is not Region.RESERVED:
             return None
         accesses = self.register_accesses
         rdata, error = self._route(addr, write, 0)
         if error is None:
             return rdata
-        self.register_accesses = accesses  # counted when the access is posted
+        self.register_accesses = accesses  # counted when the access is stepped
         return None
 
     def _route(self, addr, write, wdata):
-        """Serve an access outside DataMem this cycle: (rdata, error)."""
+        """Serve an access outside DataMem at once: (rdata, error)."""
         try:
             region, offset = decode_address(addr)
         except MisalignedAddressError as exc:

@@ -2,16 +2,17 @@
 
 Instruction fetch is folded into the per-class costs (the table holds
 fully loaded per-instruction cycles).  A ROM word is decoded on its first
-fetch into a handler-table entry kept in ``Rom.decoded``.  The CPU wins
-DataMem arbitration, so it serves its DataMem loads and stores from
-``sram.words`` in their issue cycle (``Bus.serve_cpu``); other addresses
-get a word ``BusTransaction`` with byte strobes for sub-word stores,
-except in ``run_alone``, which serves loads at issue too.  ``run_alone``
-also runs hot loops as blocks: Python functions generated from the
-predecoded entries and kept in ``Rom.blocks``, which do what the handlers
-do for a straight run of words, with the issue cycle of each fixed when
-the block is generated (after QEMU's TCG and Shade).  ``step`` and the
-handlers stay the single-cycle reference.
+fetch into a handler-table entry kept in ``Rom.decoded``.  Every load and
+store completes in its issue cycle, after the DSPs have stepped: the CPU
+wins DataMem arbitration, so it serves a DataMem access from
+``sram.words`` and reports it (``Bus.serve_cpu``), and the bus routes any
+other address at once (``Bus._route``), the blocking transport of
+SystemC TLM-2.0.  ``run_alone`` runs hot loops as blocks: Python
+functions generated from the predecoded entries and kept in
+``Rom.blocks``, which do what the handlers do for a straight run of
+words, with the issue cycle of each fixed when the block is generated
+(after QEMU's TCG and Shade).  ``step`` and the handlers stay the
+single-cycle reference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, fields
 from operator import add, and_, eq, ge, lt, mul, ne, or_, sub, xor
 
 from .bits import s32, sext, u32
-from .bus import BusTransaction, Requester, TxState
 from .isa import IllegalInstructionError, cost_class, decode
 from .memmap import DATA_BASE, DATA_END, INST_END, Region, decode_address
 
@@ -69,11 +69,9 @@ class Cpu:
         self.fault = None
         self.retired = 0
         self.cycles = 0
-        self.stall_cycles = 0  # reported; a posted access never outlives its cycle
+        self.stall_cycles = 0  # reported; every access completes in its issue cycle
         self.config_write_cycles = 0
         self._wait = 0
-        self._tx = None
-        self._load = None  # (entry, addr) of a posted load
 
     def step(self):
         """Advance one cycle: issue a new instruction or burn a wait cycle."""
@@ -86,22 +84,9 @@ class Cpu:
         self._issue()
 
     def observe(self):
-        """After the bus step: retire a posted transaction, write back a load."""
-        tx = self._tx
-        if tx is None or tx.state is not TxState.DONE:
-            return
-        if tx.error is not None:  # at the pc of the load or store that posted tx
-            self.fault = Fault("bus", self.pc - 4, tx.error)
-        elif self._load is not None:
-            _write_back(self, *self._load, tx.rdata)
-        self._tx = None
-        self._load = None
-
-    def _post(self, tx, load=None):
-        """Post the instruction at pc's access `tx`; ``observe`` writes
-        `load` back, or faults at this pc on a bus error."""
-        self._tx, self._load = tx, load
-        self.bus.post(tx)
+        """Does nothing: every access completes in its issue cycle, so no
+        bus completion is left to observe.  Kept in the class dict, for
+        perfbench/tracing.py."""
 
     def _fault(self, kind, detail=""):
         self.fault = Fault(kind, self.pc, detail)
@@ -130,8 +115,8 @@ class Cpu:
         A load outside DataMem is served at its issue (``Bus.peek``)
         before the last of the `cycles`, when the bus reads only what
         stays fixed until a running unit finishes.  Stops before an
-        instruction that would fault, halt, post a bus transaction (a
-        store to a unit's registers) or touch a guarded word; the wait of
+        instruction that would fault, halt, store to a unit's registers
+        (which may start it) or touch a guarded word; the wait of
         the last instruction may run past `cycles`, and what is left of it
         stays.
 
@@ -405,7 +390,11 @@ def _load(cpu, e):
         cpu.bus.serve_cpu()
         _write_back(cpu, e, addr, cpu.sram.words[(addr - DATA_BASE) >> 2])
     else:
-        cpu._post(BusTransaction(Requester.CPU, addr & ~3), (e, addr))
+        word, error = cpu.bus._route(addr & ~3, False, 0)
+        if error is None:
+            _write_back(cpu, e, addr, word)
+        else:
+            cpu._fault("bus", error)
     cpu.pc += 4
     return e[6]
 
@@ -439,8 +428,9 @@ def _store(cpu, e):
         word_addr = addr & ~3
         if decode_address(word_addr)[0] in (Region.CONV_REGS, Region.DOT_REGS):
             cpu.config_write_cycles += cpu.costs.store
-        cpu._post(BusTransaction(Requester.CPU, word_addr, write=True, wdata=value,
-                                 wstrb=((1 << width) - 1) << (addr & 3)))
+        error = cpu.bus._route(word_addr, True, value)[1]
+        if error is not None:
+            cpu._fault("bus", error)
     cpu.pc += 4
     return e[6]
 

@@ -1,10 +1,9 @@
 """Global cycle loop and scenario execution.
 
-Intra-cycle order is fixed for reproducibility: the CPU issues (serving
-a DataMem access at once, or posting any other), waits or stalls, then
-both DSP FSMs step, then the bus arbitrates and completes, and finally
-the CPU observes completions.  DSPs observe bus completions at the start
-of their next step.
+Intra-cycle order is fixed for reproducibility: both DSP FSMs step, then
+the CPU issues and completes its access or waits, then the bus arbitrates
+DataMem and completes a host transaction.  DSPs observe bus completions
+at the start of their next step.
 """
 
 from __future__ import annotations
@@ -86,14 +85,11 @@ class World:
         self.cycle += 1
         if self.cycle > self.config.max_cycles:
             raise SimulationTimeout(f"exceeded {self.config.max_cycles} cycles")
-        cpu = self.cpu
-        if cpu is not None:
-            cpu.step()
         self.conv.step()
         self.dot.step()
+        if self.cpu is not None:
+            self.cpu.step()
         self.bus.step()
-        if cpu is not None:
-            cpu.observe()
 
     def run_until(self, predicate):
         """Advance until predicate() holds.
@@ -101,7 +97,7 @@ class World:
         ``step()`` is the single-cycle reference.  Each call opens a
         window (``_window``) if it can and steps otherwise; a window gives
         the same cycle count, counters, memory and trace as stepping:
-        - with a CPU, and nothing posted, the CPU runs alone
+        - with a CPU, and no host transaction posted, the CPU runs alone
           (``Cpu.run_alone``), logging the cycles in which it took
           DataMem, for as long as it stores to no DSP register and touches
           no word of a running unit's buffers, jumping spin loops whole
@@ -110,10 +106,10 @@ class World:
           (CPU > conv > dot) makes this exact: the CPU never waits for a
           DSP, and conv's grants, marked in the log, are all that dot
           waits for besides the CPU's;
-        - with no CPU or a halted one and nothing posted, the DSPs in RUN
-          are replayed against a log with nothing taken (a lone one to the
-          end of its run), and with none in RUN nothing changes until the
-          timeout.
+        - with no CPU or a halted one and no host transaction posted, the
+          DSPs in RUN are replayed against a log with nothing taken (a lone
+          one to the end of its run), and with none in RUN nothing changes
+          until the timeout.
         The instruction that closes a CPU window (a store to a DSP
         register, ``ecall``/``ebreak``, a fault) is stepped.  Windows
         never open while conv's output overlaps dot's inputs, and end no
@@ -134,7 +130,7 @@ class World:
         """Run the CPU alone, if it runs, up to the first uncontended
         finish of a DSP in RUN and within max_cycles, then replay the DSPs
         in RUN over those cycles.  A window with a CPU or two DSPs runs at
-        most ``_WINDOW`` cycles.  Returns False if a CPU transaction is
+        most ``_WINDOW`` cycles.  Returns False if a host transaction is
         posted, the CPU has faulted, max_cycles is reached, conv's output
         overlaps dot's inputs, or the CPU's next instruction may not run
         alone; with neither a running CPU nor a DSP in RUN, it first jumps

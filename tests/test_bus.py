@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,13 @@ class TestRouting:
         bus.post(tx)
         bus.step()
         assert tx.error is not None
+
+    def test_second_post_before_a_step_is_refused(self):
+        # the bus holds one posted transaction until its step
+        bus, *_ = make_bus()
+        bus.post(BusTransaction(Requester.CPU, CONV_BASE))
+        with pytest.raises(RuntimeError, match="already has a transaction in flight"):
+            bus.post(BusTransaction(Requester.CPU, DOT_BASE))
 
 
 class TestContention:

@@ -123,6 +123,30 @@ out_features = 2
             "error: cannot write nodir/m.hex: no directory nodir\n")
         assert not ran and not (tmp_path / "r.json").exists()
 
+    def test_full_system_dump_of_instmem(self, tmp_path, capsys):
+        # the image holds all of InstMem, the driver first
+        body = CONV_SCENARIO.replace('"testbench"', '"full_system"')
+        dump = tmp_path / "instmem.hex"
+        assert main(["run", "--scenario", write_scenario(tmp_path, body),
+                     "--report", str(tmp_path / "r.json"),
+                     "--dump", "instmem", str(dump)]) == EXIT_OK
+        lines = dump.read_text().splitlines()
+        assert lines[0] == "@00000000" and len(lines) == 1 + 8192
+        assert lines[1] != "00000000"
+
+    def test_layer_that_overflows_datamem_is_refused(self, tmp_path, capsys):
+        # each conv call of the layer places its buffers in DataMem
+        body = '[scenario]\nkind = "cnn"\nn = 8000\nk = 4\nc = 1\nk_out = 1\n'
+        assert "not in DataMem" in self._rejected(tmp_path, capsys, body)
+
+    @pytest.mark.parametrize("line, message", [
+        ("l = -1", "dot length must be >= 0"),
+        ("l = 4x", "line 3: cannot parse value '4x'"),
+    ])
+    def test_bad_dot_length_rejected(self, tmp_path, capsys, line, message):
+        err = self._rejected(tmp_path, capsys, f'[scenario]\nkind = "dot"\n{line}\n')
+        assert message in err
+
     def test_full_system_run(self, tmp_path, capsys):
         body = CONV_SCENARIO.replace('"testbench"', '"full_system"')
         path = write_scenario(tmp_path, body)
@@ -421,6 +445,11 @@ class TestModel:
     def test_conv_invalid(self, capsys):
         assert main(["model", "conv", "--n", "4", "--k", "9"]) == EXIT_CONFIG
 
+    def test_cnn_invalid(self, capsys):
+        assert main(["model", "cnn", "--n", "0", "--k", "2", "--c", "1",
+                     "--k-out", "1"]) == EXIT_CONFIG
+        assert "all layer dimensions must be positive" in capsys.readouterr().err
+
     def test_dot(self, capsys):
         assert main(["model", "dot", "--l", "8192"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -456,6 +485,17 @@ class TestCompare:
         assert "49451" in out
         assert "49441" in out
         assert "all simulated figures match" in out
+
+    def test_latency_row(self, capsys):
+        assert main(["compare", "--freq", "1e8"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "latency @ freq" in out
+        assert "1.66485 ms" in out and "0.49451 ms" in out
+
+    def test_invalid_kernel_length(self, capsys):
+        assert main(["compare", "--k", "0"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "need 1 <= K <= N, got K=0, N=1024" in captured.err and captured.out == ""
 
 
 class TestAsm:

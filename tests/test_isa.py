@@ -83,6 +83,30 @@ class TestErrors:
         with pytest.raises(EncodingError):
             encode(DecodedInstruction("lui", rd=1, imm=0x123))
 
+    @pytest.mark.parametrize("word, reason", [
+        (0x4000_1013, "bad shift funct7"),  # slli with srai's funct7
+        (0x0000_3003, "bad load width"),  # RV64 ld
+        (0x0000_1067, "bad jalr funct3"),
+        (0x0000_3023, "bad store width"),  # RV64 sd
+        (0x0000_2063, "bad branch funct3"),
+        (0x0000_100F, "bad fence funct3"),  # fence.i
+    ])
+    def test_bad_funct_is_illegal(self, word, reason):
+        with pytest.raises(IllegalInstructionError,
+                           match=f"illegal instruction 0x{word:08x}: {reason}"):
+            decode(word)
+
+    @pytest.mark.parametrize("instr, message", [
+        (DecodedInstruction("add", rd=32), "rd out of range: 32"),
+        (DecodedInstruction("slli", rd=1, imm=32), "shift amount out of range: 32"),
+        (DecodedInstruction("jal", imm=3), "jump offset must be even"),
+        (DecodedInstruction("fence", imm=0x1000), "fence field out of range"),
+        (DecodedInstruction("nop"), "unknown mnemonic 'nop'"),
+    ])
+    def test_field_out_of_range(self, instr, message):
+        with pytest.raises(EncodingError, match=message):
+            encode(instr)
+
 
 class TestCostClasses:
     @pytest.mark.parametrize("m,cls", [
@@ -106,6 +130,20 @@ class TestDisassembly:
         lines = listing(words, base=0).splitlines()
         assert lines[0] == "00000000: 00700093  addi x1, x0, 7"
         assert lines[1].startswith("00000004: 00100073  ebreak")
+
+    def test_listing_of_each_operand_form(self):
+        words = [encode(DecodedInstruction("add", rd=3, rs1=1, rs2=2)),
+                 encode(DecodedInstruction("beq", rs1=1, rs2=2, imm=-8)),
+                 encode(DecodedInstruction("lui", rd=5, imm=0x12345 << 12)),
+                 encode(DecodedInstruction("jal", rd=1, imm=16)),
+                 encode(DecodedInstruction("fence", imm=0x0FF))]
+        assert listing(words, base=0x100).splitlines() == [
+            "00000100: 002081B3  add x3, x1, x2",
+            "00000104: FE208CE3  beq x1, x2, -8",
+            "00000108: 123452B7  lui x5, 0x12345",
+            "0000010C: 010000EF  jal x1, 16",
+            "00000110: 0FF0000F  fence",
+        ]
 
     def test_load_store_operands(self):
         assert disassemble(DecodedInstruction("lw", rd=2, rs1=3, imm=8)) == "lw x2, 8(x3)"

@@ -13,14 +13,14 @@ from rvdsp import dotprod as dot_regs
 from rvdsp import accel, scheduler
 from rvdsp.accel import DspState, MmioAccelerator
 from rvdsp.bits import s32, s64, u32, u64
-from rvdsp.bus import BusTransaction, Requester, TxState
+from rvdsp.bus import Bus, BusTransaction, Requester, TxState
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE, RESERVED_BASE
 from rvdsp.prng import SplitMix64
 from rvdsp.programs import Assembler, I, conv_driver, conv_sw_kernel, dot_driver
-from rvdsp.scenario import Kind, Mode, Scenario
+from rvdsp.scenario import Kind, Mode, Scenario, ScenarioError
 from rvdsp.scheduler import (HostAccessError, SimConfig, SimulationFault,
                              SimulationTimeout, World, report_to_json, run_scenario,
                              run_sw_conv_benchmark, scenario_data)
@@ -63,6 +63,32 @@ class TestScenarioRuns:
         tb, _ = run_scenario(Scenario(kind=Kind.DOT, length=16, seed=3))
         assert report["result"] == tb["result"]
 
+    @pytest.mark.parametrize("kind", [Kind.CONV, Kind.DOT])
+    def test_stepped_driver_posts_nothing(self, kind, monkeypatch):
+        # World.step() alone through a full-system driver: its configuration
+        # stores, STATUS polls and IRQ_CLEAR store each complete in their
+        # issue cycle, so nothing is posted, and the run is run_scenario's
+        sc = Scenario(kind=kind, mode=Mode.FULL_SYSTEM, n=24, k=4, length=24, seed=3)
+        report, _ = run_scenario(sc)
+
+        def refuse(bus, tx):
+            raise AssertionError(f"posted {tx}")
+
+        monkeypatch.setattr(Bus, "post", refuse)
+        world = World(SimConfig(), with_cpu=True)
+        a, b = scenario_data(sc)
+        world.write_words(sc.in_addr, a)
+        world.write_words(sc.kern_addr, b)
+        world.rom.load(conv_driver(sc.n, sc.k, sc.in_addr, sc.kern_addr, sc.out_addr)
+                       if kind is Kind.CONV else dot_driver(sc.length, sc.in_addr, sc.kern_addr))
+        while not world.cpu.halted:
+            world.step()
+            assert not world.bus.cpu_posted
+        assert world.cpu.fault is None
+        assert world.cycle == report["total_cycles"]
+        assert world.cpu.retired == report["cpu"]["retired"]
+        assert world.bus.register_accesses == report["bus"]["register_accesses"] > 7
+
     def test_cnn_layer_decomposition(self):
         sc = Scenario(kind=Kind.CNN_LAYER, n=16, k=4, c=2, k_out=3, seed=5)
         report, _ = run_scenario(sc)
@@ -75,6 +101,18 @@ class TestScenarioRuns:
         report, _ = run_scenario(sc)
         assert report["dot"]["macs"] == 32
         assert report["calls"] == 4
+
+    @pytest.mark.parametrize("scenario, message", [
+        (Scenario(kind=Kind.CNN_LAYER, n=16, k=4, c=0, k_out=3),
+         "cnn layer needs positive n, k, c, k_out"),
+        (Scenario(kind=Kind.DENSE_LAYER, in_features=8, out_features=-1),
+         "dense layer needs positive in/out features"),
+        (Scenario(kind=Kind.CONV, n=8, k=3, x_data=[1] * 7), "x data has 7 words, needs 8"),
+        (Scenario(kind=Kind.DOT, length=4, h_data=[1] * 5), "h data has 5 words, needs 4"),
+    ], ids=["cnn", "dense", "conv x", "dot h"])
+    def test_invalid_scenario_is_refused(self, scenario, message):
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(scenario)
 
 
 class TestDeterminism:
@@ -1015,7 +1053,7 @@ class TestFastForwardLockstep:
     def test_register_load_on_the_finishing_cycle(self, read, beside, issue):
         # a load of a running unit's register issued on the cycle of its
         # uncontended finish, or just before or after it, reads what stepping
-        # reads: the DSPs step before the bus serves the load, so on the
+        # reads: the DSPs step before the CPU issues the load, so on the
         # finishing cycle it already sees the unit done.  Beside conv, dot
         # loses arbitration and finishes later.
         unit, addr = self._FINISH_READS[read]
@@ -1081,7 +1119,7 @@ class TestFastForwardLockstep:
     @pytest.mark.parametrize("running", [False, True], ids=["alone", "beside conv"])
     def test_register_load_that_errs_is_stepped(self, running):
         # a load of an offset where conv has no register closes the
-        # window, and the bus step counts it once and faults
+        # window, and the stepped load counts it once and faults
         asm = Assembler()
         asm.li(20, CONV_BASE)
         asm.emit(I("lw", rd=5, rs1=20, imm=conv_regs.OFF_STATUS),
