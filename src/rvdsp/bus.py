@@ -3,12 +3,12 @@
 DataMem is single-port, so at most one DataMem transaction completes
 per cycle; the arbiter is fixed-priority CPU > conv DSP > dot DSP.
 Register-space (AXI-Lite) accesses bypass the arbiter and always
-complete in the cycle they are made.  Every CPU access completes in its
-issue cycle, after the DSPs have stepped: the CPU serves its own DataMem
-accesses, since it always wins arbitration, and reports each with
-``serve_cpu``; ``_route`` serves its other accesses at once, and ``peek``
-those of a window of the CPU alone.  Only host accesses are posted, as a
-``BusTransaction`` that ``step`` completes.  Each DSP's ``MmiPort`` is
+complete in the cycle they are made.  Every CPU or host access completes
+in its issue cycle, after the DSPs have stepped, as in the blocking
+transport of SystemC TLM-2.0: the CPU serves its own DataMem accesses,
+since it always wins arbitration, and reports each with ``serve_cpu``,
+and ``_route`` serves its other accesses at once; ``post`` serves a host
+access in the CPU's place in the same way.  Each DSP's ``MmiPort`` is
 served by ``MmiPort.serve``, here and in the DSPs' ``replay``, while
 ``req and not done``, and carries only word-aligned DataMem addresses: a
 unit starts only once ``buffer_in_datamem`` holds for every buffer, and
@@ -35,23 +35,6 @@ class Requester(enum.Enum):
 
 _CPU, _CONV = Requester.CPU, Requester.CONV
 _MASK = 0xFFFF_FFFF
-
-
-class TxState(enum.Enum):
-    PENDING = 0
-    DONE = 1
-
-
-@dataclass
-class BusTransaction:
-    requester: Requester
-    addr: int
-    write: bool = False
-    wdata: int = 0
-    wstrb: int = 0b1111
-    state: TxState = TxState.PENDING
-    rdata: int = 0
-    error: str | None = None
 
 
 @dataclass
@@ -116,9 +99,8 @@ class Bus:
         self.conv = conv
         self.dot = dot
         self._ports = (conv.mmi, dot.mmi)
-        self._cpu_tx = None
-        # the CPU's DataMem access of this cycle was served at issue;
-        # step() stalls the DSPs that request DataMem and clears it
+        # a CPU or host DataMem access was served in this cycle; step()
+        # stalls the DSPs that request DataMem and clears it
         self.cpu_served = False
         self._grants = [0, 0, 0]  # indexed in priority order: CPU, conv, dot
         self._stalls = [0, 0, 0]
@@ -128,11 +110,6 @@ class Bus:
     grants = property(lambda self: dict(zip(Requester, self._grants)))
     stalls = property(lambda self: dict(zip(Requester, self._stalls)))
 
-    @property
-    def cpu_posted(self):
-        """True while a posted transaction waits on the bus."""
-        return self._cpu_tx is not None
-
     def credit(self, port, grants, stalls):
         """Count the DataMem grants and lost arbitration cycles of the DSP
         behind `port` over cycles that ``World.run_until`` replayed
@@ -141,37 +118,28 @@ class Bus:
         self._grants[k] += grants
         self._stalls[k] += stalls
 
-    def post(self, tx):
-        """Post a host transaction (``World.reg_write``/``reg_read``),
-        completed by the next ``step``; the CPU completes its accesses at
-        issue, and DSPs request through their MmiPort."""
-        if self._cpu_tx is not None:
-            raise RuntimeError("cpu already has a transaction in flight")
-        self._cpu_tx = tx
+    def post(self, addr, write=False, wdata=0, wstrb=0b1111):
+        """Serve a host access (``World.reg_write``/``reg_read``) in this
+        cycle, after the DSPs and the CPU have stepped, as the CPU's own
+        access is served: (rdata, error).  A DataMem word is granted to
+        the host in the CPU's place, and refused in a cycle in which the
+        CPU took DataMem.  Keeps the name ``post`` because
+        perfbench/tracing.py wraps it; ROADMAP item 1 owns any rename."""
+        addr &= _MASK
+        if addr & 3 or not DATA_BASE <= addr <= DATA_END:
+            return self._route(addr, write, wdata)
+        if self.cpu_served:
+            raise RuntimeError("DataMem already served the CPU in this cycle")
+        self.serve_cpu()
+        if write:
+            self.sram.write_word(addr - DATA_BASE, wdata, wstrb)
+            return 0, None
+        return self.sram.words[(addr - DATA_BASE) >> 2], None
 
     def serve_cpu(self):
         """Grant DataMem to a CPU access served at its issue, in this cycle."""
-        if self._cpu_tx is not None:
-            raise RuntimeError("cpu already has a transaction in flight")
         self._grants[0] += 1
         self.cpu_served = True
-
-    def peek(self, addr, write):
-        """For a window of the CPU alone: what the CPU's access to the
-        word at `addr` outside DataMem reads, counted as a stepped access
-        counts it, or None if the access must be stepped.  A load of ROM
-        or of a unit's registers, and any access to the reserved block,
-        which reads 0 and discards stores, is served; a store elsewhere,
-        which may start a unit, and an access that errs, which faults,
-        are stepped."""
-        if write and decode_address(addr)[0] is not Region.RESERVED:
-            return None
-        accesses = self.register_accesses
-        rdata, error = self._route(addr, write, 0)
-        if error is None:
-            return rdata
-        self.register_accesses = accesses  # counted when the access is stepped
-        return None
 
     def _route(self, addr, write, wdata):
         """Serve an access outside DataMem at once: (rdata, error)."""
@@ -198,39 +166,20 @@ class Bus:
         return 0, f"unmapped address 0x{addr:08x}"
 
     def step(self):
-        """Resolve one bus cycle: route register space, arbitrate DataMem."""
-        cpu = self.cpu_served  # word-aligned DataMem requests this cycle
-        tx = self._cpu_tx
-        if cpu:
-            self.cpu_served = False
-        elif tx is not None:
-            cpu_addr = tx.addr & _MASK
-            cpu = not cpu_addr & 3 and DATA_BASE <= cpu_addr <= DATA_END
-            if not cpu:
-                tx.rdata, tx.error = self._route(cpu_addr, tx.write, tx.wdata)
-                self._cpu_tx, tx.state = None, TxState.DONE
+        """Arbitrate DataMem for one cycle: a CPU or host access served
+        in it stalls the DSPs that request DataMem; otherwise the first
+        DSP request by priority is served."""
+        cpu = self.cpu_served
         conv_port, dot_port = self._ports
         conv = conv_port.req and not conv_port.done
         dot = dot_port.req and not dot_port.done
         if not (cpu or conv or dot):
             return
-
+        self.cpu_served = False
         winner = arbitrate(cpu, conv, dot)
-        words = self.sram.words
         if winner is _CPU:
             self._stalls[1] += conv
             self._stalls[2] += dot
-            if tx is None:  # served at issue
-                return
-            self._grants[0] += 1
-            offset = cpu_addr - DATA_BASE
-            if not tx.write:
-                tx.rdata = words[offset >> 2]
-            elif tx.wstrb == 0b1111:
-                words[offset >> 2] = tx.wdata & _MASK
-            else:
-                self.sram.write_word(offset, tx.wdata, tx.wstrb)
-            self._cpu_tx, tx.state = None, TxState.DONE
             return
         if winner is _CONV:
             self._grants[1] += 1
@@ -239,4 +188,4 @@ class Bus:
         else:
             self._grants[2] += 1
             port = dot_port
-        port.serve(words)
+        port.serve(self.sram.words)

@@ -18,6 +18,7 @@ be written exits 2.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -253,10 +254,10 @@ def _at_least(low, what):
 
 
 def _hertz(text):
-    """The value of a --freq option: a positive number of hertz."""
+    """The value of a --freq option: a positive, finite number of hertz."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"frequency must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"frequency must be positive and finite, got {text}")
     return value
 
 

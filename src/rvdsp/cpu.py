@@ -7,7 +7,8 @@ store completes in its issue cycle, after the DSPs have stepped: the CPU
 wins DataMem arbitration, so it serves a DataMem access from
 ``sram.words`` and reports it (``Bus.serve_cpu``), and the bus routes any
 other address at once (``Bus._route``), the blocking transport of
-SystemC TLM-2.0.  ``run_alone`` runs hot loops as blocks: Python
+SystemC TLM-2.0.  ``step`` and ``run_alone`` serve an access through the
+same handler.  ``run_alone`` runs hot loops as blocks: Python
 functions generated from the predecoded entries and kept in
 ``Rom.blocks``, which do what the handlers do for a straight run of
 words, with the issue cycle of each fixed when the block is generated
@@ -112,13 +113,16 @@ class Cpu:
         ``step`` does, for at most `cycles` cycles beside DSPs that touch
         only the DataMem words marked in the bytearray `guard`, and set
         `taken` at the index of each cycle in which the CPU took DataMem.
-        A load outside DataMem is served at its issue (``Bus.peek``)
-        before the last of the `cycles`, when the bus reads only what
-        stays fixed until a running unit finishes.  Stops before an
-        instruction that would fault, halt, store to a unit's registers
-        (which may start it) or touch a guarded word; the wait of
-        the last instruction may run past `cycles`, and what is left of it
-        stays.
+        A load outside DataMem, and a store to the reserved block, run
+        through their handler before the last of the `cycles`, when the
+        bus reads only what stays fixed until a running unit finishes; if
+        the bus answers with an error, the instruction faults and the
+        window ends with its issue cycle, as ``step`` leaves it.  Stops
+        before an instruction that would halt, store elsewhere outside
+        DataMem (to a unit's registers, which may start it), touch a
+        guarded word, or fault on its fetch, decode or alignment; the
+        wait of the last instruction may run past `cycles`, and what is
+        left of it stays.
 
         A spin loop is jumped: at the target of a backward jump with the
         pc and registers of the last target, and no DataMem access since,
@@ -190,18 +194,14 @@ class Cpu:
                             return self._close(t, retired, cycles)
                         taken[t] = 1
                         clean = False
-                    else:
-                        word = None if t + 1 == cycles else bus.peek(addr & ~3, handler is _store)
-                        if word is None:
-                            return self._close(t, retired, cycles)
-                        if handler is _load:
-                            _write_back(self, entry, addr, word)
-                        self.pc = pc + 4
-                        retired += 1
-                        t += 1 + entry[6]
-                        continue
+                    elif (t + 1 == cycles or handler is _store
+                          and decode_address(addr & ~3)[0] is not Region.RESERVED):
+                        return self._close(t, retired, cycles)
+                issue = t
                 retired += 1
                 t += 1 + handler(self, entry)
+                if self.fault is not None:  # a load the bus answered with an error
+                    return self._close(t, retired, issue + 1)
         return self._close(t, retired, cycles)
 
     def _close(self, t, retired, cycles):
@@ -383,31 +383,25 @@ def _ecall(cpu, e):
 def _load(cpu, e):
     """(_load, rd, rs1, rs2, imm, width, wait, mnemonic, signed)"""
     addr = (cpu.regs[e[2]] + e[4]) & _MASK
-    if addr & (e[5] - 1):
+    width = e[5]
+    if addr & (width - 1):
         cpu._fault("misaligned", f"{e[7]} at 0x{addr:08x}")
         return 0
     if DATA_BASE <= addr <= DATA_END:
         cpu.bus.serve_cpu()
-        _write_back(cpu, e, addr, cpu.sram.words[(addr - DATA_BASE) >> 2])
+        word, error = cpu.sram.words[(addr - DATA_BASE) >> 2], None
     else:
         word, error = cpu.bus._route(addr & ~3, False, 0)
-        if error is None:
-            _write_back(cpu, e, addr, word)
-        else:
-            cpu._fault("bus", error)
+    if error is not None:
+        cpu._fault("bus", error)
+    elif e[1]:
+        if width != 4:  # the loaded lane, zero- or sign-extended
+            word = word >> 8 * (addr & 3) & (1 << 8 * width) - 1
+            if e[8]:
+                word = u32(sext(word, 8 * width))
+        cpu.regs[e[1]] = word
     cpu.pc += 4
     return e[6]
-
-
-def _write_back(cpu, e, addr, word):
-    """Write the loaded lane of `word` to rd, as entry `e` at `addr` reads it."""
-    width = e[5]
-    if width != 4:
-        word = word >> 8 * (addr & 3) & (1 << 8 * width) - 1
-        if e[8]:
-            word = u32(sext(word, 8 * width))
-    if e[1]:
-        cpu.regs[e[1]] = word
 
 
 def _store(cpu, e):

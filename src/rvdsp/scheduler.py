@@ -1,9 +1,10 @@
 """Global cycle loop and scenario execution.
 
 Intra-cycle order is fixed for reproducibility: both DSP FSMs step, then
-the CPU issues and completes its access or waits, then the bus arbitrates
-DataMem and completes a host transaction.  DSPs observe bus completions
-at the start of their next step.
+the CPU issues and completes its access or waits, then a host access
+(``World.reg_write``/``reg_read``) completes, then the bus arbitrates
+DataMem for the DSPs.  DSPs observe bus completions at the start of their
+next step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import conv as conv_regs
 from . import dotprod as dot_regs
 from .accel import DspState
 from .bits import u32
-from .bus import Bus, BusTransaction, Requester
+from .bus import Bus
 from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
@@ -82,6 +83,11 @@ class World:
         self.config.trace(f"cycle {self.cycle} | {component} | {event}")
 
     def step(self):
+        self._issue()
+        self.bus.step()
+
+    def _issue(self):
+        """Open the next cycle: step conv and dot, then the CPU."""
         self.cycle += 1
         if self.cycle > self.config.max_cycles:
             raise SimulationTimeout(f"exceeded {self.config.max_cycles} cycles")
@@ -89,7 +95,6 @@ class World:
         self.dot.step()
         if self.cpu is not None:
             self.cpu.step()
-        self.bus.step()
 
     def run_until(self, predicate):
         """Advance until predicate() holds.
@@ -97,24 +102,25 @@ class World:
         ``step()`` is the single-cycle reference.  Each call opens a
         window (``_window``) if it can and steps otherwise; a window gives
         the same cycle count, counters, memory and trace as stepping:
-        - with a CPU, and no host transaction posted, the CPU runs alone
-          (``Cpu.run_alone``), logging the cycles in which it took
-          DataMem, for as long as it stores to no DSP register and touches
-          no word of a running unit's buffers, jumping spin loops whole
-          and running hot loops as generated blocks; then each DSP in RUN
-          is replayed against that log.  The arbiter's fixed priority
-          (CPU > conv > dot) makes this exact: the CPU never waits for a
-          DSP, and conv's grants, marked in the log, are all that dot
-          waits for besides the CPU's;
-        - with no CPU or a halted one and no host transaction posted, the
-          DSPs in RUN are replayed against a log with nothing taken (a lone
-          one to the end of its run), and with none in RUN nothing changes
-          until the timeout.
-        The instruction that closes a CPU window (a store to a DSP
-        register, ``ecall``/``ebreak``, a fault) is stepped.  Windows
-        never open while conv's output overlaps dot's inputs, and end no
-        later than the uncontended finish of a DSP in RUN, which stalls
-        can only delay, so no DSP finishes before a window's last cycle.
+        - with a CPU, the CPU runs alone (``Cpu.run_alone``), logging the
+          cycles in which it took DataMem, for as long as it stores to no
+          DSP register and touches no word of a running unit's buffers,
+          jumping spin loops whole and running hot loops as generated
+          blocks; then each DSP in RUN is replayed against that log.  The
+          arbiter's fixed priority (CPU > conv > dot) makes this exact:
+          the CPU never waits for a DSP, and conv's grants, marked in the
+          log, are all that dot waits for besides the CPU's;
+        - with no CPU or a halted one, the DSPs in RUN are replayed
+          against a log with nothing taken (a lone one to the end of its
+          run), and with none in RUN nothing changes until the timeout.
+        The instruction before which a CPU window closes (a store to a
+        DSP register, ``ecall``/``ebreak``, a fetch, decode or alignment
+        fault) is stepped; a load that the bus answers with an error ends
+        its window with its issue cycle.  Windows never open while conv's output overlaps
+        dot's inputs, and end no later than the uncontended finish of a
+        DSP in RUN, which stalls can only delay, so no DSP finishes
+        before a window's last cycle.  A CPU fault raises
+        SimulationFault after the window or step in which it happens.
         The predicate is evaluated at the ends of windows and steps only,
         so it should depend on state that changes there (a DSP's state,
         the CPU's halt), not on the cycle number or the retired count.
@@ -123,23 +129,23 @@ class World:
         while not predicate():
             if not self._window():
                 self.step()
-                if cpu is not None and cpu.fault is not None:
-                    raise SimulationFault(cpu.fault)
+            if cpu is not None and cpu.fault is not None:
+                raise SimulationFault(cpu.fault)
 
     def _window(self):
         """Run the CPU alone, if it runs, up to the first uncontended
         finish of a DSP in RUN and within max_cycles, then replay the DSPs
         in RUN over those cycles.  A window with a CPU or two DSPs runs at
-        most ``_WINDOW`` cycles.  Returns False if a host transaction is
-        posted, the CPU has faulted, max_cycles is reached, conv's output
-        overlaps dot's inputs, or the CPU's next instruction may not run
-        alone; with neither a running CPU nor a DSP in RUN, it first jumps
-        to max_cycles, where the next step times out."""
+        most ``_WINDOW`` cycles.  Returns False if the CPU has faulted,
+        max_cycles is reached, conv's output overlaps dot's inputs, or the
+        CPU's next instruction may not run alone; with neither a running
+        CPU nor a DSP in RUN, it first jumps to max_cycles, where the next
+        step times out."""
         cpu, max_cycles = self.cpu, self.config.max_cycles
         if cpu is not None and cpu.halted:
             cpu = None
         units = [dsp for dsp in (self.conv, self.dot) if dsp.state is DspState.RUN]
-        if (self.bus.cpu_posted or self.cycle >= max_cycles
+        if (self.cycle >= max_cycles
                 or cpu is not None and cpu.fault is not None
                 or len(units) == 2 and self._coupled()):
             return False
@@ -200,23 +206,24 @@ class World:
 
     # -------------------------------------------------------- host access
     def reg_write(self, addr, value):
-        """Testbench-mode register write; advances one bus cycle.  Raises
+        """Testbench-mode register write; advances one cycle.  Raises
         HostAccessError if the bus answers with an error."""
-        tx = BusTransaction(Requester.CPU, addr, write=True, wdata=u32(value))
-        self.bus.post(tx)
-        self.step()
-        if tx.error is not None:
-            raise HostAccessError(tx.error)
+        self._host(addr, True, u32(value))
 
     def reg_read(self, addr):
-        """Testbench-mode register read; advances one bus cycle.  Raises
+        """Testbench-mode register read; advances one cycle.  Raises
         HostAccessError if the bus answers with an error."""
-        tx = BusTransaction(Requester.CPU, addr)
-        self.bus.post(tx)
-        self.step()
-        if tx.error is not None:
-            raise HostAccessError(tx.error)
-        return tx.rdata
+        return self._host(addr)
+
+    def _host(self, *access):
+        """One cycle with a host access (``Bus.post``'s arguments), served
+        after the DSPs and the CPU have stepped, as a CPU access is."""
+        self._issue()
+        rdata, error = self.bus.post(*access)
+        self.bus.step()
+        if error is not None:
+            raise HostAccessError(error)
+        return rdata
 
     def write_words(self, byte_addr, words):
         """Host preload of DataMem (not cycle-counted)."""

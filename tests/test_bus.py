@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from rvdsp import conv as conv_regs
 from rvdsp import dotprod as dot_regs
 from rvdsp.accel import DspState
-from rvdsp.bus import (Bus, BusTransaction, Requester, TxState, arbitrate)
+from rvdsp.bus import Bus, Requester, arbitrate
 from rvdsp.conv import ConvDsp, OFF_IN_ADDR
 from rvdsp.dotprod import DotDsp
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DATA_END, DOT_BASE, Rom, Sram
@@ -42,71 +42,58 @@ class TestArbitrate:
 
 
 class TestRouting:
+    """A host access cycle on a bare bus: ``post`` serves the access at
+    once, then ``step`` arbitrates the cycle."""
+
     def test_register_write_completes_in_one_cycle(self):
         bus, _, _, conv, _ = make_bus()
-        tx = BusTransaction(Requester.CPU, CONV_BASE + OFF_IN_ADDR,
-                            write=True, wdata=0x8000)
-        bus.post(tx)
+        assert bus.post(CONV_BASE + OFF_IN_ADDR, write=True, wdata=0x8000) == (0, None)
         bus.step()
-        assert tx.state is TxState.DONE and tx.error is None
         assert conv.in_addr == 0x8000
 
     def test_rom_read_and_write_fault(self):
         bus, rom, _, _, _ = make_bus()
         rom.load([0x1234])
-        rd = BusTransaction(Requester.CPU, 0)
-        bus.post(rd)
+        assert bus.post(0)[0] == 0x1234
         bus.step()
-        assert rd.rdata == 0x1234
-        wr = BusTransaction(Requester.CPU, 0, write=True, wdata=1)
-        bus.post(wr)
+        assert bus.post(0, write=True, wdata=1)[1] is not None
         bus.step()
-        assert wr.error is not None
 
     def test_reserved_reads_zero_counts_writes(self):
         # writes complete without error and are discarded
         bus, *_ = make_bus()
-        wr = BusTransaction(Requester.CPU, 0x0100_0200, write=True, wdata=5)
-        bus.post(wr)
+        assert bus.post(0x0100_0200, write=True, wdata=5) == (0, None)
         bus.step()
-        assert wr.state is TxState.DONE and wr.error is None
         for addr in (0x0100_0200, 0x0100_0204):
-            rd = BusTransaction(Requester.CPU, addr)
-            bus.post(rd)
+            assert bus.post(addr) == (0, None)
             bus.step()
-            assert rd.error is None and rd.rdata == 0
 
     def test_unmapped_is_bus_error(self):
         bus, *_ = make_bus()
-        tx = BusTransaction(Requester.CPU, 0x0200_0000)
-        bus.post(tx)
-        bus.step()
-        assert tx.error is not None
+        assert bus.post(0x0200_0000)[1] is not None
 
     def test_misaligned_is_bus_error(self):
         bus, *_ = make_bus()
-        tx = BusTransaction(Requester.CPU, DATA_BASE + 2)
-        bus.post(tx)
-        bus.step()
-        assert tx.error is not None
+        assert bus.post(DATA_BASE + 2)[1] is not None
 
-    def test_second_post_before_a_step_is_refused(self):
-        # the bus holds one posted transaction until its step
+    def test_second_datamem_access_in_one_cycle_is_refused(self):
+        # DataMem serves one access a cycle; step() ends the cycle
         bus, *_ = make_bus()
-        bus.post(BusTransaction(Requester.CPU, CONV_BASE))
-        with pytest.raises(RuntimeError, match="already has a transaction in flight"):
-            bus.post(BusTransaction(Requester.CPU, DOT_BASE))
+        bus.post(DATA_BASE)
+        with pytest.raises(RuntimeError, match="already served the CPU in this cycle"):
+            bus.post(DATA_BASE + 4)
+        bus.step()
+        assert bus.post(DATA_BASE + 4) == (0, None)
 
 
 class TestContention:
     def test_cpu_beats_dsp_on_datamem(self):
         bus, _, sram, conv, _ = make_bus()
         sram.write_word(0x100, 7)
-        cpu_tx = BusTransaction(Requester.CPU, DATA_BASE)
-        bus.post(cpu_tx)
+        sram.write_word(0, 9)
         conv.mmi.request_read(DATA_BASE + 0x100)
+        assert bus.post(DATA_BASE) == (9, None)
         bus.step()
-        assert cpu_tx.state is TxState.DONE
         assert not conv.mmi.done
         assert bus.stalls[Requester.CONV] == 1
         bus.step()  # CPU gone: DSP completes next cycle
@@ -123,23 +110,18 @@ class TestContention:
 
     def test_grants_equal_completions(self):
         bus, _, sram, conv, dot = make_bus()
-        txs = []
         for i in range(10):
-            tx = BusTransaction(Requester.CPU, DATA_BASE + 4 * i, write=True,
-                                wdata=i + 1)
-            bus.post(tx)
+            assert bus.post(DATA_BASE + 4 * i, write=True, wdata=i + 1) == (0, None)
             bus.step()
-            txs.append(tx)
-        assert all(tx.state is TxState.DONE and tx.error is None for tx in txs)
         assert [sram.read_word(4 * i) for i in range(10)] == list(range(1, 11))
         assert bus.grants[Requester.CPU] == 10
 
     def test_dsp_not_starved_when_cpu_idle(self):
-        # once the CPU stops posting, the pending DSP request completes
+        # once the host stops accessing DataMem, the pending DSP request completes
         bus, _, _, conv, _ = make_bus()
         conv.mmi.request_read(DATA_BASE)
         for _ in range(3):
-            bus.post(BusTransaction(Requester.CPU, DATA_BASE, write=True, wdata=1))
+            bus.post(DATA_BASE, write=True, wdata=1)
             bus.step()
         assert not conv.mmi.done
         bus.step()

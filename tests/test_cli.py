@@ -421,7 +421,7 @@ class TestModel:
     @pytest.mark.parametrize("argv", [["model", "conv", "--n", "4", "--k", "2"],
                                       ["model", "dense", "--in-features", "2",
                                        "--out-features", "2"], ["compare"]])
-    @pytest.mark.parametrize("freq", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf"])
     def test_frequency_must_be_positive(self, argv, freq, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--freq", freq])

@@ -3,11 +3,12 @@ from hypothesis import given, settings
 
 from iss_ref import RefCpu
 from random_programs import assert_sram_words, rv_programs
+from rvdsp import dotprod as dot_regs
 from rvdsp.bits import u32
-from rvdsp.bus import BusTransaction, Requester
+from rvdsp.conv import OFF_IN_LEN
 from rvdsp.cpu import CycleCostTable, SYSCALL_ADDR
 from rvdsp.isa import encode
-from rvdsp.memmap import DATA_BASE, load_image
+from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE, load_image
 from rvdsp.programs import Assembler, I
 from rvdsp.scheduler import SimConfig, SimulationFault, World
 
@@ -169,17 +170,45 @@ class TestFaults:
         assert world.cpu.pc == 8  # the store retired and pc moved on
 
     def test_host_access_beside_a_cpu_access_is_refused(self):
-        # the CPU serves its DataMem load at issue, but still refuses to
-        # share the cycle with a host transaction, as the bus slot did
+        # the CPU serves its DataMem load at issue, and the single DataMem
+        # port refuses a host access to DataMem in the same cycle
         asm = Assembler()
         asm.li(3, DATA_BASE)
         asm.emit(I("lw", rd=2, rs1=3, imm=0), I("ebreak"))
         world = World(SimConfig(), with_cpu=True)
         world.rom.load(asm.words())
         world.step()  # the li
-        world.bus.post(BusTransaction(Requester.CPU, DATA_BASE))
-        with pytest.raises(RuntimeError, match="already has a transaction in flight"):
+        with pytest.raises(RuntimeError, match="already served the CPU in this cycle"):
+            world.reg_read(DATA_BASE)
+
+    @pytest.mark.parametrize("host_write", [False, True], ids=["host read", "host write"])
+    @pytest.mark.parametrize("cpu_store", [False, True], ids=["cpu load", "cpu store"])
+    def test_host_register_access_beside_a_cpu_register_access_is_served(
+            self, cpu_store, host_write):
+        # register space bypasses the DataMem arbiter: a host access to dot's
+        # LEN in the cycle in which the CPU issues its access to conv's
+        # IN_LEN is served, and both are counted
+        asm = Assembler()
+        asm.li(20, CONV_BASE)
+        asm.li(21, 7)
+        prologue = len(asm.words())  # one cycle each
+        asm.emit(I("sw", rs1=20, rs2=21, imm=OFF_IN_LEN) if cpu_store
+                 else I("lw", rd=5, rs1=20, imm=OFF_IN_LEN), I("ebreak"))
+        world = World(SimConfig(), with_cpu=True)
+        world.rom.load(asm.words())
+        world.conv.in_len, world.dot.length = 3, 9
+        for _ in range(prologue):
             world.step()
+        dot_len = DOT_BASE + dot_regs.OFF_LEN
+        if host_write:
+            world.reg_write(dot_len, 11)
+        else:
+            assert world.reg_read(dot_len) == 9
+        assert world.cpu.retired == prologue + 1  # issued in the host's cycle
+        assert world.bus.register_accesses == 2
+        world.run_until_halt()
+        assert world.dot.length == (11 if host_write else 9)
+        assert (world.conv.in_len, world.cpu.regs[5]) == ((7, 0) if cpu_store else (3, 3))
 
     def test_timeout_is_distinct(self):
         from rvdsp.scheduler import SimulationTimeout

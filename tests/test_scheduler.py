@@ -13,7 +13,7 @@ from rvdsp import dotprod as dot_regs
 from rvdsp import accel, scheduler
 from rvdsp.accel import DspState, MmioAccelerator
 from rvdsp.bits import s32, s64, u32, u64
-from rvdsp.bus import Bus, BusTransaction, Requester, TxState
+from rvdsp.bus import Bus, Requester
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
@@ -67,12 +67,13 @@ class TestScenarioRuns:
     def test_stepped_driver_posts_nothing(self, kind, monkeypatch):
         # World.step() alone through a full-system driver: its configuration
         # stores, STATUS polls and IRQ_CLEAR store each complete in their
-        # issue cycle, so nothing is posted, and the run is run_scenario's
+        # issue cycle through the CPU's handlers, so no host access is
+        # made, and the run is run_scenario's
         sc = Scenario(kind=kind, mode=Mode.FULL_SYSTEM, n=24, k=4, length=24, seed=3)
         report, _ = run_scenario(sc)
 
-        def refuse(bus, tx):
-            raise AssertionError(f"posted {tx}")
+        def refuse(bus, addr, *args):
+            raise AssertionError(f"host access to 0x{addr:08x}")
 
         monkeypatch.setattr(Bus, "post", refuse)
         world = World(SimConfig(), with_cpu=True)
@@ -83,7 +84,6 @@ class TestScenarioRuns:
                        if kind is Kind.CONV else dot_driver(sc.length, sc.in_addr, sc.kern_addr))
         while not world.cpu.halted:
             world.step()
-            assert not world.bus.cpu_posted
         assert world.cpu.fault is None
         assert world.cycle == report["total_cycles"]
         assert world.cpu.retired == report["cpu"]["retired"]
@@ -166,13 +166,14 @@ class TestContention:
         world.reg_write(CONV_BASE + regs.OFF_IN_LEN, sc.n)
         world.reg_write(CONV_BASE + regs.OFF_KERN_LEN, sc.k)
         world.reg_write(CONV_BASE + regs.OFF_CONTROL, 1)
-        # post CPU traffic every other cycle: the fixed-priority arbiter
+        # host DataMem reads every other cycle: the fixed-priority arbiter
         # would starve the DSP forever under a 100% duty cycle
         scratch = DATA_BASE + 0x4000
         while world.conv.state is DspState.RUN:
             if world.cycle % 2 == 0:
-                world.bus.post(BusTransaction(Requester.CPU, scratch))
-            world.step()
+                world.reg_read(scratch)
+            else:
+                world.step()
         assert world.conv.busy_cycles > quiet.conv.busy_cycles
         assert world.bus.stalls[Requester.CONV] > 0
         y = world.read_words(sc.out_addr, sc.n - sc.k + 1)
@@ -182,9 +183,9 @@ class TestContention:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_cpu_traffic_only_adds_stalls(self, data):
-        # A random per-cycle pattern of CPU DataMem reads and (strobed)
-        # writes to a scratch block, posted while a DSP runs: every CPU
-        # post is granted at once, each lost DSP arbitration costs exactly
+        # A random per-cycle pattern of host DataMem reads and (strobed)
+        # writes to a scratch block while a DSP runs: every host access is
+        # granted in its cycle, each lost DSP arbitration costs exactly
         # one busy cycle, and the DSP output is unaffected.
         if data.draw(st.booleans(), label="conv"):
             n = data.draw(st.integers(1, 20), label="n")
@@ -229,21 +230,17 @@ class TestContention:
                 world.step()
                 continue
             word, write = op
+            access = (scratch_base + 4 * word,)
             if write is None:
-                tx = BusTransaction(Requester.CPU, scratch_base + 4 * word)
                 expect = scratch[word]
             else:
                 value, strobe = write
                 mask = sum(0xFF << (8 * lane) for lane in range(4) if strobe >> lane & 1)
                 scratch[word] = (scratch[word] & ~mask) | (value & mask)
-                tx = BusTransaction(Requester.CPU, scratch_base + 4 * word,
-                                    write=True, wdata=value, wstrb=strobe)
+                access += (True, value, strobe)
                 expect = 0
-            world.bus.post(tx)
+            assert world._host(*access) == expect  # with a strobe reg_write lacks
             posts += 1
-            world.step()
-            assert tx.state is TxState.DONE and tx.error is None
-            assert tx.rdata == expect
         assert dsp.state is DspState.DONE and not dsp.status_error
         assert world.read_words(scratch_base, 16) == scratch
 
@@ -269,7 +266,7 @@ class TestContention:
                                               (dot_regs.OFF_LEN, 4),
                                               (dot_regs.OFF_CONTROL, 1)))],
                 "rom": [encode(I("addi", rd=17, imm=7)), encode(I("ecall"))],
-                "posted": False}
+                "host read": False}
         for fast in (False, True):
             world, _, outcome = _lockstep_run(case, SimConfig().max_cycles, fast)
             assert outcome == "finished"
@@ -299,9 +296,9 @@ def _words(data, count):
 
 def _lockstep_case(data):
     """A random conv and/or dot started by register writes, beside a CPU
-    that runs a small software conv or a random program, or after a host
-    DataMem read posted on the bus; or a CPU driver that configures and
-    starts one unit itself."""
+    that runs a small software conv or a random program, or after a cycle
+    with a host DataMem read; or a CPU driver that configures and starts
+    one unit itself."""
     cpu = data.draw(st.sampled_from([None, "sw kernel", "program", "driver"]), label="cpu")
     units = data.draw(st.sampled_from(
         {None: ["conv", "dot", "both"], "driver": ["conv", "dot"]}.get(
@@ -312,7 +309,7 @@ def _lockstep_case(data):
         costs = CycleCostTable(*data.draw(st.lists(st.integers(1, 4), min_size=8,
                                                    max_size=8), label="costs"))
     case = {"truncation": data.draw(st.sampled_from(list(Truncation))), "costs": costs,
-            "preload": [], "starts": [], "rom": None, "posted": False}
+            "preload": [], "starts": [], "rom": None, "host read": False}
     if units in ("conv", "both"):
         n = data.draw(st.integers(1, 64), label="n")
         k = data.draw(st.integers(1, n), label="k")
@@ -357,7 +354,7 @@ def _lockstep_case(data):
         case["preload"] += [(bufs[0], SplitMix64(sw_n).words(sw_n)),
                             (bufs[1], SplitMix64(sw_k).words(sw_k))]
     else:
-        case["posted"] = data.draw(st.booleans(), label="posted")
+        case["host read"] = data.draw(st.booleans(), label="host read")
     return case
 
 
@@ -387,8 +384,8 @@ def _lockstep_run(case, max_cycles, fast):
             for _, base, writes in case["starts"]:
                 for offset, value in writes:
                     world.reg_write(base + offset, value)
-        if case["posted"]:
-            world.bus.post(BusTransaction(Requester.CPU, _CONV_X))
+        if case["host read"]:
+            world.reg_read(_CONV_X)
         if fast:
             world.run_until(finished)
         else:
@@ -411,8 +408,7 @@ def _observable(world):
     bus = world.bus
     return {"cycle": world.cycle, "sram": world.sram.words,
             "grants": bus.grants, "stalls": bus.stalls,
-            "register_accesses": bus.register_accesses, "cpu_posted": bus.cpu_posted,
-            "cpu_served": bus.cpu_served,
+            "register_accesses": bus.register_accesses, "cpu_served": bus.cpu_served,
             "conv": fields(world.conv, {"trace"}), "dot": fields(world.dot, {"trace"}),
             "cpu": world.cpu and fields(world.cpu, {"rom", "bus", "sram"})}
 
@@ -549,8 +545,7 @@ class TestFastForwardLockstep:
             for _ in range(lead):
                 world.step()
             if stall:  # the host wins DataMem for a cycle
-                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
-                world.step()
+                world.reg_read(_SW_Y)
             return world, getattr(world, unit), lines
 
         stepped, dsp, lines = build()
@@ -681,8 +676,7 @@ class TestFastForwardLockstep:
             for _ in range(lead):
                 world.step()
             if stall:  # the host wins DataMem for a cycle
-                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
-                world.step()
+                world.reg_read(_SW_Y)
             return world, lines
 
         stepped, lines = build()
@@ -751,8 +745,7 @@ class TestFastForwardLockstep:
             for _ in range(lead):
                 world.step()
             if stall:  # the host wins DataMem for a cycle
-                world.bus.post(BusTransaction(Requester.CPU, _SW_Y))
-                world.step()
+                world.reg_read(_SW_Y)
             return world, lines
 
         def phase(dsp):
@@ -817,7 +810,7 @@ class TestFastForwardLockstep:
                                               (dot_regs.OFF_VB_ADDR, _DOT_B),
                                               (dot_regs.OFF_LEN, 64),
                                               (dot_regs.OFF_CONTROL, 1)))],
-                "rom": conv_sw_kernel(40, 8, _SW_X, _SW_H, _SW_Y), "posted": False}
+                "rom": conv_sw_kernel(40, 8, _SW_X, _SW_H, _SW_Y), "host read": False}
 
     def test_kernel_beside_both_units_runs_in_windows(self, monkeypatch):
         # the CPU runs alone and both units are replayed against its
@@ -855,7 +848,7 @@ class TestFastForwardLockstep:
                                        (dot_regs.OFF_VB_ADDR, _DOT_B),
                                        (dot_regs.OFF_LEN, 24), (dot_regs.OFF_CONTROL, 1)))],
                 "rom": conv_sw_kernel(24, 5, _SW_X, _SW_H, _SW_Y) if cpu else None,
-                "posted": False}
+                "host read": False}
         stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
         fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
         assert fast_outcome == outcome == "finished"
@@ -891,18 +884,20 @@ class TestFastForwardLockstep:
         assert runs[0] == runs[1]
 
     def test_lone_dsp_is_fast_forwarded(self, monkeypatch):
-        # testbench runs step only for their register writes; a full-system
-        # run runs the driver in windows, which jump the poll loop beside
-        # the running DSP, and steps only what closes a window
-        steps = []
-        step = World.step
+        # testbench runs spend a host cycle on each register write and
+        # step no cycle; a full-system run runs the driver in windows,
+        # which jump the poll loop beside the running DSP, and steps only
+        # what closes a window
+        steps, hosts = [], []
+        step, host = World.step, World._host
         monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
+        monkeypatch.setattr(World, "_host",
+                            lambda world, *access: (hosts.append(1), host(world, *access))[1])
         run_scenario(conv_scenario(40, 5))
-        assert len(steps) == 6
-        steps.clear()
+        assert (len(hosts), len(steps)) == (6, 0)
+        hosts.clear()
         run_scenario(Scenario(kind=Kind.DOT, length=30))
-        assert len(steps) == 4
-        steps.clear()
+        assert (len(hosts), len(steps)) == (4, 0)
         report, _ = run_scenario(conv_scenario(40, 5, mode=Mode.FULL_SYSTEM))
         # windows step only the driver's 7 register stores, its ebreak and
         # at most a STATUS load on the unit's finishing cycle, inside the
@@ -1000,7 +995,7 @@ class TestFastForwardLockstep:
                 "preload": [(_CONV_X, SplitMix64(1).words(40)),
                             (_CONV_H, SplitMix64(2).words(5))],
                 "starts": [], "rom": _poll_program(body, status, restart, lead),
-                "posted": False}
+                "host read": False}
         stepped, lines, outcome = _lockstep_run(case, 1500, fast=False)
         jumps = _count_jumps(monkeypatch)
         fast, fast_lines, fast_outcome = _lockstep_run(case, 1500, fast=True)
@@ -1024,7 +1019,7 @@ class TestFastForwardLockstep:
                     (conv_regs.OFF_OUT_ADDR, DATA_BASE + 0x1100),
                     (conv_regs.OFF_IN_LEN, 1024), (conv_regs.OFF_KERN_LEN, 16),
                     (conv_regs.OFF_CONTROL, 1)))],
-                "rom": [encode(I("jal", rd=0, imm=0))], "posted": False}
+                "rom": [encode(I("jal", rd=0, imm=0))], "host read": False}
         busy = (1024 - 16 + 1) * (3 * 16 + 1)
         stepped, lines, outcome = _lockstep_run(case, busy + 100, fast=False)
         jumps = _count_jumps(monkeypatch)
@@ -1076,7 +1071,7 @@ class TestFastForwardLockstep:
                             (_CONV_H, SplitMix64(2).words(2)),
                             (_DOT_A, SplitMix64(3).words(length)),
                             (_DOT_B, SplitMix64(4).words(length))],
-                "starts": starts, "rom": asm.words(), "posted": False}
+                "starts": starts, "rom": asm.words(), "host read": False}
         stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
         fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
         assert fast_outcome == outcome == "finished"
@@ -1103,7 +1098,7 @@ class TestFastForwardLockstep:
                 "preload": [(_CONV_X, SplitMix64(1).words(4)),
                             (_CONV_H, SplitMix64(2).words(2))],
                 "starts": [("conv", CONV_BASE, _conv_start(4, 2))],
-                "rom": asm.words(), "posted": False}
+                "rom": asm.words(), "host read": False}
         stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
         steps = []
         step = World.step
@@ -1117,25 +1112,46 @@ class TestFastForwardLockstep:
         assert len(steps) == 1  # the ebreak
 
     @pytest.mark.parametrize("running", [False, True], ids=["alone", "beside conv"])
-    def test_register_load_that_errs_is_stepped(self, running):
-        # a load of an offset where conv has no register closes the
-        # window, and the stepped load counts it once and faults
+    @pytest.mark.parametrize("bad, error, accesses", [
+        (0x0200_0000, "unmapped address 0x02000000", 4),
+        (CONV_BASE + 0x40, "conv: no register at offset 0x40", 5),
+    ], ids=["unmapped", "bad conv offset"])
+    def test_window_ends_on_a_faulting_load(self, bad, error, accesses, running,
+                                            monkeypatch):
+        # a loop loads conv's STATUS four times, then loads from `bad`: the
+        # window serves every load through the handler, and the faulting
+        # one ends it with its issue cycle, leaving the cycle, pc, wait,
+        # retired count and register accesses (an erring register load
+        # counts once) as a step() loop leaves them
         asm = Assembler()
-        asm.li(20, CONV_BASE)
-        asm.emit(I("lw", rd=5, rs1=20, imm=conv_regs.OFF_STATUS),
-                 I("lw", rd=6, rs1=20, imm=0x40), I("ebreak"))
+        asm.li(23, CONV_BASE + conv_regs.OFF_STATUS)
+        asm.li(24, bad)
+        asm.li(21, 4)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=23), I("addi", rd=21, rs1=21, imm=-1))
+        asm.branch("bne", 21, 0, "loop")
+        asm.emit(I("addi", rd=23, rs1=24))
+        asm.branch("beq", 0, 0, "loop")
         case = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
                 "preload": [(_CONV_X, SplitMix64(1).words(40)),
                             (_CONV_H, SplitMix64(2).words(5))],
                 "starts": [("conv", CONV_BASE, _conv_start(40, 5))] if running else [],
-                "rom": asm.words(), "posted": False}
+                "rom": asm.words(), "host read": False}
         stepped, lines, outcome = _lockstep_run(case, SimConfig().max_cycles, fast=False)
+        steps = []
+        step = World.step
+        monkeypatch.setattr(World, "step", lambda world: (steps.append(1), step(world)))
         fast, fast_lines, fast_outcome = _lockstep_run(case, SimConfig().max_cycles, fast=True)
-        assert fast_outcome == outcome == ("SimulationFault: bus fault at pc=0x00000008: "
-                                           "conv: no register at offset 0x40")
+        prologue = asm.labels["loop"]
+        load = 4 * prologue
+        assert fast_outcome == outcome == f"SimulationFault: bus fault at pc=0x{load:08x}: {error}"
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
-        assert fast.bus.register_accesses == 2
+        # the faulting load retires, moves pc on and leaves its wait, as in step()
+        assert (fast.cpu.pc, fast.cpu._wait) == (load + 4, 2)
+        assert fast.cpu.retired == prologue + 4 * 3 + 2 + 1
+        assert fast.bus.register_accesses == accesses
+        assert not steps  # the fault ends a window
 
     @pytest.mark.parametrize("world_state", ["no cpu", "done unit", "halted cpu"])
     def test_idle_world_jumps_to_the_timeout(self, world_state, monkeypatch):
@@ -1199,7 +1215,7 @@ class TestFastForwardLockstep:
                             (_CONV_H, SplitMix64(2).words(64)),
                             (_DOT_A, SplitMix64(3).words(64)),
                             (_DOT_B, SplitMix64(4).words(64))],
-                "starts": starts, "posted": False}
+                "starts": starts, "host read": False}
         budget = draw(st.just(1500) | st.integers(1, 1500), label="max_cycles")
         stepped, lines, outcome = _lockstep_run(case, budget, fast=False)
         fast, fast_lines, fast_outcome = _lockstep_run(case, budget, fast=True)
@@ -1277,7 +1293,7 @@ class TestBlocks:
     def _case(self, rom, starts=(), costs=None):
         return {"truncation": Truncation.WRAP, "costs": costs or CycleCostTable(),
                 "preload": self._PRELOAD, "starts": list(starts), "rom": rom,
-                "posted": False}
+                "host read": False}
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
