@@ -32,7 +32,10 @@ took: it runs ``_cycle`` over the partial taps at its two ends, its
 port served by ``MmiPort.serve`` as ``Bus.step`` serves it, and, in
 between, walks the grant times of whole taps, then commits their MACs
 from the SRAM words as they stand, a run of whole conv outputs as one
-big-int product (``_convolve``).  Both give exactly the result of
+big-int product (``_convolve``).  The walk of a whole output from its
+start reads only the log bytes it crosses, so it is memoized by the
+``_H`` bytes from there, in two memos per run: one for walks that mark
+the log and one for walks that do not.  Both give exactly the result of
 stepping those cycles; ``buffers`` names the words a run may touch.
 """
 
@@ -72,6 +75,9 @@ _LAST = (re.compile(rb"(\x01*)\x00(\x01*)\x00..", re.S),
 # testbench convs (Python 3.11, 2-core x86-64 Xeon), it overtakes one sum per
 # output at 8-12 outputs for K <= 128, 16 for K = 256, about 20 for K = 512
 _BATCH_MIN = 16
+# log bytes that key the memo of one whole output's walk, which stores no
+# longer walk: on contended (Python 3.11, 2 cores) 64 and 128 time alike
+_H = 128
 _LOW = 3 if byteorder == "big" else 0  # array("I") item of a 128-bit slot's low word
 _BIAS = b"\0\0\0\x80" + bytes(12)  # bit 31 of one 128-bit slot, little-endian
 
@@ -172,6 +178,7 @@ class MmioAccelerator:
         self.status_done = False
         self.status_error = False
         self._cfg = cfg
+        self._memo = ({}, {})  # output walks by their log bytes, unmarked and marked
         self.accum = 0
         self.out_idx = self.kern_idx = 0
         self._stage = 0 if cfg[3] else 6  # an empty product only ends
@@ -299,7 +306,10 @@ class MmioAccelerator:
         """Run the whole taps that fit in cycles p to `cycles` of `taken`
         from a tap boundary, as stepping runs them: their grant times
         are walked first (in closed form over free cycles, else by
-        ``_TAP`` and ``_LAST``), then their MACs are committed: by one
+        ``_TAP`` and ``_LAST``; an output whose next ``_H`` log bytes
+        began an earlier output's walk of at most ``_H`` cycles, with
+        `mark` as now, repeats its length and its marked log bytes), then
+        their MACs are committed: by one
         ``_convolve`` for a run of ``_BATCH_MIN`` or more whole outputs in
         which no output reads a word that an earlier one writes, else one
         output at a time, each from the SRAM `words` as they stand after
@@ -317,7 +327,18 @@ class MmioAccelerator:
         nxt = -1  # the first taken cycle from some cycle of the walk on
         i, j = self.out_idx, self.kern_idx
         last, stop, q = i, j, p  # walk from tap j of output i at cycle p
+        memo, l1 = self._memo[mark], None  # l1: the output that ends a keyed walk
         while q < cycles:
+            if not stop and q + _H <= cycles:  # an output's start
+                key, q0, l1 = bytes(taken[q:q + _H]), q, last + 1
+                hit = memo.get(key)
+                if hit:
+                    if mark:
+                        taken[q:q + hit[0]] = hit[1]
+                    last, q = last + 1, q + hit[0]
+                    if last == outputs:
+                        break
+                    continue
             if nxt < q:
                 nxt = find(1, q, cycles)
                 if nxt < 0:
@@ -343,6 +364,8 @@ class MmioAccelerator:
             if mark:  # the a and b reads and any write
                 taken[m.end(1)] = taken[m.end(2)] = taken[m.end(2 + writes)] = 1
             last, stop, q = last + 1, 0, m.end()
+            if last == l1 and q - q0 <= _H:  # one whole output walked from key
+                memo[key] = q - q0, bytes(taken[q0:q])
             if last == outputs:
                 break
         ends = last - i  # the outputs whose end cycles the walk runs

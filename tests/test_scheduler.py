@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import event, given, settings
@@ -401,7 +402,8 @@ def _lockstep_run(case, max_cycles, fast):
 
 
 def _observable(world):
-    """Every counter, register and datapath field the two paths must agree on."""
+    """Every counter, register and datapath field the two paths must agree on;
+    not a unit's walk memo, a cache of log slices that stepping never fills."""
     def fields(obj, skip):
         return {key: value for key, value in vars(obj).items() if key not in skip}
 
@@ -409,7 +411,8 @@ def _observable(world):
     return {"cycle": world.cycle, "sram": world.sram.words,
             "grants": bus.grants, "stalls": bus.stalls,
             "register_accesses": bus.register_accesses, "cpu_served": bus.cpu_served,
-            "conv": fields(world.conv, {"trace"}), "dot": fields(world.dot, {"trace"}),
+            "conv": fields(world.conv, {"trace", "_memo"}),
+            "dot": fields(world.dot, {"trace", "_memo"}),
             "cpu": world.cpu and fields(world.cpu, {"rom", "bus", "sram"})}
 
 
@@ -796,6 +799,104 @@ class TestFastForwardLockstep:
         event(f"conv outputs crossed {min(3, fast.conv.out_idx - i0)}")
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_replay_of_periodic_logs_matches_stepping(self, data):
+        # World._replay over one to three windows of a log that repeats a
+        # random pattern, with noise, so that conv's whole output walks
+        # repeat and are taken from its memo, must equal stepping those
+        # cycles: conv alone, or beside a dot started before the first
+        # window or between two, after which conv's walks are marked for
+        # dot.  Conv's k is short, or long enough for output walks past
+        # accel._H cycles; the sizes are uniform, so that most runs cross
+        # enough outputs to repeat a walk, also on the run's last output
+        draw = data.draw
+        rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+        k = rng.randint(*draw(st.sampled_from([(1, 8), (30, 48)]), label="k range"))
+        n = k + rng.randrange(121)
+        dot_at = draw(st.sampled_from([None, 0, 1, 2]), label="dot before window")
+        length = rng.randrange(601)
+        truncation = draw(st.sampled_from(list(Truncation)), label="truncation")
+        density = draw(st.integers(2, 14), label="taken in 16")
+        period = rng.randint(*draw(st.sampled_from([(1, 16), (17, 97)]), label="period"))
+        pattern = [rng.randrange(16) < density for _ in range(period)]
+        noise = draw(st.sampled_from([0, 0, 1, 4, 16]), label="noise in 1024")
+        # each window is given up to 2 _H cycles of log past its end, as a
+        # CPU window that closes early leaves it
+        windows = [(rng.randint(1, 3000), rng.randrange(2 * accel._H + 1))
+                   for _ in range(draw(st.sampled_from([1, 2, 3]), label="windows"))]
+        logs = [bytearray(pattern[c % period] ^ (rng.randrange(1024) < noise)
+                          for c in range(cycles + past)) for cycles, past in windows]
+        worlds = []
+        for fast in (False, True):
+            lines = []
+            world = World(SimConfig(truncation=truncation, trace=lines.append))
+            world.write_words(_CONV_X, SplitMix64(n).words(n))
+            world.write_words(_CONV_H, SplitMix64(k).words(k))
+            world.write_words(_DOT_A, SplitMix64(1).words(length))
+            world.write_words(_DOT_B, SplitMix64(2).words(length))
+            for offset, value in _conv_start(n, k):
+                world.reg_write(CONV_BASE + offset, value)
+            for w, ((cycles, _), log) in enumerate(zip(windows, logs)):
+                if w == dot_at:
+                    for offset, value in dot_regs.start_writes(length, _DOT_A, _DOT_B):
+                        world.reg_write(DOT_BASE + offset, value)
+                if fast:
+                    world._replay(bytearray(log), cycles)
+                else:
+                    for taken in log[:cycles]:
+                        world.bus.cpu_served = taken
+                        world.step()
+            worlds.append((world, lines))
+        (stepped, lines), (fast, fast_lines) = worlds
+        event(f"conv {stepped.conv.state.value}, k {'short' if k < 30 else 'long'}, "
+              f"dot before window {dot_at}")
+        assert fast_lines == lines
+        assert _observable(fast) == _observable(stepped)
+
+    def test_marked_walks_do_not_reuse_unmarked_ones(self):
+        # conv N=512 K=16 beside the software kernel, laid out as in the
+        # contended benchmark, fills its memo of unmarked walks in the
+        # first window, which ends at its uncontended finish; dot then
+        # starts, and conv's walks, now marked in the log for dot, must
+        # not copy a log slice that lacks conv's grants (one memo for both
+        # gives dot 591 stalls where stepping gives 2,325)
+        sw_x, sw_h, sw_y, x, h, y, va, vb = (DATA_BASE + 4 * off for off in accumulate(
+            (256, 16, 241, 512, 16, 497, 512), initial=0))
+        runs = []
+        for fast in (False, True):
+            lines = []
+            world = World(SimConfig(trace=lines.append), with_cpu=True)
+            for addr, count in ((sw_x, 256), (sw_h, 16), (x, 512), (h, 16),
+                                (va, 512), (vb, 512)):
+                world.write_words(addr, SplitMix64(addr).words(count))
+            world.rom.load(conv_sw_kernel(256, 16, sw_x, sw_h, sw_y))
+            for offset, value in conv_regs.start_writes(512, 16, x, h, y):
+                world.conv.axi_write(offset, value)
+            if fast:
+                world.run_until(lambda: world.cycle > 0)
+                assert world.conv._memo[0] and world.conv.state is DspState.RUN
+            else:
+                while world.cycle < 497 * 49:
+                    world.step()
+            assert world.cycle == 24_353
+            for offset, value in dot_regs.start_writes(512, va, vb):
+                world.dot.axi_write(offset, value)
+
+            def finished():
+                return (world.cpu.halted and world.conv.state is not DspState.RUN
+                        and world.dot.state is not DspState.RUN)
+            if fast:
+                world.run_until(finished)
+            else:
+                while not finished():
+                    world.step()
+            runs.append((_observable(world), lines))
+        (stepped, lines), (fast, fast_lines) = runs
+        assert fast_lines == lines
+        assert fast == stepped
+        assert stepped["stalls"][Requester.DOT] == 2_325
 
     # a software conv beside a running conv and dot on other buffers
     _BESIDE_BOTH = {"truncation": Truncation.WRAP, "costs": CycleCostTable(),
