@@ -20,9 +20,8 @@ the SRAM directly; only other addresses go through ``_route`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .bits import u32
+from .bits import Record, u32
 from .memmap import (DATA_BASE, DATA_END, MisalignedAddressError, Region,
                      decode_address)
 
@@ -37,17 +36,18 @@ _CPU, _CONV = Requester.CPU, Requester.CONV
 _MASK = 0xFFFF_FFFF
 
 
-@dataclass
-class MmiPort:
+class MmiPort(Record):
     """DSP-side memory master handshake (request/done)."""
 
-    req: bool = False
-    addr: int = 0
-    wr_en: bool = False
-    wrdata: int = 0
-    rddata: int = 0
-    done: bool = False
-    error: str | None = None  # stays None: a port carries only DataMem words
+    def __init__(self, req=False, addr=0, wr_en=False, wrdata=0, rddata=0,
+                 done=False, error=None):
+        self.req: bool = req
+        self.addr: int = addr
+        self.wr_en: bool = wr_en
+        self.wrdata: int = wrdata
+        self.rddata: int = rddata
+        self.done: bool = done
+        self.error: str | None = error  # stays None: a port carries only DataMem words
 
     def request_read(self, addr):
         self.req = True
@@ -114,7 +114,7 @@ class Bus:
         """Count the DataMem grants and lost arbitration cycles of the DSP
         behind `port` over cycles that ``World.run_until`` replayed
         without stepping the bus."""
-        k = 1 + self._ports.index(port)
+        k = 1 if port is self._ports[0] else 2  # by identity: ports may hold equal fields
         self._grants[k] += grants
         self._stalls[k] += stalls
 

@@ -18,10 +18,9 @@ single-cycle reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import add, and_, eq, ge, lt, mul, ne, or_, sub, xor
 
-from .bits import s32, sext, u32
+from .bits import Record, s32, sext, u32
 from .isa import IllegalInstructionError, cost_class, decode
 from .memmap import DATA_BASE, DATA_END, INST_END, Region, decode_address
 
@@ -30,32 +29,31 @@ SYSCALL_ADDR = 0x0000_FFFC
 _MASK = 0xFFFF_FFFF
 
 
-@dataclass
-class CycleCostTable:
-    alu: int = 1
-    mul: int = 1
-    load: int = 3
-    store: int = 3
-    branch_taken: int = 2
-    branch_not_taken: int = 1
-    jump: int = 2
-    system: int = 1
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"cycle cost {f.name} must be at least 1, "
-                                 f"got {getattr(self, f.name)}")
+class CycleCostTable(Record):
+    def __init__(self, alu=1, mul=1, load=3, store=3, branch_taken=2,
+                 branch_not_taken=1, jump=2, system=1):
+        self.alu: int = alu
+        self.mul: int = mul
+        self.load: int = load
+        self.store: int = store
+        self.branch_taken: int = branch_taken
+        self.branch_not_taken: int = branch_not_taken
+        self.jump: int = jump
+        self.system: int = system
+        for name in self._fields:
+            if getattr(self, name) < 1:
+                raise ValueError(f"cycle cost {name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
 
     def cycles(self, cls):
         return getattr(self, cls.value)
 
 
-@dataclass
-class Fault:
-    kind: str
-    pc: int
-    detail: str = ""
+class Fault(Record):
+    def __init__(self, kind, pc, detail=""):
+        self.kind: str = kind
+        self.pc: int = pc
+        self.detail: str = detail
 
 
 class Cpu:

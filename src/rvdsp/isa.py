@@ -9,9 +9,8 @@ their low 12 bits zero; branch/jump immediates are byte offsets).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .bits import sext, u32
+from .bits import Record, sext, u32
 
 
 class CostClass(enum.Enum):
@@ -35,13 +34,13 @@ class EncodingError(Exception):
     """Instruction field outside its encodable range."""
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
-    mnemonic: str
-    rd: int = 0
-    rs1: int = 0
-    rs2: int = 0
-    imm: int = 0
+class DecodedInstruction(Record):
+    def __init__(self, mnemonic, rd=0, rs1=0, rs2=0, imm=0):
+        self.mnemonic: str = mnemonic
+        self.rd: int = rd
+        self.rs1: int = rs1
+        self.rs2: int = rs2
+        self.imm: int = imm
 
 
 # funct3 / funct7 tables per format

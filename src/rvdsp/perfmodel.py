@@ -7,7 +7,8 @@ are checked against them in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .bits import Record
 
 DEFAULT_C_CFG = 10
 PER_MAC_SW = 10
@@ -18,12 +19,10 @@ SW_FETCHES_PER_TAP = 4
 SW_REGFILE_ACCESSES_PER_TAP = 8
 
 
-@dataclass(frozen=True)
-class ConvWorkload:
-    n: int
-    k: int
-
-    def __post_init__(self):
+class ConvWorkload(Record):
+    def __init__(self, n, k):
+        self.n: int = n
+        self.k: int = k
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
 
@@ -32,29 +31,26 @@ class ConvWorkload:
         return self.n - self.k + 1
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    e_mul: float = 0.0
-    e_add: float = 0.0
-    e_mem_rd: float = 0.0
-    e_instr_fetch: float = 0.0
-    e_regfile: float = 0.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 0:
+class EnergyParams(Record):
+    def __init__(self, e_mul=0.0, e_add=0.0, e_mem_rd=0.0, e_instr_fetch=0.0,
+                 e_regfile=0.0):
+        self.e_mul: float = e_mul
+        self.e_add: float = e_add
+        self.e_mem_rd: float = e_mem_rd
+        self.e_instr_fetch: float = e_instr_fetch
+        self.e_regfile: float = e_regfile
+        for name in self._fields:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class CnnLayerShape:
-    n: int
-    k: int
-    c: int
-    k_out: int
-    b: int = 1
-
-    def __post_init__(self):
+class CnnLayerShape(Record):
+    def __init__(self, n, k, c, k_out, b=1):
+        self.n: int = n
+        self.k: int = k
+        self.c: int = c
+        self.k_out: int = k_out
+        self.b: int = b
         if min(self.n, self.k, self.c, self.k_out, self.b) <= 0:
             raise ValueError("all layer dimensions must be positive")
 

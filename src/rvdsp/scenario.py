@@ -16,9 +16,9 @@ from __future__ import annotations
 import enum
 import os
 import re
-from dataclasses import dataclass
 from itertools import combinations
 
+from .bits import Record
 from .memmap import DATA_BASE, DATA_END, buffer_in_datamem, parse_hexwords
 
 # default buffer placement mirrors the register-map usage example
@@ -59,24 +59,27 @@ class ScenarioError(Exception):
     """Invalid scenario description."""
 
 
-@dataclass
-class Scenario:
-    kind: Kind
-    mode: Mode = Mode.TESTBENCH
-    n: int = 0
-    k: int = 0
-    length: int = 0
-    c: int = 0
-    k_out: int = 0
-    in_features: int = 0
-    out_features: int = 0
-    seed: int = 1
-    in_addr: int | None = None
-    kern_addr: int | None = None
-    out_addr: int | None = None
-    x_data: list | None = None
-    h_data: list | None = None
-    name: str = ""
+class Scenario(Record):
+    def __init__(self, kind, mode=Mode.TESTBENCH, n=0, k=0, length=0, c=0,
+                 k_out=0, in_features=0, out_features=0, seed=1, in_addr=None,
+                 kern_addr=None, out_addr=None, x_data=None, h_data=None,
+                 name=""):
+        self.kind: Kind = kind
+        self.mode: Mode = mode
+        self.n: int = n
+        self.k: int = k
+        self.length: int = length
+        self.c: int = c
+        self.k_out: int = k_out
+        self.in_features: int = in_features
+        self.out_features: int = out_features
+        self.seed: int = seed
+        self.in_addr: int | None = in_addr
+        self.kern_addr: int | None = kern_addr
+        self.out_addr: int | None = out_addr
+        self.x_data: list | None = x_data
+        self.h_data: list | None = h_data
+        self.name: str = name
 
     def _place_buffers(self, len_a, len_b, len_out):
         """Default placement: the example addresses when the buffers fit

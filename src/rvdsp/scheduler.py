@@ -10,12 +10,11 @@ next step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 from . import conv as conv_regs
 from . import dotprod as dot_regs
 from .accel import DspState
-from .bits import u32
+from .bits import Record, u32
 from .bus import Bus
 from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
@@ -39,13 +38,14 @@ _WINDOW = 1 << 16
 _CLEAR = bytes(MEM_WORDS)
 
 
-@dataclass
-class SimConfig:
-    costs: CycleCostTable = field(default_factory=CycleCostTable)
-    truncation: Truncation = Truncation.WRAP
-    max_cycles: int = 10_000_000
-    freq_hz: float = 100e6
-    trace: object = None  # callable(line: str) or None
+class SimConfig(Record):
+    def __init__(self, costs=None, truncation=Truncation.WRAP,
+                 max_cycles=10_000_000, freq_hz=100e6, trace=None):
+        self.costs: CycleCostTable = CycleCostTable() if costs is None else costs
+        self.truncation: Truncation = truncation
+        self.max_cycles: int = max_cycles
+        self.freq_hz: float = freq_hz
+        self.trace: object = trace  # callable(line: str) or None
 
 
 class SimulationTimeout(Exception):
@@ -366,7 +366,8 @@ def _run_layer(scenario, config, shape, subs, dsp_name, macs):
     busy = done = cycles = calls = 0
     for sub in subs:
         calls += 1
-        budget = replace(config, max_cycles=config.max_cycles - cycles)
+        budget = SimConfig(config.costs, config.truncation,
+                           config.max_cycles - cycles, config.freq_hz, config.trace)
         try:
             _, world = run_scenario(sub, budget)
         except SimulationTimeout:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from rvdsp import conv as conv_regs
 from rvdsp import dotprod as dot_regs
 from rvdsp.accel import DspState
-from rvdsp.bus import Bus, Requester, arbitrate
+from rvdsp.bus import Bus, MmiPort, Requester, arbitrate
 from rvdsp.conv import ConvDsp, OFF_IN_ADDR
 from rvdsp.dotprod import DotDsp
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DATA_END, DOT_BASE, Rom, Sram
@@ -39,6 +39,27 @@ class TestArbitrate:
             assert winner is Requester.DOT
         else:
             assert winner is None
+
+
+def test_port_repr_names_every_field_in_order():
+    # the golden digests of three conv reports embed this text
+    port = MmiPort()
+    assert repr(port) == ("MmiPort(req=False, addr=0, wr_en=False, wrdata=0, "
+                          "rddata=0, done=False, error=None)")
+    port.request_write(DATA_BASE, -1)
+    assert repr(port) == ("MmiPort(req=True, addr=32768, wr_en=True, "
+                          "wrdata=4294967295, rddata=0, done=False, error=None)")
+    assert port == MmiPort(True, DATA_BASE, True, 0xFFFF_FFFF)
+    assert port != MmiPort()
+
+
+def test_credit_goes_to_the_unit_of_the_port_passed():
+    bus, _, _, conv, dot = make_bus()
+    assert conv.mmi == dot.mmi  # two idle ports hold equal fields
+    bus.credit(dot.mmi, 5, 2)
+    bus.credit(conv.mmi, 3, 0)
+    assert bus.grants == {Requester.CPU: 0, Requester.CONV: 3, Requester.DOT: 5}
+    assert bus.stalls == {Requester.CPU: 0, Requester.CONV: 0, Requester.DOT: 2}
 
 
 class TestRouting:

@@ -123,7 +123,12 @@ class TestCycleCosts:
         world = run_program([I("addi", rd=1, imm=1), I("ebreak")])
         assert world.cpu.halted and world.cpu.retired == 2
 
-    @pytest.mark.parametrize("name", list(CycleCostTable.__dataclass_fields__))
+    def test_costs_take_their_fields_in_order(self):
+        costs = CycleCostTable(*range(1, 9))
+        assert [getattr(costs, name) for name in CycleCostTable._fields] == list(range(1, 9))
+        assert costs == CycleCostTable(*range(1, 9)) != CycleCostTable()
+
+    @pytest.mark.parametrize("name", CycleCostTable._fields)
     def test_cost_below_one_rejected(self, name):
         # a 0-cycle class would leave the CPU a wait of -1, which stepping
         # counts down forever

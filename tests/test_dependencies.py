@@ -1,7 +1,10 @@
 """The runtime is pure Python with no dependencies: every module of the
-package imports only the standard library and the package itself."""
+package imports only the standard library and the package itself, and
+start-up leaves out what it does not use (``dataclasses``, ``inspect``)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,28 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # every process pays for what the package imports at start-up:
+    # ``dataclasses`` pulls in ``inspect``, and each decorated class costs
+    # more again, so the value classes define their own ``__init__``
+    code = ("import sys, rvdsp.cli, rvdsp.scheduler; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_import_cost_script_times_every_module():
+    script = SRC.parent.parent / "scripts" / "import_cost.py"
+    done = subprocess.run([sys.executable, str(script), "--runs", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    names = {f"rvdsp.{path.stem}" for path in SRC.glob("*.py")} - {"rvdsp.__init__"}
+    assert {row[0] for row in rows[:-2]} == names | {"rvdsp"}
+    assert rows[-2][0] == "total" and rows[-1][:2] == ["import", "wall"]
+    assert min(map(float, rows[-2][1:] + rows[-1][2:])) > 0

@@ -55,6 +55,16 @@ class TestRoundtrip:
         assert decode(encode(instr)) == instr
 
     @given(instruction_strategy())
+    @settings(max_examples=200)
+    def test_roundtrip_equality_tells_every_field_apart(self, instr):
+        fields = {name: getattr(instr, name) for name in DecodedInstruction._fields}
+        assert decode(encode(instr)) == DecodedInstruction(**fields)
+        for name, value in fields.items():
+            other = "nop" if name == "mnemonic" else value + 1
+            assert decode(encode(instr)) != DecodedInstruction(**{**fields, name: other})
+        assert instr != tuple(fields.values())
+
+    @given(instruction_strategy())
     @settings(max_examples=500)
     def test_bijective(self, instr):
         word = encode(instr)

@@ -56,9 +56,9 @@ class TestConvModel:
             assert 10 / 3 < conv_speedup(w) < 10 / 3 * 1.05
 
     def test_workload_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="K=5, N=3"):
             ConvWorkload(n=3, k=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="K=0, N=4"):
             ConvWorkload(n=4, k=0)
 
 
@@ -105,9 +105,10 @@ class TestCnnModel:
     def test_dense(self):
         assert dense_layer_macs(128, 64) == 8_192
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            CnnLayerShape(n=0, k=1, c=1, k_out=1)
+    @pytest.mark.parametrize("name", CnnLayerShape._fields)
+    def test_shape_validation(self, name):
+        with pytest.raises(ValueError, match="positive"):
+            CnnLayerShape(**{"n": 1, "k": 1, "c": 1, "k_out": 1, name: 0})
 
 
 class TestEnergyModel:
@@ -131,6 +132,7 @@ class TestEnergyModel:
         zero = EnergyParams()
         assert energy_per_tap(zero, EnergyMode.SOFTWARE) == 0.0
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyParams(e_mul=-1.0)
+    @pytest.mark.parametrize("name", EnergyParams._fields)
+    def test_negative_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            EnergyParams(**{name: -1.0})

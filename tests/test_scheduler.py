@@ -103,6 +103,34 @@ class TestScenarioRuns:
         assert report["dot"]["macs"] == 32
         assert report["calls"] == 4
 
+    def test_layer_budgets_leave_the_callers_config_unchanged(self, monkeypatch):
+        config = SimConfig(max_cycles=100_000, freq_hz=50e6, trace=[].append)
+        before = repr(config)
+        run, budgets, cycles = scheduler.run_scenario, [], []
+
+        def spy(sub, budget):
+            budgets.append(budget)
+            report, world = run(sub, budget)
+            cycles.append(world.cycle)
+            return report, world
+
+        monkeypatch.setattr(scheduler, "run_scenario", spy)
+        run(Scenario(kind=Kind.CNN_LAYER, n=8, k=2, c=1, k_out=3), config)
+        assert repr(config) == before
+        assert [b.max_cycles for b in budgets] == [100_000 - sum(cycles[:i]) for i in range(3)]
+        for budget in budgets:
+            assert budget is not config
+            assert budget.costs is config.costs and budget.trace is config.trace
+            assert (budget.truncation, budget.freq_hz) == (config.truncation, config.freq_hz)
+
+    def test_configs_do_not_share_a_cost_table(self):
+        assert SimConfig().costs is not SimConfig().costs
+        assert SimConfig().costs == CycleCostTable()
+
+    def test_unknown_scenario_keyword_is_refused(self):
+        with pytest.raises(TypeError, match="bogus"):
+            Scenario(kind=Kind.CONV, bogus=1)
+
     @pytest.mark.parametrize("scenario, message", [
         (Scenario(kind=Kind.CNN_LAYER, n=16, k=4, c=0, k_out=3),
          "cnn layer needs positive n, k, c, k_out"),
