@@ -3,8 +3,7 @@
 
 import argparse
 
-from rvdsp.perfmodel import (ConvWorkload, conv_speedup, dsp_conv_cycles,
-                             sw_conv_cycles)
+from rvdsp.perfmodel import ConvWorkload, conv_model
 
 
 def main():
@@ -16,9 +15,9 @@ def main():
 
     print(f"{'K':>5} {'sw cycles':>12} {'dsp cycles':>12} {'speedup':>9}")
     for k in args.ks:
-        w = ConvWorkload(args.n, k)
-        print(f"{k:>5} {sw_conv_cycles(w):>12} {dsp_conv_cycles(w):>12} "
-              f"{conv_speedup(w):>9.4f}")
+        model = conv_model(ConvWorkload(args.n, k))
+        print(f"{k:>5} {model['sw_cycles']:>12} {model['dsp_cycles']:>12} "
+              f"{model['speedup']:>9.4f}")
     print("\nasymptote: 10/3 = 3.3333 (per-MAC cycle ratio)")
 
 

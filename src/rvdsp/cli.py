@@ -26,12 +26,9 @@ from .bits import s32, s64
 from .isa import listing
 from .memmap import (DATA_BASE, HexwordsError, INST_BASE, dump_hexwords,
                      parse_hexwords)
-from .perfmodel import (DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW, CnnLayerShape,
-                        ConvWorkload, cnn_layer_macs,
-                        conv_speedup, dense_layer_macs, dot_speedup,
-                        dsp_conv_busy_cycles, dsp_conv_cycles, dsp_dot_cycles,
-                        dsp_dot_cycles_rounded, latency_seconds,
-                        sw_conv_cycles, sw_dot_cycles, sw_dot_cycles_rounded)
+from .perfmodel import (CnnLayerShape, ConvWorkload, cnn_layer_macs, conv_model,
+                        dense_layer_macs, dot_model, dsp_conv_busy_cycles,
+                        latency_seconds, layer_model)
 from .scenario import (Kind, Mode, Scenario, ScenarioError, load_scenario,
                        read_text)
 from .scheduler import (HostAccessError, SimConfig, SimulationFault,
@@ -119,36 +116,34 @@ def _unwritable(path):
 
 
 def _cmd_model(args):
-    if args.model_kind == "conv":
-        try:
-            w = ConvWorkload(args.n, args.k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        sw, dsp = sw_conv_cycles(w), dsp_conv_cycles(w)
+    kind = args.model_kind
+    try:
+        if kind == "conv":
+            model = conv_model(ConvWorkload(args.n, args.k))
+        elif kind == "dot":
+            model = dot_model(args.l)
+        elif kind == "cnn":
+            model = layer_model(cnn_layer_macs(
+                CnnLayerShape(args.n, args.k, args.c, args.k_out)))
+        else:
+            model = layer_model(dense_layer_macs(args.in_features, args.out_features))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    sw, dsp = model["sw_cycles"], model["dsp_cycles"]
+    if kind == "conv":
         print(f"C_SW   = {sw}")
-        print(f"C_DSP  = {dsp}  (incl. {DEFAULT_C_CFG} config cycles)")
-        print(f"speedup = {conv_speedup(w):.4f}")
-    elif args.model_kind == "dot":
-        length = args.l
-        sw, dsp = sw_dot_cycles(length), dsp_dot_cycles(length)
-        print(f"sw_cycles  = {sw} (per-element-only: {sw_dot_cycles_rounded(length)})")
-        print(f"dsp_cycles = {dsp} (per-element-only: {dsp_dot_cycles_rounded(length)})")
-        print(f"speedup = {dot_speedup(length):.4f}")
+        print(f"C_DSP  = {dsp}  (incl. {model['c_cfg']} config cycles)")
+    elif kind == "dot":
+        print(f"sw_cycles  = {sw} (per-element-only: {model['sw_cycles_per_element_only']})")
+        print(f"dsp_cycles = {dsp} (per-element-only: {model['dsp_cycles_per_element_only']})")
     else:
-        if args.model_kind == "cnn":
-            try:
-                shape = CnnLayerShape(args.n, args.k, args.c, args.k_out)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            macs = cnn_layer_macs(shape)
-        else:  # dense
-            macs = dense_layer_macs(args.in_features, args.out_features)
-        sw, dsp = PER_MAC_SW * macs, PER_MAC_DSP * macs
-        print(f"macs = {macs}")
+        print(f"macs = {model['macs']}")
         print(f"sw_cycles  = {sw}")
         print(f"dsp_cycles = {dsp}")
+    if "speedup" in model:  # None where it is undefined, as in the report
+        speedup = model["speedup"]
+        print(f"speedup = {'n/a' if speedup is None else f'{speedup:.4f}'}")
     if args.freq:
         print(f"latency_sw  = {latency_seconds(sw, args.freq) * 1e3:.5f} ms")
         print(f"latency_dsp = {latency_seconds(dsp, args.freq) * 1e3:.5f} ms")
@@ -174,8 +169,8 @@ def _cmd_compare(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    c_sw = sw_conv_cycles(w)
-    c_dsp = dsp_conv_cycles(w)
+    model = conv_model(w)
+    c_sw, c_dsp, c_cfg = model["sw_cycles"], model["dsp_cycles"], model["c_cfg"]
     busy_model = dsp_conv_busy_cycles(w)
 
     results = {}
@@ -200,12 +195,12 @@ def _cmd_compare(args):
     print(f"Convolution comparison, N={n} K={k} ({w.outputs} outputs)")
     print(f"{'quantity':<34}{'software':>14}{'dsp':>14}")
     print(f"{'analytic cycles':<34}{c_sw:>14}{c_dsp:>14}")
-    print(f"{f'  (dsp = busy + {DEFAULT_C_CFG} config)':<34}{'':>14}"
-          f"{busy_model:>10} + {DEFAULT_C_CFG}")
+    print(f"{f'  (dsp = busy + {c_cfg} config)':<34}{'':>14}"
+          f"{busy_model:>10} + {c_cfg}")
     print(f"{'simulated busy (testbench)':<34}{'-':>14}{tb['conv']['busy_cycles']:>14}")
     print(f"{'simulated busy (full-system)':<34}{'-':>14}{fs['conv']['busy_cycles']:>14}")
     print(f"{'measured config-write cycles':<34}{'-':>14}{fs['cpu']['config_write_cycles']:>14}")
-    print(f"{'speedup (analytic)':<34}{conv_speedup(w):>28.4f}")
+    print(f"{'speedup (analytic)':<34}{model['speedup']:>28.4f}")
     if freq:
         lsw = latency_seconds(c_sw, freq)
         ldsp = latency_seconds(c_dsp, freq)

@@ -84,8 +84,7 @@ class Rom:
     (``Cpu._translate``); load() clears it all, since a block spans words.
     """
 
-    def __init__(self, base=INST_BASE):
-        self.base = base
+    def __init__(self):
         self.words = [0] * MEM_WORDS
         self.decoded = [None] * MEM_WORDS
         self.blocks = {}
@@ -101,7 +100,7 @@ class Rom:
     def read_word(self, byte_offset):
         idx = byte_offset >> 2
         if byte_offset % 4 != 0:
-            raise MisalignedAddressError(self.base + byte_offset)
+            raise MisalignedAddressError(INST_BASE + byte_offset)
         if not 0 <= idx < MEM_WORDS:
             raise MemoryAccessError(f"ROM read out of range: offset 0x{byte_offset:x}")
         return self.words[idx]
@@ -110,17 +109,16 @@ class Rom:
 class Sram:
     """Single-port 32 KB data SRAM; word reads/writes with byte strobes."""
 
-    def __init__(self, base=DATA_BASE):
-        self.base = base
+    def __init__(self):
         self.words = [0] * MEM_WORDS
 
     def _index(self, byte_offset):
         if byte_offset % 4 != 0:
-            raise MisalignedAddressError(self.base + byte_offset)
+            raise MisalignedAddressError(DATA_BASE + byte_offset)
         idx = byte_offset >> 2
         if not 0 <= idx < MEM_WORDS:
             raise MemoryAccessError("SRAM access out of range: address "
-                                    f"0x{u32(self.base + byte_offset):08x}")
+                                    f"0x{u32(DATA_BASE + byte_offset):08x}")
         return idx
 
     def read_word(self, byte_offset):

@@ -120,6 +120,26 @@ def dense_layer_macs(in_features, out_features):
     return in_features * out_features
 
 
+# Each kind's model figures, as its report's "model" holds them and as
+# `sim model` prints them.
+def conv_model(w):
+    return {"sw_cycles": sw_conv_cycles(w), "dsp_cycles": dsp_conv_cycles(w),
+            "c_cfg": DEFAULT_C_CFG, "speedup": conv_speedup(w)}
+
+
+def dot_model(length):
+    """The speedup is undefined (None) for an empty dot product."""
+    return {"sw_cycles": sw_dot_cycles(length), "dsp_cycles": dsp_dot_cycles(length),
+            "sw_cycles_per_element_only": sw_dot_cycles_rounded(length),
+            "dsp_cycles_per_element_only": dsp_dot_cycles_rounded(length),
+            "speedup": dot_speedup(length) if length else None}
+
+
+def layer_model(macs):
+    return {"macs": macs, "sw_cycles": PER_MAC_SW * macs,
+            "dsp_cycles": PER_MAC_DSP * macs}
+
+
 def energy_per_tap(params, mode, regfile_accesses=SW_REGFILE_ACCESSES_PER_TAP):
     """Energy per MAC tap: mul + add + two memory reads, plus fetch and
     register-file overhead in software mode."""

@@ -134,7 +134,8 @@ class Scenario(Record):
         for name, base, words in buffers:
             if not buffer_in_datamem(base, words):
                 raise ScenarioError(
-                    f"{name} buffer [0x{base:08x}, +{4 * words}) not in DataMem")
+                    f"{name} buffer [{'-' * (base < 0)}0x{abs(base):08x}, "
+                    f"+{4 * words}) not in DataMem")
             ranges.append((name, base, base + 4 * max(words, 1)))
         for (p, a0, a1), (q, b0, b1) in combinations(ranges, 2):
             if a0 < b1 and b0 < a1:

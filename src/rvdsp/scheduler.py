@@ -21,12 +21,9 @@ from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
 from .mac import Truncation
 from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, MEM_WORDS, Rom, Sram
-from .perfmodel import (ConvWorkload, DEFAULT_C_CFG, PER_MAC_DSP, PER_MAC_SW,
-                        CnnLayerShape, cnn_layer_macs, conv_speedup,
-                        dense_layer_macs, dot_speedup, dsp_conv_cycles,
-                        dsp_dot_cycles, dsp_dot_cycles_rounded,
-                        latency_seconds, sw_conv_cycles, sw_dot_cycles,
-                        sw_dot_cycles_rounded)
+from .perfmodel import (CnnLayerShape, ConvWorkload, cnn_layer_macs, conv_model,
+                        dense_layer_macs, dot_model, latency_seconds,
+                        layer_model, sw_conv_cycles)
 from .prng import SplitMix64
 from .programs import conv_driver, conv_sw_kernel, dot_driver
 from .scenario import Kind, Mode, Scenario
@@ -249,63 +246,35 @@ def scenario_data(scenario):
     raise ValueError(f"no direct data for scenario kind {scenario.kind}")
 
 
-def _bus_counters(world):
-    return {
-        "datamem_grants": {r.value: n for r, n in world.bus.grants.items()},
-        "datamem_stalls": {r.value: n for r, n in world.bus.stalls.items()},
-        "register_accesses": world.bus.register_accesses,
-    }
-
-
-def _dsp_counters(dsp):
-    return {
-        "busy_cycles": dsp.busy_cycles,
-        "macs": dsp.macs,
-        "done": dsp.status_done,
-        "error": dsp.status_error,
-        "irq": dsp.irq_line,
-    }
-
-
-def _cpu_counters(cpu):
-    if cpu is None:
-        return None
-    return {
-        "retired": cpu.retired,
-        "cycles": cpu.cycles,
-        "stall_cycles": cpu.stall_cycles,
-        "config_write_cycles": cpu.config_write_cycles,
-    }
-
-
-def _world_counters(world):
-    return {
-        "cpu": _cpu_counters(world.cpu),
-        "bus": _bus_counters(world),
-        "conv": _dsp_counters(world.conv),
-        "dot": _dsp_counters(world.dot),
-    }
-
-
-def _derived(config, model):
-    """Latencies of the model's software and accelerator cycle counts."""
-    return {
-        "freq_hz": config.freq_hz,
-        "latency_sw_s": latency_seconds(model["sw_cycles"], config.freq_hz),
-        "latency_dsp_s": latency_seconds(model["dsp_cycles"], config.freq_hz),
-    }
-
-
-def _report(scenario, mode, shape, total_cycles, model, config, **parts):
-    """The fields every report kind shares, plus the kind's own parts."""
+def _report(scenario, mode, shape, model, config, world=None, **parts):
+    """A run's report: the fields every kind shares, the cycle and the CPU,
+    bus and DSP counters of a conv or dot run's `world`, and the kind's own
+    `parts` (a layer's total_cycles, calls and unit totals)."""
+    freq = config.freq_hz
+    if world is not None:
+        cpu, bus = world.cpu, world.bus
+        parts.update(
+            total_cycles=world.cycle,
+            cpu=None if cpu is None else {
+                "retired": cpu.retired, "cycles": cpu.cycles,
+                "stall_cycles": cpu.stall_cycles,
+                "config_write_cycles": cpu.config_write_cycles},
+            bus={"datamem_grants": {r.value: n for r, n in bus.grants.items()},
+                 "datamem_stalls": {r.value: n for r, n in bus.stalls.items()},
+                 "register_accesses": bus.register_accesses},
+            **{name: {"busy_cycles": dsp.busy_cycles, "macs": dsp.macs,
+                      "done": dsp.status_done, "error": dsp.status_error,
+                      "irq": dsp.irq_line}
+               for name, dsp in (("conv", world.conv), ("dot", world.dot))})
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": {"kind": scenario.kind.value, "mode": mode.value,
                      "seed": scenario.seed, "name": scenario.name, **shape},
         "status": "ok",
-        "total_cycles": total_cycles,
         "model": model,
-        "derived": _derived(config, model),
+        "derived": {"freq_hz": freq,
+                    "latency_sw_s": latency_seconds(model["sw_cycles"], freq),
+                    "latency_dsp_s": latency_seconds(model["dsp_cycles"], freq)},
         **parts,
     }
 
@@ -335,12 +304,10 @@ def _run_conv(scenario, config):
                    conv_regs.start_writes(n, k, *addrs),
                    lambda: conv_driver(n, k, *addrs))
     w = ConvWorkload(n, k)
-    model = {"sw_cycles": sw_conv_cycles(w), "dsp_cycles": dsp_conv_cycles(w),
-             "c_cfg": DEFAULT_C_CFG, "speedup": conv_speedup(w)}
     output = {"addr": scenario.out_addr,
               "words": world.read_words(scenario.out_addr, w.outputs)}
-    return _report(scenario, scenario.mode, {"n": n, "k": k}, world.cycle,
-                   model, config, output=output, **_world_counters(world)), world
+    return _report(scenario, scenario.mode, {"n": n, "k": k}, conv_model(w),
+                   config, world, output=output), world
 
 
 def _run_dot(scenario, config):
@@ -349,14 +316,9 @@ def _run_dot(scenario, config):
     world = _drive(scenario, config, "dot", DOT_BASE,
                    dot_regs.start_writes(length, *addrs),
                    lambda: dot_driver(length, *addrs))
-    model = {"sw_cycles": sw_dot_cycles(length),
-             "dsp_cycles": dsp_dot_cycles(length),
-             "sw_cycles_per_element_only": sw_dot_cycles_rounded(length),
-             "dsp_cycles_per_element_only": dsp_dot_cycles_rounded(length),
-             "speedup": dot_speedup(length) if length else None}
     result = {"lo": world.dot.result_lo, "hi": world.dot.result_hi}
-    return _report(scenario, scenario.mode, {"l": length}, world.cycle,
-                   model, config, result=result, **_world_counters(world)), world
+    return _report(scenario, scenario.mode, {"l": length}, dot_model(length),
+                   config, world, result=result), world
 
 
 def _run_layer(scenario, config, shape, subs, dsp_name, macs):
@@ -376,10 +338,8 @@ def _run_layer(scenario, config, shape, subs, dsp_name, macs):
         busy += dsp.busy_cycles
         done += dsp.macs
         cycles += world.cycle
-    model = {"macs": macs, "sw_cycles": PER_MAC_SW * macs,
-             "dsp_cycles": PER_MAC_DSP * macs}
-    return _report(scenario, Mode.TESTBENCH, shape, cycles, model, config,
-                   calls=calls,
+    return _report(scenario, Mode.TESTBENCH, shape, layer_model(macs), config,
+                   total_cycles=cycles, calls=calls,
                    **{dsp_name: {"busy_cycles": busy, "macs": done}}), None
 
 
@@ -428,14 +388,12 @@ def run_scenario(scenario, config=None):
     return _run_dense(scenario, config)
 
 
-def run_sw_conv_benchmark(n, k, seed=1, config=None,
-                          in_addr=0x0000_8000, kern_addr=None, out_addr=None):
-    """Run the generated software conv kernel; returns (report, world)."""
+def run_sw_conv_benchmark(n, k, seed=1, config=None, in_addr=0x0000_8000):
+    """Run the generated software conv kernel on words at `in_addr`, with
+    its kernel and output packed after them; returns (report, world)."""
     config = config or SimConfig()
-    if kern_addr is None:
-        kern_addr = in_addr + 4 * n
-    if out_addr is None:
-        out_addr = kern_addr + 4 * k
+    kern_addr = in_addr + 4 * n
+    out_addr = kern_addr + 4 * k
     rng = SplitMix64(seed)
     x = rng.words(n)
     h = rng.words(k)

@@ -1,14 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rvdsp
 from rvdsp import cli
 from rvdsp import conv as conv_regs
+from rvdsp.scenario import Kind, Mode, Scenario
+from rvdsp.scheduler import run_scenario
 from rvdsp.cli import (EXIT_CONFIG, EXIT_FAULT, EXIT_OK, EXIT_TIMEOUT,
                        EXIT_VALIDATION, main)
 
@@ -138,6 +144,14 @@ out_features = 2
         # each conv call of the layer places its buffers in DataMem
         body = '[scenario]\nkind = "cnn"\nn = 8000\nk = 4\nc = 1\nk_out = 1\n'
         assert "not in DataMem" in self._rejected(tmp_path, capsys, body)
+
+    @pytest.mark.parametrize("addr, shown", [("-4", "-0x00000004"),
+                                             ("0x8002", "0x00008002")])
+    def test_buffer_outside_datamem_shows_its_address(self, tmp_path, capsys,
+                                                      addr, shown):
+        body = f'[scenario]\nkind = "dot"\nl = 4\nin_addr = {addr}\n'
+        err = self._rejected(tmp_path, capsys, body)
+        assert f"a buffer [{shown}, +16) not in DataMem" in err
 
     @pytest.mark.parametrize("line, message", [
         ("l = -1", "dot length must be >= 0"),
@@ -455,6 +469,66 @@ class TestModel:
         out = capsys.readouterr().out
         assert "81925" in out and "24577" in out
         assert "81920" in out and "24576" in out
+
+    def test_dot_of_length_zero_has_no_speedup(self, capsys):
+        # as the report of an empty dot holds "speedup": null
+        assert main(["model", "dot", "--l", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == ("sw_cycles  = 5 (per-element-only: 0)\n"
+                                           "dsp_cycles = 1 (per-element-only: 0)\n"
+                                           "speedup = n/a\n")
+
+    MODEL_KEYS = {"conv": {"sw_cycles", "dsp_cycles", "c_cfg", "speedup"},
+                  "dot": {"sw_cycles", "dsp_cycles", "sw_cycles_per_element_only",
+                          "dsp_cycles_per_element_only", "speedup"},
+                  "cnn": {"macs", "sw_cycles", "dsp_cycles"},
+                  "dense": {"macs", "sw_cycles", "dsp_cycles"}}
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["conv", "dot", "cnn", "dense"]), data=st.data())
+    def test_prints_the_figures_of_the_report(self, kind, data):
+        """`sim model --freq 1e8` prints the model and derived figures of a
+        report of the same shape, run at the default 100 MHz."""
+        def draw(lo, hi):
+            return data.draw(st.integers(lo, hi))
+        if kind == "conv":
+            n = draw(1, 40)
+            shape = {"n": n, "k": draw(1, n)}
+        elif kind == "dot":
+            shape = {"l": draw(0, 40)}
+        elif kind == "cnn":
+            shape = {"n": draw(1, 12), "k": draw(1, 4), "c": draw(1, 2),
+                     "k_out": draw(1, 2)}
+        else:
+            shape = {"in_features": draw(1, 12), "out_features": draw(1, 3)}
+        layer = kind in ("cnn", "dense")  # layers run in testbench mode only
+        mode = Mode.TESTBENCH if layer else data.draw(st.sampled_from(Mode))
+        fields = {"length" if key == "l" else key: value for key, value in shape.items()}
+        report, _ = run_scenario(Scenario(kind=Kind(kind), mode=mode, **fields))
+        model, derived = report["model"], report["derived"]
+        assert set(model) == self.MODEL_KEYS[kind] and derived["freq_hz"] == 1e8
+
+        argv = [part for key, value in shape.items()
+                for part in (f"--{key.replace('_', '-')}", str(value))]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["model", kind, *argv, "--freq", "1e8"]) == EXIT_OK
+        sw, dsp = model["sw_cycles"], model["dsp_cycles"]
+        if kind == "conv":
+            lines = [f"C_SW   = {sw}",
+                     f"C_DSP  = {dsp}  (incl. {model['c_cfg']} config cycles)"]
+        elif kind == "dot":
+            lines = [f"sw_cycles  = {sw} (per-element-only: "
+                     f"{model['sw_cycles_per_element_only']})",
+                     f"dsp_cycles = {dsp} (per-element-only: "
+                     f"{model['dsp_cycles_per_element_only']})"]
+        else:
+            lines = [f"macs = {model['macs']}", f"sw_cycles  = {sw}",
+                     f"dsp_cycles = {dsp}"]
+        if "speedup" in model:
+            speedup = model["speedup"]
+            lines.append(f"speedup = {'n/a' if speedup is None else f'{speedup:.4f}'}")
+        lines += [f"latency_sw  = {derived['latency_sw_s'] * 1e3:.5f} ms",
+                  f"latency_dsp = {derived['latency_dsp_s'] * 1e3:.5f} ms"]
+        assert out.getvalue() == "\n".join(lines) + "\n"
 
     def test_cnn(self, capsys):
         assert main(["model", "cnn", "--n", "256", "--k", "16",

@@ -56,6 +56,15 @@ class TestSram:
     def test_unwritten_reads_zero(self):
         assert Sram().read_word(0x1ABC) == 0
 
+    def test_misaligned_carries_the_bus_address(self):
+        # an offset into the memory, reported at its address on the bus
+        with pytest.raises(MisalignedAddressError) as exc:
+            Sram().read_word(6)
+        assert exc.value.addr == DATA_BASE + 6
+        with pytest.raises(MisalignedAddressError) as exc:
+            Rom().read_word(6)
+        assert exc.value.addr == INST_BASE + 6
+
     def test_out_of_range(self):
         with pytest.raises(MemoryAccessError, match="address 0x00010000$"):
             Sram().write_word(0x8000, 1)  # one past DataMem end

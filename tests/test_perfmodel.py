@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 from rvdsp.perfmodel import (CnnLayerShape, ConvWorkload, EnergyMode,
                              EnergyParams, cnn_layer_cycles, cnn_layer_macs,
-                             conv_speedup, dense_layer_macs, dot_speedup,
-                             dsp_conv_busy_cycles, dsp_conv_cycles,
-                             dsp_dot_cycles, dsp_dot_cycles_rounded,
-                             energy_per_tap, latency_seconds, sw_conv_cycles,
+                             conv_model, conv_speedup, dense_layer_macs,
+                             dot_model, dot_speedup, dsp_conv_busy_cycles,
+                             dsp_conv_cycles, dsp_dot_cycles,
+                             dsp_dot_cycles_rounded, energy_per_tap,
+                             latency_seconds, layer_model, sw_conv_cycles,
                              sw_dot_cycles, sw_dot_cycles_rounded)
 
 W_LARGE = ConvWorkload(n=1024, k=16)
@@ -20,6 +21,10 @@ class TestConvModel:
         assert dsp_conv_cycles(W_LARGE) == 49_451
         assert dsp_conv_busy_cycles(W_LARGE) == 49_441 == 1009 * 49
         assert conv_speedup(W_LARGE) == pytest.approx(3.3667, abs=5e-5)
+
+    def test_report_figures(self):
+        assert conv_model(W_LARGE) == {"sw_cycles": 166_485, "dsp_cycles": 49_451,
+                                       "c_cfg": 10, "speedup": conv_speedup(W_LARGE)}
 
     def test_small_workload(self):
         assert sw_conv_cycles(W_SMALL) == 4_845
@@ -79,6 +84,16 @@ class TestDotModel:
         assert sw_dot_cycles_rounded(8192) == 81_920
         assert dsp_dot_cycles_rounded(8192) == 24_576
 
+    def test_report_figures(self):
+        assert dot_model(8192) == {
+            "sw_cycles": 81_925, "dsp_cycles": 24_577,
+            "sw_cycles_per_element_only": 81_920,
+            "dsp_cycles_per_element_only": 24_576, "speedup": dot_speedup(8192)}
+        # an empty dot has no speedup, though its cycle figures are 5 and 1
+        assert dot_model(0) == {
+            "sw_cycles": 5, "dsp_cycles": 1, "sw_cycles_per_element_only": 0,
+            "dsp_cycles_per_element_only": 0, "speedup": None}
+
     def test_asymptotic_speedup(self):
         assert dot_speedup(1_000_000) == pytest.approx(10 / 3, abs=0.01)
 
@@ -97,6 +112,13 @@ class TestCnnModel:
         sw, dsp = cnn_layer_cycles(self.SHAPE)
         assert sw == 1_310_720
         assert dsp == 393_216
+
+    def test_report_figures(self):
+        sw, dsp = cnn_layer_cycles(self.SHAPE)
+        assert layer_model(cnn_layer_macs(self.SHAPE)) == {
+            "macs": 131_072, "sw_cycles": sw, "dsp_cycles": dsp}
+        assert layer_model(dense_layer_macs(128, 64)) == {
+            "macs": 8_192, "sw_cycles": 81_920, "dsp_cycles": 24_576}
 
     def test_batch_scales_linearly(self):
         batched = CnnLayerShape(n=256, k=16, c=4, k_out=8, b=3)

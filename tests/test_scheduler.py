@@ -1665,6 +1665,15 @@ class TestSwBenchmark:
         h = [s32(v) for v in rng.words(5)]
         assert report["output"] == conv1d(x, h)
 
+    def test_kernel_and_output_follow_the_input(self):
+        in_addr = DATA_BASE + 0x100
+        report, world = run_sw_conv_benchmark(24, 5, seed=2, in_addr=in_addr)
+        rng = SplitMix64(2)
+        x, h = rng.words(24), rng.words(5)
+        assert world.read_words(in_addr, 29) == x + h
+        assert world.read_words(in_addr + 4 * 29, 20) == report["output"]
+        assert report["output"] == run_sw_conv_benchmark(24, 5, seed=2)[0]["output"]
+
     def test_sw_kernel_cycles_near_model(self):
         report, _ = run_sw_conv_benchmark(64, 8)
         assert abs(report["cpu_cycles"] - report["model_sw_cycles"]) \
