@@ -2,6 +2,7 @@
 """Measure the generated software convolution kernel against the cycle model."""
 
 import argparse
+import sys
 
 from rvdsp.scheduler import run_sw_conv_benchmark
 
@@ -13,7 +14,11 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    report, world = run_sw_conv_benchmark(args.n, args.k, seed=args.seed)
+    try:
+        report, world = run_sw_conv_benchmark(args.n, args.k, seed=args.seed)
+    except ValueError as exc:  # a shape the kernel or DataMem cannot take
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     model = report["model_sw_cycles"]
     measured = report["cpu_cycles"]
     delta = 100.0 * (measured - model) / model
@@ -25,4 +30,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

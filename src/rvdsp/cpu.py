@@ -12,8 +12,9 @@ same handler.  ``run_alone`` runs hot loops as blocks: Python
 functions generated from the predecoded entries and kept in
 ``Rom.blocks``, which do what the handlers do for a straight run of
 words, with the issue cycle of each fixed when the block is generated
-(after QEMU's TCG and Shade).  ``step`` and the handlers stay the
-single-cycle reference.
+(after QEMU's TCG and Shade); a block that closes a loop on its own start
+runs the loop inside, and the block a loop falls through to is chained.
+``step`` and the handlers stay the single-cycle reference.
 """
 
 from __future__ import annotations
@@ -129,12 +130,16 @@ class Cpu:
         fit in `cycles`.  Each ends with its jump, so its loads still issue
         before the last cycle.
 
-        A hot loop runs as a block (``_translate``): the target of a
-        backward jump reached after a DataMem access gets one, kept in
-        ``Rom.blocks``.  At the window's start and wherever a jump lands,
-        the block there runs if its last instruction issues before
-        `cycles`; it exits before an access the handlers must serve, and
-        the handlers go on from there.  Returns the cycles run."""
+        A hot loop runs as a block (``_translate``), kept in
+        ``Rom.blocks``: the target of a backward jump reached after a
+        DataMem access gets one, and so does the pc that a block which
+        accessed DataMem runs through to, so that the blocks of a loop
+        nest chain.  At the window's start and wherever a jump or a block
+        lands, the block there runs if its last instruction issues before
+        `cycles`; a block that loops on its own start runs each further
+        pass that fits inside.  A block exits before an access the
+        handlers must serve, and the handlers go on from there.  Returns
+        the cycles run."""
         regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
         decoded = self.rom.decoded
         t, retired = min(self._wait, cycles), 0
@@ -157,14 +162,17 @@ class Cpu:
                     head = (target, regs[:], t, retired, bus.register_accesses)
             block = blocks.get(target)
             if block is not None and t + block[1] < cycles:
-                dt, n, grants = block[0](self, regs, words, taken, guard, t)
+                dt, n, grants, through = block[0](self, regs, words, taken, guard, t,
+                                                  cycles)
                 t += dt
                 retired += n
                 if grants:
                     bus._grants[0] += grants
                     clean = False
-                if n == block[2]:  # through its last instruction
-                    pc = target + 4 * n - 4
+                if through:  # its last instruction, the last jump if any, ran
+                    pc = target + 4 * block[2] - 4
+                    if grants and self.pc not in blocks:  # chain the block it lands on
+                        blocks[self.pc] = self._translate(self.pc)
                     continue
             while t < cycles:  # the handlers, up to the next jump
                 pc = self.pc
@@ -218,21 +226,30 @@ class Cpu:
         in one.  The function, generated from the predecoded entries,
         runs the words from `start` through the first branch or jump, or
         up to a word that stops a window; it keeps each register the block
-        names in a local.  It returns (cycles, instructions, DataMem
-        accesses) up to where it ends, or up to a load or store that is
-        misaligned, outside DataMem or on a guarded word, which it leaves
-        to the handlers, with what came before committed."""
+        names in a local.  A block that accesses DataMem and whose branch
+        targets `start` runs the loop inside (one without an access is a
+        spin loop, which ``run_alone`` jumps): it goes round again while
+        the next pass issues its branch before the window's `lim`, and
+        otherwise leaves at `start` with the whole passes counted.  Each
+        exit sets (cycles, instructions, DataMem accesses, pc, through)
+        for its pass and breaks to one epilogue, which writes back every
+        register the block writes and adds the passes before.  The
+        function returns those, all but the pc, up to where it ends, or up
+        to a load or store that is misaligned, outside DataMem or on a
+        guarded word, which it leaves to the handlers, with what came
+        before committed; `through` tells whether its last instruction
+        ran."""
         body, ns, regs, written = [], {}, set(), set()
-        off = grants = n = 0
+        off = grants = n = period = 0
 
         def x(reg):
             if reg:
                 regs.add(reg)
             return f"x{reg}" if reg else "0"
 
-        def leave(cycles, pc):
-            stores = "".join(f"r[{reg}] = x{reg}; " for reg in sorted(written))
-            return f"{stores}c.pc = {pc}; return {cycles}, {n}, {grants}"
+        def leave(cycles, pc, through=True):
+            return (f"dt, n, grants, pc, through = {cycles}, {n}, {grants}, {pc}, "
+                    f"{through}; break")
 
         def op(f, a, b):
             if f in _INFIX:
@@ -259,14 +276,14 @@ class Cpu:
             elif h is _load or h is _store:
                 body += [f"a = ({x(e[2])} + {e[4]}) & {_MASK}; i = (a - {DATA_BASE}) >> 2",
                          f"if a & {e[5] - 1} or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
-                         f" or g[i]: {leave(off, pc)}", f"tk[t + {off}] = 1"]
+                         f" or g[i]: {leave(off, pc, False)}", f"tk[t + {off}] = 1"]
                 grants += 1
                 lane = (1 << 8 * e[5]) - 1
                 if h is _store and e[5] == 4:
                     body.append(f"w[i] = {x(e[3])}")
                 elif h is _store:
-                    body.append(f"l = (a & 3) << 3; m = {lane} << l; "
-                                f"w[i] = w[i] & ~m | {x(e[3])} << l & m")
+                    body.append(f"l = (a & 3) << 3; z = {lane} << l; "
+                                f"w[i] = w[i] & ~z | {x(e[3])} << l & z")
                 elif rd:
                     v = "w[i]" if e[5] == 4 else f"(w[i] >> ((a & 3) << 3) & {lane})"
                     if e[8]:
@@ -276,7 +293,14 @@ class Cpu:
             n += 1
             off += 1 + e[6]
             if h is _branch:
-                body.append(f"if {op(e[5], x(e[2]), x(e[3]))}: {leave(off, e[4])}")
+                cond = f"if {op(e[5], x(e[2]), x(e[3]))}:"
+                if e[4] == start and grants:  # a loop: the next pass, if it fits
+                    period = off
+                    body += [cond, f"    t += {period}", "    if t < lim: continue",
+                             f"    dt, n, grants, pc, through = 0, 0, 0, {start}, True; "
+                             "break"]
+                else:
+                    body.append(f"{cond} {leave(off, e[4])}")
                 off = last + 1 + e[7]
             elif h is _jal or h is _jalr:
                 body.append(f"a = {e[4]}" if h is _jal else
@@ -290,9 +314,17 @@ class Cpu:
                 break
         if not n:
             return None
-        head = [f"x{reg} = r[{reg}]" for reg in sorted(regs)]
-        tail = leave(off, end)
-        code = "\n    ".join(["def block(c, r, w, tk, g, t):", *head, *body, tail])
+        head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
+        tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)] + ["c.pc = pc"]
+        if period:
+            head += ["s = t", f"lim -= {last}"]
+            tail += [f"k = (t - s) // {period}",
+                     f"return t - s + dt, k * {n} + n, k * {grants} + grants, through"]
+        else:
+            tail.append("return dt, n, grants, through")
+        code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):", *head, "while True:",
+                               *("    " + line for line in body),
+                               "    " + leave(off, end), *tail])
         exec(compile(code, f"<block 0x{start:08x}>", "exec"), ns)
         return ns["block"], last, n
 

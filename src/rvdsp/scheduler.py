@@ -20,7 +20,8 @@ from .conv import ConvDsp
 from .cpu import Cpu, CycleCostTable
 from .dotprod import DotDsp
 from .mac import Truncation
-from .memmap import CONV_BASE, DATA_BASE, DOT_BASE, MEM_WORDS, Rom, Sram
+from .memmap import (CONV_BASE, DATA_BASE, DOT_BASE, MEM_WORDS, Rom, Sram,
+                     buffer_in_datamem)
 from .perfmodel import (CnnLayerShape, ConvWorkload, cnn_layer_macs, conv_model,
                         dense_layer_macs, dot_model, latency_seconds,
                         layer_model, sw_conv_cycles)
@@ -390,15 +391,23 @@ def run_scenario(scenario, config=None):
 
 def run_sw_conv_benchmark(n, k, seed=1, config=None, in_addr=0x0000_8000):
     """Run the generated software conv kernel on words at `in_addr`, with
-    its kernel and output packed after them; returns (report, world)."""
+    its kernel and output packed after them; returns (report, world).
+    Raises ValueError, before it runs, for a shape the kernel cannot take
+    or whose words leave DataMem."""
     config = config or SimConfig()
     kern_addr = in_addr + 4 * n
     out_addr = kern_addr + 4 * k
+    rom = conv_sw_kernel(n, k, in_addr, kern_addr, out_addr)
+    for name, base, length in (("input", in_addr, n), ("kernel", kern_addr, k),
+                               ("output", out_addr, n - k + 1)):
+        if not buffer_in_datamem(base, length):
+            raise ValueError(f"the {name}'s {length} words at "
+                             f"{'-' * (base < 0)}0x{abs(base):08x} leave DataMem")
     rng = SplitMix64(seed)
     x = rng.words(n)
     h = rng.words(k)
     world = World(config, with_cpu=True)
-    world.rom.load(conv_sw_kernel(n, k, in_addr, kern_addr, out_addr))
+    world.rom.load(rom)
     world.write_words(in_addr, x)
     world.write_words(kern_addr, h)
     world.run_until_halt()

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -18,7 +22,7 @@ from rvdsp.bus import Bus, Requester
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
 from rvdsp.isa import MNEMONICS, encode
 from rvdsp.mac import Truncation
-from rvdsp.memmap import CONV_BASE, DATA_BASE, DOT_BASE, RESERVED_BASE
+from rvdsp.memmap import CONV_BASE, DATA_BASE, DATA_END, DOT_BASE, RESERVED_BASE
 from rvdsp.prng import SplitMix64
 from rvdsp.programs import Assembler, I, conv_driver, conv_sw_kernel, dot_driver
 from rvdsp.scenario import Kind, Mode, Scenario, ScenarioError
@@ -1369,8 +1373,8 @@ def _count_batches(monkeypatch):
 
 
 def _count_blocks(monkeypatch):
-    """A list that gets (start, instructions in the block, instructions run)
-    for each run of a block translated from here on."""
+    """A list that gets (start, instructions in the block, instructions run,
+    through) for each run of a block translated from here on."""
     runs = []
     translate = Cpu._translate
 
@@ -1382,7 +1386,7 @@ def _count_blocks(monkeypatch):
 
         def run(*args):
             out = fn(*args)
-            runs.append((start, size, out[1]))
+            runs.append((start, size, out[1], out[3]))
             return out
         return run, last, size
     monkeypatch.setattr(Cpu, "_translate", counted)
@@ -1459,17 +1463,22 @@ class TestBlocks:
         event(f"block translated: {translated}")
 
     def test_kernel_with_other_costs_runs_in_blocks(self, monkeypatch):
-        # the cost table fixes each block's issue offsets and exit cycles
+        # the cost table fixes each block's issue offsets and exit cycles;
+        # the tap loop at 0x24 runs its second and third passes in one
+        # call, the block it falls through to, the output tail at 0x54, is
+        # chained, and the output head at 0x18 runs from the second output
         runs = _count_blocks(monkeypatch)
         costs = CycleCostTable(load=5, mul=3, branch_taken=4)
         assert _blocks_match_stepping(self._case(conv_sw_kernel(40, 6, _SW_X, _SW_H, _SW_Y),
                                                  costs=costs), SimConfig().max_cycles)
-        assert runs and all(n == size for _, size, n in runs)
+        taps, tail, head = (0x24, 12, 2 * 12, True), (0x54, 5, 5, True), (0x18, 15, 15, True)
+        assert runs == [taps, tail] + [head, taps, tail] * 34
 
     def test_block_exits_before_a_guarded_load(self, monkeypatch):
         # the loop's pointer walks from below a running conv's input into
-        # it: the block commits the instructions before the load of the
-        # first guarded word, and the handlers close the window there
+        # it: the block commits the passes and the instructions before the
+        # load of the first guarded word, and the handlers close the window
+        # there
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("addi", rd=8, rs1=8, imm=1), I("lw", rd=5, rs1=9),
                      I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4)], 12,
@@ -1477,14 +1486,45 @@ class TestBlocks:
         assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
                                                         _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        assert (runs[0][2], runs[0][1]) == (6, 6)  # the first block runs through
-        exits = [n for _, size, n in runs if n < size]
-        assert exits and all(n == 1 for n in exits)  # after the addi, before the lw
+        # the handlers run the first pass; the block runs the five passes
+        # that load the words below the input, then the addi of the next
+        head = 4 * 3
+        assert runs[0] == (head, 6, 5 * 6 + 1, False)
+        assert runs[1:] and all(run == (head, 6, 1, False) for run in runs[1:])
+
+    def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, monkeypatch):
+        # every register the loop writes is written after its load, so a
+        # pass that exits at the guarded load writes none; the registers
+        # the earlier passes wrote are still written back
+        runs = _count_blocks(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 6)
+        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                        _conv_start(64, 8))]),
+                                      SimConfig().max_cycles)
+        assert runs[0] == (4 * 3, 5, 5 * 5, False)
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
+        alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
+    def test_window_ends_inside_a_looping_block(self, costs, monkeypatch):
+        # a budget that ends at each cycle of several passes: the block
+        # leaves at its head with the whole passes that issue their branch
+        # within the window counted, and the handlers run the rest
+        runs = _count_blocks(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("sw", rs1=9, rs2=6, imm=4), I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
+        for max_cycles in range(40, 100):
+            runs.clear()
+            _blocks_match_stepping(self._case(rom, costs=costs), max_cycles)
+            # the handlers run the first pass before the block is translated
+            assert runs and runs[0][:2] == (8, 6)
+            assert all(n % 6 == 0 and n and through for _, _, n, through in runs)
 
     def test_block_that_does_not_fit_runs_in_handlers(self, monkeypatch):
         # the window beside a conv ends at the conv's uncontended finish;
-        # where what is left of it is too short for the block at the loop
-        # head, the handlers run up to its end
+        # where what is left of it is too short for the next pass of the
+        # block at the loop head, the block leaves there and the handlers
+        # run up to the window's end
         runs = _count_blocks(monkeypatch)
         ends = []
         run_alone = Cpu.run_alone
@@ -1496,12 +1536,38 @@ class TestBlocks:
                                                         _conv_start(8, 1))]),
                                       SimConfig().max_cycles)
         # the loop's head, after lui and li, is reached in cycle 2 and its
-        # first 8-cycle iteration runs in the handlers; blocks run the
-        # iterations from cycles 10 and 18, but the one from 26 would issue
-        # its last instruction in cycle 32, where the window ends at the
-        # conv's finish, so the handlers run it up to its bne
-        assert all(n == size for _, size, n in runs)
-        assert ends[0] == (4 * 2 + 4 * 4, 2)
+        # first 8-cycle iteration runs in the handlers; one block call runs
+        # the iterations from cycles 10 and 18, but the one from 26 would
+        # issue its last instruction in cycle 32, where the window ends at
+        # the conv's finish, so the block leaves at the head and the
+        # handlers run that iteration up to its bne; a later window's block
+        # call runs the last 25 iterations, the last not taken
+        assert runs == [(4 * 2, 5, 2 * 5, True), (4 * 2, 5, 25 * 5, True)]
+        assert ends[0] == (4 * 2 + 4 * 4, 1)
+
+    def test_benchmark_kernel_runs_its_loop_nest_in_three_blocks(self, monkeypatch):
+        # the N=384 K=24 kernel of run_sw_conv_benchmark: its output head
+        # at 0x18, its tap loop at 0x24, called once per output for the
+        # last 11 of its 12 passes, and its output tail at 0x54, chained
+        # where the tap loop falls through; only the set-up, the first
+        # output's head and tap pass, the tap pass where the first
+        # 65,536-cycle window ends and the ebreak run in the handlers
+        runs = _count_blocks(monkeypatch)
+        report, world = run_sw_conv_benchmark(384, 24)
+        starts = [start for start, *_ in runs]
+        assert starts.count(0x24) == 361 and set(starts) == {0x18, 0x24, 0x54}
+        assert sorted(pc for pc, block in world.rom.blocks.items() if block) == [
+            0x18, 0x24, 0x54]
+        assert (report["cpu_cycles"], report["retired"], world.bus.grants[Requester.CPU]) == (
+            94_588, 54_879, 17_689)
+        assert report["retired"] - sum(n for _, _, n, _ in runs) == 6 + 15 + 12 + 1
+        # and the same kernel on the same words runs as step() runs it
+        rng = SplitMix64(1)
+        x, h = rng.words(384), rng.words(24)
+        kern, out = DATA_BASE + 4 * 384, DATA_BASE + 4 * 408
+        case = self._case(conv_sw_kernel(384, 24, DATA_BASE, kern, out))
+        case["preload"] = [(DATA_BASE, x), (kern, h)]
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
 
     @pytest.mark.parametrize("stop, outcome, retired", [
         (0x0000_0000, "SimulationFault: illegal fault at pc=0x0000000c: "
@@ -1534,7 +1600,7 @@ class TestBlocks:
         assert _observable(fast) == _observable(stepped)
         assert (fast.cycle, fast.cpu.retired, fast.cpu.regs[6]) == (10, retired, 1)
         head = 4 * asm.labels["head"]
-        assert runs == [(head, 1, 1)]
+        assert runs == [(head, 1, 1, True)]
 
     def test_reloaded_rom_runs_its_new_loop(self):
         # Rom.load drops every block, so the second program's loop, at the
@@ -1679,6 +1745,31 @@ class TestSwBenchmark:
         assert abs(report["cpu_cycles"] - report["model_sw_cycles"]) \
             <= 0.15 * report["model_sw_cycles"]
 
+
+    @pytest.mark.parametrize("n, k, in_addr, message", [
+        (5000, 8, DATA_BASE, "the output's 4993 words at 0x0000ce40 leave DataMem"),
+        (16, 4, DATA_END + 1 - 64, "the kernel's 4 words at 0x00010000 leave DataMem"),
+        (8, 2, DATA_BASE - 16, "the input's 8 words at 0x00007ff0 leave DataMem")],
+        ids=["output", "kernel", "input"])
+    def test_shape_that_leaves_datamem_is_refused(self, n, k, in_addr, message,
+                                                  monkeypatch):
+        monkeypatch.setattr(World, "run_until_halt", lambda world: pytest.fail("ran"))
+        with pytest.raises(ValueError) as caught:
+            run_sw_conv_benchmark(n, k, in_addr=in_addr)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "5000", "--k", "8"], "the output's 4993 words at 0x0000ce40 leave DataMem"),
+        (["--n", "4", "--k", "8"], "need 1 <= K <= N"),
+        (["--n", "1024", "--k", "600"], "kernel too long for the pointer-rewind immediate")],
+        ids=["datamem", "k > n", "long kernel"])
+    def test_benchmark_script_reports_a_bad_shape(self, args, message):
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "sw_kernel_benchmark.py"), *args],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 class TestReportSerialization:
     def test_json_roundtrip(self):
