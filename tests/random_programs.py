@@ -1,6 +1,8 @@
-"""Hypothesis strategy for random RV32IM programs that always terminate.
+"""Hypothesis strategies for random RV32IM programs (``rv_programs``),
+which always terminate, and for strided loop nests (``strided_loops``),
+which may run until the cycle budget.
 
-Each program holds every mnemonic of ``isa.MNEMONICS`` at least once,
+Each random program holds every mnemonic of ``isa.MNEMONICS`` at least once,
 with random registers and immediates. Control flow is forward branches
 and jumps inside a block, plus bounded backward loops counted in x31.
 Loads and stores of every width address a small DataMem window through
@@ -143,3 +145,104 @@ def rv_programs(draw):
                  I("bne", rs1=LOOP, imm=-4 * (len(body) + 1)))
     ending = _ending(rng, draw(st.sampled_from(_ENDINGS)))
     return asm.words() + [w if isinstance(w, int) else encode(w) for w in ending]
+
+
+# Strided loop nests: pointers that move by a fixed stride each pass, as
+# the software conv kernel's do, with a counter tested against x0 or a
+# bound register that no op in the loop writes.
+POINTERS = (9, 10, 11)
+_COUNTER, _BOUND, _OUTER, _FIXED = 13, 15, 12, 20
+_STRIDES = {4: (-8, -4, 4, 8), 2: (-8, -4, -2, 0, 2, 4, 8), 1: (-8, -4, -2, -1, 0, 1, 2, 4, 8)}
+_LOAD = {4: "lw", 2: "lh", 1: "lbu"}
+_STORE = {4: "sw", 2: "sh", 1: "sb"}
+_DATA = (5, 6, 7, 8)
+
+
+def _counter(draw):
+    """The counter's set-up, its step and the loop's branch as
+    (set-up instructions, step instruction, (mnemonic, rs1, rs2)); some
+    counters never meet their bound and run until the budget."""
+    kind = draw(st.sampled_from(["bne", "blt", "bltu", "bge", "bgeu"]), label="branch")
+    step = draw(st.sampled_from([1, 2]), label="counter step")
+    start = draw(st.integers(-6, 20), label="counter start")
+    setup = Assembler()
+    setup.li(_COUNTER, start)
+    if kind == "bne":  # down to x0, or past it from an odd start with step 2
+        return setup.instructions(), -step, (kind, _COUNTER, 0)
+    span = draw(st.integers(-2, 16), label="bound distance")
+    swapped = draw(st.booleans(), label="bound first")
+    # blt/bltu go on while below the bound, bge/bgeu while at or above it;
+    # with the bound first the counter moves the other way
+    below = kind in ("blt", "bltu")
+    up = below != swapped
+    setup.li(_BOUND, start + span if up else start - span)
+    operands = (_BOUND, _COUNTER) if swapped else (_COUNTER, _BOUND)
+    return setup.instructions(), step if up else -step, (kind, *operands)
+
+
+@st.composite
+def strided_loops(draw, anchors):
+    """ROM words of a one- or two-level loop nest whose inner loop moves one
+    to three pointers, each starting near one of the byte addresses
+    `anchors` (an end of DataMem, a guarded word), by its own stride each
+    pass, and loads and stores through them; a store may write a word that
+    a later pass loads. The nest ends in ebreak, unless an access faults
+    or the counter never meets its bound."""
+    asm = Assembler()
+    body = []
+    # word loads through pointers that move up, and word stores through a
+    # fixed register only: the shape whose checks a block may hoist
+    plain = draw(st.booleans(), label="plain")
+
+    def start(width):
+        return draw(st.sampled_from(anchors), label="anchor") + width * draw(
+            st.integers(-12, 12), label="start")
+    for reg in POINTERS[:draw(st.integers(1, 3), label="pointers")]:
+        width = 4 if plain else draw(st.sampled_from([4, 4, 2, 1]), label="width")
+        stride = draw(st.sampled_from((4, 8) if plain else _STRIDES[width]), label="stride")
+        first = start(width)
+        if draw(st.integers(0, 19), label="misaligned") == 0:
+            first += 1
+        asm.li(reg, first)
+        step = I("addi", rd=reg, rs1=reg, imm=stride)
+        if stride and not plain and draw(st.booleans(), label="store for the next pass"):
+            # each pass loads the word the pass before stored
+            body += [I(_LOAD[width], rd=5, rs1=reg), I(_STORE[width], rs1=reg, rs2=8,
+                                                      imm=stride), step]
+            continue
+        ops = [step]
+        for _ in range(draw(st.integers(1, 2), label="accesses")):
+            imm = width * draw(st.integers(-2, 2), label="offset")
+            if not plain and draw(st.booleans(), label="store"):
+                ops.append(I(_STORE[width], rs1=reg, rs2=draw(st.sampled_from(_DATA)),
+                             imm=imm))
+            else:
+                ops.append(I(_LOAD[width], rd=draw(st.sampled_from(_DATA[:3])), rs1=reg,
+                             imm=imm))
+        body += draw(st.permutations(ops), label="pointer ops")
+    if draw(st.booleans(), label="fixed word"):
+        # a store to a fixed word, which a pointer may reach in a later pass
+        asm.li(_FIXED, start(4))
+        body += draw(st.permutations([I("sw", rs1=_FIXED, rs2=8),
+                                      I("lw", rd=7, rs1=_FIXED, imm=4)]), label="fixed ops")
+    body.append(I("add", rd=8, rs1=8, rs2=5))
+    setup, step, (branch, rs1, rs2) = _counter(draw)
+    body.insert(draw(st.integers(0, len(body)), label="counter position"),
+                I("addi", rd=_COUNTER, rs1=_COUNTER, imm=step))
+    outer = draw(st.integers(0, 3), label="outer passes")
+    if outer:
+        asm.li(_OUTER, outer)
+        asm.label("outer")
+    asm.emit(*setup)
+    asm.label("inner")
+    asm.emit(*body)
+    asm.branch(branch, rs1, rs2, "inner")
+    if outer:
+        for reg in POINTERS[:draw(st.integers(0, 3), label="rewound pointers")]:
+            asm.emit(I("addi", rd=reg, rs1=reg, imm=4 * draw(st.integers(-8, 8),
+                                                              label="rewind")))
+        asm.emit(I("sw", rs1=9, rs2=8, imm=4 * draw(st.integers(-2, 2), label="outer store")),
+                 I("addi", rd=_OUTER, rs1=_OUTER, imm=-1))
+        asm.branch("bne", _OUTER, 0, "outer")
+    asm.emit(I("ebreak"))
+    return asm.words()

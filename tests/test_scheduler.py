@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import conv1d, conv_partial_accum, dot
-from random_programs import _BASE_ADDR, assert_sram_words, rv_programs
+from random_programs import _BASE_ADDR, assert_sram_words, rv_programs, strided_loops
 from rvdsp import conv as conv_regs
 from rvdsp import cpu as cpu_module
 from rvdsp import dotprod as dot_regs
@@ -1460,6 +1460,31 @@ class TestBlocks:
         case = self._case(rom, starts, costs)
         case["preload"] = case["preload"] + [(_BASE_ADDR - 64, _words(data, 32))]
         translated = _blocks_match_stepping(case, budget or SimConfig().max_cycles)
+        event(f"block translated: {translated}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_strided_loops_match_stepping(self, data):
+        # loop nests whose pointers move by a stride each pass from near
+        # either end of DataMem or a running conv's input, so that a later
+        # pass may leave DataMem or reach a guarded word, over random cost
+        # tables and budgets, which end windows at random points
+        draw = data.draw
+        n = draw(st.integers(8, 64), label="n")
+        rom = draw(strided_loops([DATA_BASE + 48, DATA_END + 1 - 48, _CONV_X, _CONV_X + 4 * n]),
+                   label="program")
+        starts = []
+        if draw(st.integers(0, 3), label="conv idle") != 0:
+            starts = [("conv", CONV_BASE, _conv_start(n, draw(st.integers(1, 8), label="k")))]
+        costs = CycleCostTable()
+        if draw(st.booleans(), label="other costs"):
+            costs = CycleCostTable(*draw(st.lists(st.integers(1, 4), min_size=8,
+                                                  max_size=8), label="costs"))
+        case = self._case(rom, starts, costs)
+        case["preload"] = case["preload"] + [(DATA_BASE, _words(data, 24)),
+                                             (DATA_END + 1 - 4 * 24, _words(data, 24))]
+        translated = _blocks_match_stepping(case, draw(st.integers(1, 3000),
+                                                       label="max_cycles"))
         event(f"block translated: {translated}")
 
     def test_kernel_with_other_costs_runs_in_blocks(self, monkeypatch):
