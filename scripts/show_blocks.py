@@ -1,0 +1,34 @@
+#!/usr/bin/env python3
+"""Print the source of every block the software conv kernel runs.
+
+    PYTHONPATH=src python3 scripts/show_blocks.py N K
+
+Runs ``run_sw_conv_benchmark(N, K)`` and prints, for each ROM pc that got
+a block (``Cpu._translate``), the block's name, as tracebacks show it, and
+the Python source generated for it.
+"""
+
+import argparse
+import sys
+
+from rvdsp.scheduler import run_sw_conv_benchmark
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n", type=int)
+    parser.add_argument("k", type=int)
+    args = parser.parse_args()
+    try:
+        _, world = run_sw_conv_benchmark(args.n, args.k)
+    except ValueError as exc:  # a shape the kernel or DataMem cannot take
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for pc, block in sorted(world.rom.blocks.items()):
+        if block is not None:
+            print(f"<block 0x{pc:08x}>\n{block[0].source}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,9 @@ functions generated from the predecoded entries and kept in
 ``Rom.blocks``, which do what the handlers do for a straight run of
 words, with the issue cycle of each fixed when the block is generated
 (after QEMU's TCG and Shade); a block that closes a loop on its own start
-runs the loop inside, and the block a loop falls through to is chained.
+runs the loop inside, after a prefix that checks the whole span of the
+passes it can run once where the pointers step by a fixed stride, and the
+block a loop falls through to is chained.
 ``step`` and the handlers stay the single-cycle reference.
 """
 
@@ -226,38 +228,23 @@ class Cpu:
         in one.  The function, generated from the predecoded entries,
         runs the words from `start` through the first branch or jump, or
         up to a word that stops a window; it keeps each register the block
-        names in a local.  A block that accesses DataMem and whose branch
-        targets `start` runs the loop inside (one without an access is a
-        spin loop, which ``run_alone`` jumps): it goes round again while
-        the next pass issues its branch before the window's `lim`, and
-        otherwise leaves at `start` with the whole passes counted.  Each
-        exit sets (cycles, instructions, DataMem accesses, pc, through)
-        for its pass and breaks to one epilogue, which writes back every
-        register the block writes and adds the passes before.  The
+        names in a local, and its source in its ``source`` attribute.  A
+        block that accesses DataMem and whose branch targets `start` runs
+        the loop inside (one without an access is a spin loop, which
+        ``run_alone`` jumps): it goes round again while the next pass
+        issues its branch before the window's `lim`, and otherwise leaves
+        at `start` with the whole passes counted; ``_hoisted`` may give it
+        a prefix that runs passes with no per-access checks first.  The
+        words are read into a list before any source is written.  Each
+        exit picks its pass's (cycles, instructions, DataMem accesses, pc,
+        through) from a table and breaks to one epilogue, which writes back
+        every register the block writes and adds the passes before.  The
         function returns those, all but the pc, up to where it ends, or up
         to a load or store that is misaligned, outside DataMem or on a
         guarded word, which it leaves to the handlers, with what came
         before committed; `through` tells whether its last instruction
         ran."""
-        body, ns, regs, written = [], {}, set(), set()
-        off = grants = n = period = 0
-
-        def x(reg):
-            if reg:
-                regs.add(reg)
-            return f"x{reg}" if reg else "0"
-
-        def leave(cycles, pc, through=True):
-            return (f"dt, n, grants, pc, through = {cycles}, {n}, {grants}, {pc}, "
-                    f"{through}; break")
-
-        def op(f, a, b):
-            if f in _INFIX:
-                return f"{a} {_INFIX[f]} {b}"
-            ns[f"f{len(ns)}"] = f
-            return f"f{len(ns) - 1}({a}, {b})"
-
-        pc = start
+        entries, pc, off = [], start, 0  # (pc, entry, issue offset)
         while not pc & 3 and pc <= INST_END:
             e = self.rom.decoded[pc >> 2]
             if e is None:
@@ -265,18 +252,41 @@ class Cpu:
                     e = self.rom.decoded[pc >> 2] = self._predecode(pc)
                 except IllegalInstructionError:
                     break
-            h, rd = e[0], e[1]
-            if h is _ecall or h is _ebreak:
+            if e[0] is _ecall or e[0] is _ebreak:
                 break
-            last, end = off, pc + 4
+            entries.append((pc, e, off))
+            off += 1 + e[6]
+            pc += 4
+            if e[0] in _JUMPS:
+                break
+        if not entries:
+            return None
+        body, ns, regs, written, exits = [], {}, set(), set(), []
+        grants = period = 0
+
+        def x(reg):
+            if reg:
+                regs.add(reg)
+                return f"x{reg}"
+            return 0
+
+        def leave(cycles, count, pc, through=True):
+            """An exit: (cycles, instructions, DataMem accesses, pc, through)."""
+            exits.append((cycles, count, grants if count else 0, pc, through))
+            return f"e = {len(exits) - 1}; break"
+
+        end = pc
+        for n, (pc, e, off) in enumerate(entries):
+            h, rd = e[0], e[1]
             if h is _op_reg or h is _op_imm:
                 b = x(e[3]) if h is _op_reg else e[4]
-                body.append(f"x{rd} = ({op(e[5], x(e[2]), b)}) & {_MASK}")
+                body.append(f"x{rd} = {_value(ns, e[5], x(e[2]), b)}")
                 written.add(rd)
             elif h is _load or h is _store:
-                body += [f"a = ({x(e[2])} + {e[4]}) & {_MASK}; i = (a - {DATA_BASE}) >> 2",
+                body += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
                          f"if a & {e[5] - 1} or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
-                         f" or g[i]: {leave(off, pc, False)}", f"tk[t + {off}] = 1"]
+                         f" or g[i]: {leave(off, n, pc, False)}",
+                         f"tk[{_plus('t', off)}] = 1"]
                 grants += 1
                 lane = (1 << 8 * e[5]) - 1
                 if h is _store and e[5] == 4:
@@ -290,42 +300,39 @@ class Cpu:
                         v = f"({v} ^ {lane + 1 >> 1}) - {lane + 1 >> 1} & {_MASK}"
                     body.append(f"x{rd} = {v}")
                     written.add(rd)
-            n += 1
-            off += 1 + e[6]
-            if h is _branch:
-                cond = f"if {op(e[5], x(e[2]), x(e[3]))}:"
+            elif h is _branch:
+                cond = f"if {_expr(ns, e[5], x(e[2]), x(e[3]))}:"
                 if e[4] == start and grants:  # a loop: the next pass, if it fits
-                    period = off
+                    period = off + 1 + e[6]
                     body += [cond, f"    t += {period}", "    if t < lim: continue",
-                             f"    dt, n, grants, pc, through = 0, 0, 0, {start}, True; "
-                             "break"]
+                             f"    {leave(0, 0, start)}"]
                 else:
-                    body.append(f"{cond} {leave(off, e[4])}")
-                off = last + 1 + e[7]
+                    body.append(f"{cond} {leave(off + 1 + e[6], n + 1, e[4])}")
             elif h is _jal or h is _jalr:
                 body.append(f"a = {e[4]}" if h is _jal else
                             f"a = ({x(e[2])} + {e[4]}) & {_MASK - 1}")
                 if rd:
                     body.append(f"x{rd} = {pc + 4}")
                     written.add(rd)
-                end = "a"
-            pc += 4
-            if h in _JUMPS:
-                break
-        if not n:
-            return None
+                end = None  # the pc in `a`
+        n, last = len(entries), off
+        off += 1 + (e[7] if h is _branch else e[6])
         head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
-        tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)] + ["c.pc = pc"]
+        tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)]
+        tail.append("c.pc = pc" if end else "c.pc = a if pc is None else pc")
         if period:
-            head += ["s = t", f"lim -= {last}"]
+            head += ["s = t", f"lim -= {last}", *_hoisted(entries, period, ns)]
             tail += [f"k = (t - s) // {period}",
                      f"return t - s + dt, k * {n} + n, k * {grants} + grants, through"]
         else:
             tail.append("return dt, n, grants, through")
         code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):", *head, "while True:",
                                *("    " + line for line in body),
-                               "    " + leave(off, end), *tail])
+                               "    " + leave(off, n, end),
+                               f"dt, n, grants, pc, through = {_name(ns, tuple(exits))}[e]",
+                               *tail])
         exec(compile(code, f"<block 0x{start:08x}>", "exec"), ns)
+        ns["block"].source = code
         return ns["block"], last, n
 
     def _predecode(self, pc):
@@ -493,3 +500,162 @@ def _jump(times, head, *now):
     """The counters `now` at a spin loop's target after `times` more
     iterations, each adding what the last added since the counters `head`."""
     return [v + times * (v - h) for v, h in zip(now, head)]
+
+
+# Block source: the expressions and the hoisted prefix that ``_translate``
+# writes into a block, and the helpers the prefix calls.
+
+def _name(ns, f):
+    """A name for `f` in a block's namespace `ns`."""
+    ns[f"f{len(ns)}"] = f
+    return f"f{len(ns) - 1}"
+
+
+def _expr(ns, f, a, b):
+    """Python source for f(a, b)."""
+    if f in _INFIX:
+        return f"{a} {_INFIX[f]} {b}"
+    return f"{_name(ns, f)}({a}, {b})"
+
+
+def _value(ns, f, a, b):
+    """Python source for f(a, b) & _MASK, for operands that are register
+    locals (str), which hold 32-bit values, or constants (int); with no
+    mask where it cannot change the value."""
+    if type(a) is int and type(b) is int:
+        return str(f(a, b) & _MASK)
+    if b == 0 and f in (add, sub, or_, xor):
+        return a
+    if a == 0 and f in (add, or_, xor):
+        return b
+    expr = _expr(ns, f, a, b)
+    return expr if f in (and_, or_, xor) else f"({expr}) & {_MASK}"
+
+
+def _plus(expr, c):
+    return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
+
+
+def _hoisted(entries, period, ns):
+    """Source lines of the prefix of a looping block whose `entries` make
+    one pass of `period` cycles, or none if the pass has an unsure shape.
+    The prefix takes `k`, the passes that fit before the window's `lim`
+    with the next one, bounded by the trip count (``_passes``), and checks
+    the whole span of their DataMem accesses once (``_clear``).  If that
+    holds, it runs up to `k` passes with no per-access checks, each only
+    if its branch will be taken, so that the loop after it still runs the
+    last pass and every exit.  It then marks the log for the passes that
+    ran, in one slice, since nothing marks it past `t` before the block,
+    and advances `t` and the pointers by them.
+
+    A register is affine if its only write in the pass is ``addi r, r,
+    c``.  Every access must be a word access through a register the pass
+    does not write, or a load through an affine register with c >= 0, a
+    multiple of 4, that nothing else reads; the prefix indexes such a
+    pointer's words and advances it after its passes.  The branch must
+    compare registers that are affine or not written, so that its outcome
+    is known before the pass: an affine one that only the branch reads is
+    stepped first, and stepped back if the branch would fall through."""
+    *straight, (_, branch, _) = entries
+    writes = {}
+    for _, e, _ in straight:
+        if e[0] in (_op_reg, _op_imm, _load) and e[1]:
+            writes[e[1]] = None if e[1] in writes else e
+    affine = {r: e for r, e in writes.items()
+              if e and e[0] is _op_imm and e[5] is add and e[2] == r}
+    other = set()  # read other than as a load's base, by their own addi or by the branch
+    for _, e, _ in straight:
+        if e[0] is _op_reg or e[0] is _store:
+            other |= {e[2], e[3]}
+        elif e[0] is _op_imm and affine.get(e[1]) is not e:
+            other.add(e[2])
+    tested = branch[2:4]
+    # each base's stride and offsets from its value at the pass's start,
+    # and each access's offset, by its place in the pass
+    spans, offsets, moved, marks = {}, {}, set(), bytearray(period)
+    for i, (_, e, off) in enumerate(straight):
+        if affine.get(e[1]) is e:
+            moved.add(e[1])
+        elif e[0] is _load or e[0] is _store:
+            base = e[2]
+            if e[5] != 4 or not base or base in writes and (
+                    base not in affine or base in other or base in tested):
+                return []
+            step = s32(affine[base][4]) if base in affine else 0
+            if step < 0 or step & 3:
+                return []
+            offsets[i] = e[4] + step * (base in moved)
+            spans.setdefault(base, [step]).append(offsets[i])
+            marks[off] = 1
+    if (any(r in writes and r not in affine for r in tested)
+            or any(len({d & 3 for d in offs}) > 1 for _, *offs in spans.values())):
+        return []
+    most = f"(lim - 1 - t) // {period}"
+    counted = [r for r in tested if r in affine]
+    if len(counted) == 1:
+        r, swap = counted[0], counted[0] == tested[1]
+        most = (f"{_name(ns, _passes)}({_name(ns, branch[5])}, x{r}, {s32(affine[r][4])}, "
+                f"{_reg(tested[not swap])}, {swap}, {most})")
+    clear = _name(ns, _clear)
+    checks = [f"{clear}(g, {_plus(f'x{r}', min(offs))}, "
+              f"{_plus(f'x{r} + {step} * k' if step else f'x{r}', max(offs) - step)})"
+              for r, (step, *offs) in spans.items()]
+    first = [r for r in dict.fromkeys(counted) if r not in other]  # stepped before the test
+    after = [f"x{r}" if r in first else _value(ns, add, f"x{r}", affine[r][4])
+             if r in affine else _reg(r) for r in tested]  # at the branch
+    body = [f"x{r} = {_value(ns, add, f'x{r}', affine[r][4])}" for r in first]
+    back = [f"x{r} = {_value(ns, add, f'x{r}', -affine[r][4] & _MASK)}; " for r in first]
+    body.append(f"if not {_expr(ns, branch[5], *after)}: {''.join(back)}break")
+    for i, (_, e, _) in enumerate(straight):
+        if i in offsets:
+            word = f"w[{_plus(f'y{e[2]}', offsets[i] - min(spans[e[2]][1:]) >> 2)}]"
+            if e[0] is _store:
+                body.append(f"{word} = {_reg(e[3])}")
+            elif e[1]:
+                body.append(f"x{e[1]} = {word}")
+        elif e[0] in (_op_reg, _op_imm) and not (
+                affine.get(e[1]) is e and (e[1] in spans or e[1] in first)):
+            b = _reg(e[3]) if e[0] is _op_reg else e[4]
+            body.append(f"x{e[1]} = {_value(ns, e[5], _reg(e[2]), b)}")
+    moving = [(r, step) for r, (step, *_) in spans.items() if step]
+    body += [f"y{r} += {step >> 2}" for r, step in moving]
+    return [f"k = {most}", f"if k > 0 and {' and '.join(checks)}:",
+            *(f"    y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
+              for r, (_, *offs) in spans.items()),
+            "    for m in range(k):", *("        " + line for line in body),
+            "    else:", "        m = k",
+            *(f"    x{r} += {step} * m" for r, step in moving),
+            f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
+            "    t = u"]
+
+
+def _reg(r):
+    return f"x{r}" if r else 0
+
+
+def _passes(cond, a, step, b, swap, most):
+    """How many passes in a row, at most `most`, take a loop's branch
+    `cond`, which compares the register that steps by `step` each pass
+    from `a` with the fixed value `b` (`b` first if `swap`), as if the
+    register never wrapped.  A guess that bounds a prefix's passes: the
+    prefix tests the branch before each one."""
+    if not step or cond is eq:
+        return most
+    size = abs(step)
+    if cond is ne:  # until it meets b
+        gap = (b - a if step > 0 else a - b) & _MASK
+        return min(most, gap // size - 1) if gap and not gap % size else most
+    if cond is not lt and cond is not ge:  # blt and bge compare signed values
+        a, b = s32(a), s32(b)
+    strict = cond is lt or cond is _BRANCHES["blt"]
+    below = strict != swap  # taken while the register is below b
+    if step < 0:
+        a, b, below = -a, -b, not below
+    return min(most, max(0, (b - a - strict) // size)) if below else most
+
+
+def _clear(g, lo, hi):
+    """True if the words from byte address `lo`, word-aligned, through `hi`
+    are in DataMem and none is marked in the guard `g`."""
+    return (not lo & 3 and DATA_BASE <= lo and hi <= DATA_END - 3
+            and g.find(1, lo - DATA_BASE >> 2, (hi - DATA_BASE >> 2) + 1) < 0)

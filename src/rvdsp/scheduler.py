@@ -247,12 +247,14 @@ def scenario_data(scenario):
     raise ValueError(f"no direct data for scenario kind {scenario.kind}")
 
 
-def _report(scenario, mode, shape, model, config, world=None, **parts):
+def _report(scenario, mode, shape, model, config, world=None, error=False, **parts):
     """A run's report: the fields every kind shares, the cycle and the CPU,
     bus and DSP counters of a conv or dot run's `world`, and the kind's own
-    `parts` (a layer's total_cycles, calls and unit totals)."""
+    `parts` (a layer's total_cycles, calls and unit totals).  Its status is
+    "error" if a DSP of `world` has latched STATUS.error, or if `error`."""
     freq = config.freq_hz
     if world is not None:
+        error = error or world.conv.status_error or world.dot.status_error
         cpu, bus = world.cpu, world.bus
         parts.update(
             total_cycles=world.cycle,
@@ -271,7 +273,7 @@ def _report(scenario, mode, shape, model, config, world=None, **parts):
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": {"kind": scenario.kind.value, "mode": mode.value,
                      "seed": scenario.seed, "name": scenario.name, **shape},
-        "status": "ok",
+        "status": "error" if error else "ok",
         "model": model,
         "derived": {"freq_hz": freq,
                     "latency_sw_s": latency_seconds(model["sw_cycles"], freq),
@@ -327,6 +329,7 @@ def _run_layer(scenario, config, shape, subs, dsp_name, macs):
     `subs`, under one cycle budget for the whole layer, so the budget bounds
     a layer of any size; the report sums their busy cycles, MACs and cycles."""
     busy = done = cycles = calls = 0
+    error = False
     for sub in subs:
         calls += 1
         budget = SimConfig(config.costs, config.truncation,
@@ -336,11 +339,12 @@ def _run_layer(scenario, config, shape, subs, dsp_name, macs):
         except SimulationTimeout:
             raise SimulationTimeout(f"exceeded {config.max_cycles} cycles") from None
         dsp = getattr(world, dsp_name)
+        error = error or dsp.status_error
         busy += dsp.busy_cycles
         done += dsp.macs
         cycles += world.cycle
     return _report(scenario, Mode.TESTBENCH, shape, layer_model(macs), config,
-                   total_cycles=cycles, calls=calls,
+                   error=error, total_cycles=cycles, calls=calls,
                    **{dsp_name: {"busy_cycles": busy, "macs": done}}), None
 
 

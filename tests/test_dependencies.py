@@ -1,6 +1,7 @@
 """The runtime is pure Python with no dependencies: every module of the
 package imports only the standard library and the package itself, and
-start-up leaves out what it does not use (``dataclasses``, ``inspect``)."""
+start-up leaves out what it does not use (``dataclasses``, ``inspect``).
+The scripts that time the import and print the generated blocks run."""
 
 import ast
 import os
@@ -51,3 +52,14 @@ def test_import_cost_script_times_every_module():
     assert {row[0] for row in rows[:-2]} == names | {"rvdsp"}
     assert rows[-2][0] == "total" and rows[-1][:2] == ["import", "wall"]
     assert min(map(float, rows[-2][1:] + rows[-1][2:])) > 0
+
+
+def test_show_blocks_script_prints_the_kernels_blocks():
+    script = SRC.parent.parent / "scripts" / "show_blocks.py"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, str(script), "384", "24"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("<block")]
+    assert headers == ["<block 0x00000018>", "<block 0x00000024>", "<block 0x00000054>"]
+    assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 3

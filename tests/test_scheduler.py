@@ -1393,6 +1393,38 @@ def _count_blocks(monkeypatch):
     return runs
 
 
+def _count_spans(monkeypatch):
+    """A list that gets (lo, hi, held) for each access span that a hoisted
+    prefix checks (``rvdsp.cpu._clear``) in a block translated from here
+    on."""
+    spans = []
+    clear = cpu_module._clear
+
+    def counted(g, lo, hi):
+        held = clear(g, lo, hi)
+        spans.append((lo, hi, held))
+        return held
+    monkeypatch.setattr(cpu_module, "_clear", counted)
+    return spans
+
+
+def _count_marks(monkeypatch):
+    """A list that gets (log marks, CPU grants, log length kept) for each
+    window beside a running unit, which gets a fresh log, from here on."""
+    windows = []
+    run_alone = Cpu.run_alone
+
+    def counted(cpu, cycles, guard, taken):
+        grants = cpu.bus._grants[0]
+        ran = run_alone(cpu, cycles, guard, taken)
+        if guard is not scheduler._CLEAR:
+            windows.append((taken.count(1), cpu.bus._grants[0] - grants,
+                            len(taken) == cycles))
+        return ran
+    monkeypatch.setattr(Cpu, "run_alone", counted)
+    return windows
+
+
 def _blocks_match_stepping(case, max_cycles):
     """Run `case` through run_until, which runs hot loops as blocks, and
     through step(); both must end alike with the same trace and state.
@@ -1415,6 +1447,14 @@ def _loop(body, count, x9):
     asm.emit(*body, I("addi", rd=13, rs1=13, imm=-1))
     asm.branch("bne", 13, 0, "loop")
     asm.emit(I("ebreak"))
+    return asm.words()
+
+
+def _prologue(reg, value):
+    """ROM words that set `reg` to `value` in two instructions."""
+    asm = Assembler()
+    asm.emit(I("lui", rd=reg, imm=value + 0x800 & ~0xFFF),
+             I("addi", rd=reg, rs1=reg, imm=s32(value - (value + 0x800 & ~0xFFF))))
     return asm.words()
 
 
@@ -1593,6 +1633,122 @@ class TestBlocks:
         case = self._case(conv_sw_kernel(384, 24, DATA_BASE, kern, out))
         case["preload"] = [(DATA_BASE, x), (kern, h)]
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
+
+    def test_benchmark_tap_loop_takes_the_hoisted_path(self, monkeypatch):
+        # each call of the tap loop at 0x24 enters with 11 passes left: its
+        # prefix checks the input's and the kernel's span over the 10 whose
+        # branch is taken and runs them unchecked, and the loop runs the
+        # last; the call that the first window's end cuts runs fewer
+        spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
+        report, world = run_sw_conv_benchmark(384, 24)
+        passes = [(hi - lo + 4) // 8 for lo, hi, held in spans[::2]]
+        assert all(held for *_, held in spans) and len(spans) == 2 * 361
+        assert passes.count(10) == 360 and sum(passes) == 3_609
+        taps = [n for start, _, n, _ in runs if start == 0x24]
+        assert taps.count(11 * 12) == 360 and sum(taps) == 47_640
+
+    @pytest.mark.parametrize("count, passes, held", [(20, 5, False), (12, 10, True)],
+                             ids=["inside", "after"])
+    def test_guarded_word_and_a_hoisted_span(self, count, passes, held, monkeypatch):
+        # a running conv's first input word lies inside the pointer's span
+        # over the passes the prefix would run, so it runs none and the loop
+        # checks each load; or the last pass, which the loop runs after the
+        # prefix, loads it; either way the block leaves before that load,
+        # and each window's log holds just the cycles the CPU took DataMem
+        spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
+        windows = _count_marks(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("lw", rd=6, rs1=9, imm=4),
+                     I("add", rd=7, rs1=5, rs2=6), I("addi", rd=9, rs1=9, imm=8)], count,
+                    _CONV_X - 8 * (passes + 1))
+        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                        _conv_start(64, 8))]),
+                                      SimConfig().max_cycles)
+        # the handlers run the first pass, and the prefix would run all
+        # but the last of the others
+        lo = _CONV_X - 8 * passes
+        assert spans[0] == (lo, lo + 8 * (count - 2) - 4, held)
+        assert runs[0] == (4 * 3, 6, passes * 6, False)
+        assert windows and all(marks == grants and kept for marks, grants, kept in windows)
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
+        alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
+    def test_window_ends_inside_the_hoisted_passes(self, costs, monkeypatch):
+        # beside a running conv, a budget that ends at each cycle of a long
+        # loop: the prefix runs only the passes that fit with the next one,
+        # and its log marks, stores and pointers stop with them
+        spans = _count_spans(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("sw", rs1=20, rs2=6), I("lw", rd=7, rs1=20, imm=4),
+                     I("addi", rd=9, rs1=9, imm=4)], 40, _SW_X)
+        rom = _prologue(20, _SW_Y) + rom
+        cut = set()
+        for max_cycles in range(30, 330, 3):
+            spans.clear()
+            _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))],
+                                              costs), max_cycles)
+            cut |= {(hi - lo) // 4 + 1 for lo, hi, held in spans[::2] if held}
+        # every count of passes that the budgets leave room for, each fewer
+        # than the 38 that the trip count allows
+        assert cut == set(range(1, max(cut) + 1)) and 14 <= max(cut) < 38
+
+    @pytest.mark.parametrize("branch, start, step, bound, passes", [
+        ("bne", 14, -2, 0, 7), ("blt", -3, 1, 5, 8), ("bltu", 0, 2, 12, 6),
+        ("bge", 9, -1, 1, 9), ("bgeu", 20, -2, 8, 7)])
+    def test_trip_count_ends_the_hoisted_passes(self, branch, start, step, bound, passes,
+                                                monkeypatch):
+        # the counter meets its bound on the pass after the prefix's last:
+        # the prefix runs every pass whose branch is taken but the block's
+        # first, and the loop after it the pass that falls through
+        spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
+        asm = Assembler()
+        asm.li(9, _SW_X)
+        asm.li(13, start)
+        asm.li(15, bound)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                 I("addi", rd=9, rs1=9, imm=4), I("addi", rd=13, rs1=13, imm=step))
+        asm.branch(branch, 13, 15, "loop")
+        asm.emit(I("ebreak"))
+        assert _blocks_match_stepping(self._case(asm.words(), [("conv", CONV_BASE,
+                                                               _conv_start(64, 8))]),
+                                      SimConfig().max_cycles)
+        assert [(hi - lo) // 4 + 1 for lo, hi, held in spans if held] == [passes - 2]
+        assert runs == [(4 * 3, 5, 5 * (passes - 1), True)]
+
+    def test_bne_counter_that_never_reaches_zero(self, monkeypatch):
+        # from an odd start in steps of 2 the counter skips zero, so only
+        # each window's end bounds the prefix; the loop loads one fixed word
+        # and runs until the budget
+        spans = _count_spans(monkeypatch)
+        asm = Assembler()
+        asm.li(20, _SW_Y)
+        asm.li(13, 7)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=20), I("add", rd=6, rs1=6, rs2=5),
+                 I("addi", rd=13, rs1=13, imm=-2))
+        asm.branch("bne", 13, 0, "loop")
+        asm.emit(I("ebreak"))
+        case = self._case(asm.words(), [("conv", CONV_BASE, _conv_start(64, 8))])
+        _, _, outcome = _lockstep_run(case, 5_000, fast=True)
+        assert outcome == "SimulationTimeout: exceeded 5000 cycles"
+        assert _blocks_match_stepping(case, 5_000)
+        assert spans and all(held and lo == hi == _SW_Y for lo, hi, held in spans)
+
+    def test_negative_stride_runs_every_pass_checked(self, monkeypatch):
+        # a pointer that walks down is an unsure shape: the block has no
+        # prefix, and its loop checks each load
+        spans = _count_spans(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=-8)], 20, _SW_X + 8 * 20)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
+        fast, _, _ = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        assert not spans
+        assert all("range(k)" not in block[0].source
+                   for block in fast.rom.blocks.values() if block)
 
     @pytest.mark.parametrize("stop, outcome, retired", [
         (0x0000_0000, "SimulationFault: illegal fault at pc=0x0000000c: "
@@ -1802,3 +1958,18 @@ class TestReportSerialization:
         parsed = json.loads(report_to_json(report))
         assert parsed == report
         assert parsed["schema_version"] == 1
+
+
+class TestReportStatus:
+    def test_latched_dsp_error_makes_the_status_an_error(self):
+        # no valid scenario reaches a DSP error, so latch one by starting
+        # conv with K > N from the host, and build a conv report on it
+        sc = conv_scenario(8, 2)
+        model = scheduler.conv_model(scheduler.ConvWorkload(8, 2))
+        world = World(SimConfig())
+        assert scheduler._report(sc, sc.mode, {}, model, SimConfig(), world)["status"] == "ok"
+        for offset, value in conv_regs.start_writes(4, 8, _CONV_X, _CONV_H, _SW_Y):
+            world.reg_write(CONV_BASE + offset, value)
+        assert world.conv.status_error
+        report = scheduler._report(sc, sc.mode, {}, model, SimConfig(), world)
+        assert report["status"] == "error" and report["conv"]["error"]
