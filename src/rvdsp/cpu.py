@@ -319,7 +319,7 @@ class Cpu:
         off += 1 + (e[7] if h is _branch else e[6])
         head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
         tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)]
-        tail.append("c.pc = pc" if end else "c.pc = a if pc is None else pc")
+        tail.append("c.pc = pc" if end is not None else "c.pc = a if pc is None else pc")
         if period:
             head += ["s = t", f"lim -= {last}", *_hoisted(entries, period, ns)]
             tail += [f"k = (t - s) // {period}",

@@ -1450,14 +1450,6 @@ def _loop(body, count, x9):
     return asm.words()
 
 
-def _prologue(reg, value):
-    """ROM words that set `reg` to `value` in two instructions."""
-    asm = Assembler()
-    asm.emit(I("lui", rd=reg, imm=value + 0x800 & ~0xFFF),
-             I("addi", rd=reg, rs1=reg, imm=s32(value - (value + 0x800 & ~0xFFF))))
-    return asm.words()
-
-
 class TestBlocks:
     _PRELOAD = [(_CONV_X, SplitMix64(1).words(64)), (_CONV_H, SplitMix64(2).words(8)),
                 (_DOT_A, SplitMix64(3).words(64)), (_DOT_B, SplitMix64(4).words(64)),
@@ -1679,10 +1671,11 @@ class TestBlocks:
         # loop: the prefix runs only the passes that fit with the next one,
         # and its log marks, stores and pointers stop with them
         spans = _count_spans(monkeypatch)
-        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
-                     I("sw", rs1=20, rs2=6), I("lw", rd=7, rs1=20, imm=4),
-                     I("addi", rd=9, rs1=9, imm=4)], 40, _SW_X)
-        rom = _prologue(20, _SW_Y) + rom
+        asm = Assembler()
+        asm.li(20, _SW_Y)
+        rom = asm.words() + _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                                   I("sw", rs1=20, rs2=6), I("lw", rd=7, rs1=20, imm=4),
+                                   I("addi", rd=9, rs1=9, imm=4)], 40, _SW_X)
         cut = set()
         for max_cycles in range(30, 330, 3):
             spans.clear()
