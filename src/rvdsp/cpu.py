@@ -13,9 +13,9 @@ functions generated from the predecoded entries and kept in
 ``Rom.blocks``, which do what the handlers do for a straight run of
 words, with the issue cycle of each fixed when the block is generated
 (after QEMU's TCG and Shade); a block that closes a loop on its own start
-runs the loop inside, after a prefix that checks the whole span of the
-passes it can run once where the pointers step by a fixed stride, and the
-block a loop falls through to is chained.
+may run the loop inside, in a hoisted loop that checks the whole span of
+its passes once where the pointers step by a fixed stride, and the block a
+loop falls through to is chained.
 ``step`` and the handlers stay the single-cycle reference.
 """
 
@@ -94,20 +94,26 @@ class Cpu:
         self.fault = Fault(kind, self.pc, detail)
 
     def _issue(self):
-        pc = self.pc
-        if pc & 3 or pc > INST_END:
-            self._fault("fetch", f"misaligned pc 0x{pc:08x}" if pc & 3
-                        else f"pc outside InstMem: 0x{pc:08x}")
+        entry = self._fetch(self.pc)
+        if isinstance(entry, Fault):
+            self.fault = entry
             return
+        self.retired += 1
+        self._wait = entry[0](self, entry)
+
+    def _fetch(self, pc):
+        """The predecoded entry of the ROM word at `pc`, decoded on its
+        first fetch, or the Fault that fetching it takes."""
+        if pc & 3 or pc > INST_END:
+            return Fault("fetch", pc, f"misaligned pc 0x{pc:08x}" if pc & 3
+                         else f"pc outside InstMem: 0x{pc:08x}")
         entry = self.rom.decoded[pc >> 2]
         if entry is None:
             try:
                 entry = self.rom.decoded[pc >> 2] = self._predecode(pc)
             except IllegalInstructionError as exc:
-                self._fault("illegal", str(exc))
-                return
-        self.retired += 1
-        self._wait = entry[0](self, entry)
+                return Fault("illegal", pc, str(exc))
+        return entry
 
     def run_alone(self, cycles, guard, taken):
         """Run the wait cycles left and then whole instructions, as
@@ -138,12 +144,11 @@ class Cpu:
         accessed DataMem runs through to, so that the blocks of a loop
         nest chain.  At the window's start and wherever a jump or a block
         lands, the block there runs if its last instruction issues before
-        `cycles`; a block that loops on its own start runs each further
-        pass that fits inside.  A block exits before an access the
-        handlers must serve, and the handlers go on from there.  Returns
-        the cycles run."""
+        `cycles`; a block that loops on its own start runs its passes that
+        fit in its hoisted loop, if it has one, and otherwise one pass a
+        call.  A block exits before an access the handlers must serve, and
+        the handlers go on from there.  Returns the cycles run."""
         regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
-        decoded = self.rom.decoded
         t, retired = min(self._wait, cycles), 0
         self._wait -= t
         head, clean = None, True  # the last backward-jump target; no DataMem since
@@ -178,14 +183,9 @@ class Cpu:
                     continue
             while t < cycles:  # the handlers, up to the next jump
                 pc = self.pc
-                if pc & 3 or pc > INST_END:
+                entry = self._fetch(pc)
+                if isinstance(entry, Fault):
                     return self._close(t, retired, cycles)
-                entry = decoded[pc >> 2]
-                if entry is None:
-                    try:
-                        entry = decoded[pc >> 2] = self._predecode(pc)
-                    except IllegalInstructionError:
-                        return self._close(t, retired, cycles)
                 handler = entry[0]
                 if handler in _SCREENED:
                     if handler in _JUMPS:
@@ -229,30 +229,23 @@ class Cpu:
         runs the words from `start` through the first branch or jump, or
         up to a word that stops a window; it keeps each register the block
         names in a local, and its source in its ``source`` attribute.  A
-        block that accesses DataMem and whose branch targets `start` runs
-        the loop inside (one without an access is a spin loop, which
-        ``run_alone`` jumps): it goes round again while the next pass
-        issues its branch before the window's `lim`, and otherwise leaves
-        at `start` with the whole passes counted; ``_hoisted`` may give it
-        a prefix that runs passes with no per-access checks first.  The
-        words are read into a list before any source is written.  Each
-        exit picks its pass's (cycles, instructions, DataMem accesses, pc,
-        through) from a table and breaks to one epilogue, which writes back
-        every register the block writes and adds the passes before.  The
-        function returns those, all but the pc, up to where it ends, or up
-        to a load or store that is misaligned, outside DataMem or on a
-        guarded word, which it leaves to the handlers, with what came
-        before committed; `through` tells whether its last instruction
-        ran."""
+        block that accesses DataMem and whose branch targets `start` may
+        run the loop inside (one without an access is a spin loop, which
+        ``run_alone`` jumps): ``_hoisted`` gives it a loop that runs passes
+        with no per-access checks before its one checked pass, whose taken
+        branch is an exit like any other.  The words are read into a list
+        before any source is written.  Each exit picks its pass's (cycles,
+        instructions, DataMem accesses, pc, through) from a table and breaks
+        to one epilogue, which writes back every register the block writes
+        and adds the hoisted passes, counted from the cycles.  The function
+        returns those, all but the pc, up to where it ends, or up to a load
+        or store that is misaligned, outside DataMem or on a guarded word,
+        which it leaves to the handlers, with what came before committed;
+        `through` tells whether its last instruction ran."""
         entries, pc, off = [], start, 0  # (pc, entry, issue offset)
-        while not pc & 3 and pc <= INST_END:
-            e = self.rom.decoded[pc >> 2]
-            if e is None:
-                try:
-                    e = self.rom.decoded[pc >> 2] = self._predecode(pc)
-                except IllegalInstructionError:
-                    break
-            if e[0] is _ecall or e[0] is _ebreak:
+        while True:
+            e = self._fetch(pc)
+            if isinstance(e, Fault) or e[0] is _ecall or e[0] is _ebreak:
                 break
             entries.append((pc, e, off))
             off += 1 + e[6]
@@ -301,13 +294,10 @@ class Cpu:
                     body.append(f"x{rd} = {v}")
                     written.add(rd)
             elif h is _branch:
-                cond = f"if {_expr(ns, e[5], x(e[2]), x(e[3]))}:"
-                if e[4] == start and grants:  # a loop: the next pass, if it fits
+                if e[4] == start and grants:  # a loop, which _hoisted may run inside
                     period = off + 1 + e[6]
-                    body += [cond, f"    t += {period}", "    if t < lim: continue",
-                             f"    {leave(0, 0, start)}"]
-                else:
-                    body.append(f"{cond} {leave(off + 1 + e[6], n + 1, e[4])}")
+                body.append(f"if {_expr(ns, e[5], x(e[2]), x(e[3]))}: "
+                            f"{leave(off + 1 + e[6], n + 1, e[4])}")
             elif h is _jal or h is _jalr:
                 body.append(f"a = {e[4]}" if h is _jal else
                             f"a = ({x(e[2])} + {e[4]}) & {_MASK - 1}")
@@ -320,14 +310,15 @@ class Cpu:
         head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
         tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)]
         tail.append("c.pc = pc" if end is not None else "c.pc = a if pc is None else pc")
-        if period:
-            head += ["s = t", f"lim -= {last}", *_hoisted(entries, period, ns)]
+        hoisted = (_hoisted(entries, period, ns, lambda: leave(off - period, 0, end))
+                   if period else [])
+        if hoisted:
             tail += [f"k = (t - s) // {period}",
                      f"return t - s + dt, k * {n} + n, k * {grants} + grants, through"]
         else:
             tail.append("return dt, n, grants, through")
         code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):", *head, "while True:",
-                               *("    " + line for line in body),
+                               *("    " + line for line in hoisted + body),
                                "    " + leave(off, n, end),
                                f"dt, n, grants, pc, through = {_name(ns, tuple(exits))}[e]",
                                *tail])
@@ -502,8 +493,8 @@ def _jump(times, head, *now):
     return [v + times * (v - h) for v, h in zip(now, head)]
 
 
-# Block source: the expressions and the hoisted prefix that ``_translate``
-# writes into a block, and the helpers the prefix calls.
+# Block source: the expressions and the hoisted loop that ``_translate``
+# writes into a block, and the helpers the hoisted loop calls.
 
 def _name(ns, f):
     """A name for `f` in a block's namespace `ns`."""
@@ -536,40 +527,40 @@ def _plus(expr, c):
     return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
 
 
-def _hoisted(entries, period, ns):
-    """Source lines of the prefix of a looping block whose `entries` make
-    one pass of `period` cycles, or none if the pass has an unsure shape.
-    The prefix takes `k`, the passes that fit before the window's `lim`
-    with the next one, bounded by the trip count (``_passes``), and checks
-    the whole span of their DataMem accesses once (``_clear``).  If that
-    holds, it runs up to `k` passes with no per-access checks, each only
-    if its branch will be taken, so that the loop after it still runs the
-    last pass and every exit.  It then marks the log for the passes that
-    ran, in one slice, since nothing marks it past `t` before the block,
-    and advances `t` and the pointers by them.
+def _hoisted(entries, period, ns, out):
+    """Source lines of the hoisted loop of a looping block whose `entries`
+    make one pass of `period` cycles, or none if the pass has an unsure
+    shape; `out` gives the exit of a pass that falls through.  The loop
+    takes `k`, the passes that fit before the window's `lim` with the next
+    one, bounded by the trip count (``_passes``), and checks the whole span
+    of their DataMem accesses once (``_clear``).  If that holds, it runs up
+    to `k` passes in program order with no per-access checks, testing the
+    branch after each pass, where the pass does.  It then marks the log for
+    the passes that ran, in one slice, since nothing marks it past `t`
+    before the block, and advances `t` and the pointers by them.  If the
+    last of them fell through, the block leaves by `out`, and the passes,
+    that one too, are counted as whole ones; otherwise the block's checked
+    pass runs next, which fits.
 
     A register is affine if its only write in the pass is ``addi r, r,
     c``.  Every access must be a word access through a register the pass
     does not write, or a load through an affine register with c >= 0, a
-    multiple of 4, that nothing else reads; the prefix indexes such a
-    pointer's words and advances it after its passes.  The branch must
-    compare registers that are affine or not written, so that its outcome
-    is known before the pass: an affine one that only the branch reads is
-    stepped first, and stepped back if the branch would fall through."""
-    *straight, (_, branch, _) = entries
+    multiple of 4, that nothing else reads, the branch included; the loop
+    indexes such a pointer's words and advances it after its passes."""
+    *straight, (_, branch, last) = entries
     writes = {}
     for _, e, _ in straight:
         if e[0] in (_op_reg, _op_imm, _load) and e[1]:
             writes[e[1]] = None if e[1] in writes else e
     affine = {r: e for r, e in writes.items()
               if e and e[0] is _op_imm and e[5] is add and e[2] == r}
-    other = set()  # read other than as a load's base, by their own addi or by the branch
+    tested = branch[2:4]
+    other = set(tested)  # read other than as a load's base or by their own addi
     for _, e, _ in straight:
         if e[0] is _op_reg or e[0] is _store:
             other |= {e[2], e[3]}
         elif e[0] is _op_imm and affine.get(e[1]) is not e:
             other.add(e[2])
-    tested = branch[2:4]
     # each base's stride and offsets from its value at the pass's start,
     # and each access's offset, by its place in the pass
     spans, offsets, moved, marks = {}, {}, set(), bytearray(period)
@@ -578,8 +569,7 @@ def _hoisted(entries, period, ns):
             moved.add(e[1])
         elif e[0] is _load or e[0] is _store:
             base = e[2]
-            if e[5] != 4 or not base or base in writes and (
-                    base not in affine or base in other or base in tested):
+            if e[5] != 4 or not base or base in writes and (base not in affine or base in other):
                 return []
             step = s32(affine[base][4]) if base in affine else 0
             if step < 0 or step & 3:
@@ -587,12 +577,11 @@ def _hoisted(entries, period, ns):
             offsets[i] = e[4] + step * (base in moved)
             spans.setdefault(base, [step]).append(offsets[i])
             marks[off] = 1
-    if (any(r in writes and r not in affine for r in tested)
-            or any(len({d & 3 for d in offs}) > 1 for _, *offs in spans.values())):
+    if any(len({d & 3 for d in offs}) > 1 for _, *offs in spans.values()):
         return []
-    most = f"(lim - 1 - t) // {period}"
+    most = f"(lim - {last + 1} - t) // {period}"
     counted = [r for r in tested if r in affine]
-    if len(counted) == 1:
+    if len(counted) == 1 and all(r in affine or r not in writes for r in tested):
         r, swap = counted[0], counted[0] == tested[1]
         most = (f"{_name(ns, _passes)}({_name(ns, branch[5])}, x{r}, {s32(affine[r][4])}, "
                 f"{_reg(tested[not swap])}, {swap}, {most})")
@@ -600,12 +589,7 @@ def _hoisted(entries, period, ns):
     checks = [f"{clear}(g, {_plus(f'x{r}', min(offs))}, "
               f"{_plus(f'x{r} + {step} * k' if step else f'x{r}', max(offs) - step)})"
               for r, (step, *offs) in spans.items()]
-    first = [r for r in dict.fromkeys(counted) if r not in other]  # stepped before the test
-    after = [f"x{r}" if r in first else _value(ns, add, f"x{r}", affine[r][4])
-             if r in affine else _reg(r) for r in tested]  # at the branch
-    body = [f"x{r} = {_value(ns, add, f'x{r}', affine[r][4])}" for r in first]
-    back = [f"x{r} = {_value(ns, add, f'x{r}', -affine[r][4] & _MASK)}; " for r in first]
-    body.append(f"if not {_expr(ns, branch[5], *after)}: {''.join(back)}break")
+    body = []
     for i, (_, e, _) in enumerate(straight):
         if i in offsets:
             word = f"w[{_plus(f'y{e[2]}', offsets[i] - min(spans[e[2]][1:]) >> 2)}]"
@@ -613,20 +597,19 @@ def _hoisted(entries, period, ns):
                 body.append(f"{word} = {_reg(e[3])}")
             elif e[1]:
                 body.append(f"x{e[1]} = {word}")
-        elif e[0] in (_op_reg, _op_imm) and not (
-                affine.get(e[1]) is e and (e[1] in spans or e[1] in first)):
+        elif e[0] in (_op_reg, _op_imm) and not (affine.get(e[1]) is e and e[1] in spans):
             b = _reg(e[3]) if e[0] is _op_reg else e[4]
             body.append(f"x{e[1]} = {_value(ns, e[5], _reg(e[2]), b)}")
     moving = [(r, step) for r, (step, *_) in spans.items() if step]
-    body += [f"y{r} += {step >> 2}" for r, step in moving]
-    return [f"k = {most}", f"if k > 0 and {' and '.join(checks)}:",
+    test = _expr(ns, branch[5], *map(_reg, tested))
+    body += [*(f"y{r} += {step >> 2}" for r, step in moving), f"if not {test}: break"]
+    return ["s = t", f"k = {most}", f"if k > 0 and {' and '.join(checks)}:",
             *(f"    y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
               for r, (_, *offs) in spans.items()),
-            "    for m in range(k):", *("        " + line for line in body),
-            "    else:", "        m = k",
+            "    for m in range(1, k + 1):", *("        " + line for line in body),
             *(f"    x{r} += {step} * m" for r, step in moving),
             f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
-            "    t = u"]
+            "    t = u", f"    if not {test}: {out()}"]
 
 
 def _reg(r):
@@ -634,24 +617,25 @@ def _reg(r):
 
 
 def _passes(cond, a, step, b, swap, most):
-    """How many passes in a row, at most `most`, take a loop's branch
-    `cond`, which compares the register that steps by `step` each pass
-    from `a` with the fixed value `b` (`b` first if `swap`), as if the
-    register never wrapped.  A guess that bounds a prefix's passes: the
-    prefix tests the branch before each one."""
+    """How many passes, at most `most`, a loop runs through the one whose
+    branch `cond` falls through, where the branch compares the register
+    that steps by `step` each pass from `a` with the fixed value `b` (`b`
+    first if `swap`), as if the register never wrapped.  A guess that
+    bounds a hoisted loop's passes: the loop tests the branch after each
+    one."""
     if not step or cond is eq:
         return most
     size = abs(step)
     if cond is ne:  # until it meets b
         gap = (b - a if step > 0 else a - b) & _MASK
-        return min(most, gap // size - 1) if gap and not gap % size else most
+        return min(most, gap // size) if gap and not gap % size else most
     if cond is not lt and cond is not ge:  # blt and bge compare signed values
         a, b = s32(a), s32(b)
     strict = cond is lt or cond is _BRANCHES["blt"]
     below = strict != swap  # taken while the register is below b
     if step < 0:
         a, b, below = -a, -b, not below
-    return min(most, max(0, (b - a - strict) // size)) if below else most
+    return min(most, max(0, (b - a - strict) // size) + 1) if below else most
 
 
 def _clear(g, lo, hi):

@@ -1395,8 +1395,7 @@ def _count_blocks(monkeypatch):
 
 def _count_spans(monkeypatch):
     """A list that gets (lo, hi, held) for each access span that a hoisted
-    prefix checks (``rvdsp.cpu._clear``) in a block translated from here
-    on."""
+    loop checks (``rvdsp.cpu._clear``) in a block translated from here on."""
     spans = []
     clear = cpu_module._clear
 
@@ -1533,9 +1532,10 @@ class TestBlocks:
 
     def test_block_exits_before_a_guarded_load(self, monkeypatch):
         # the loop's pointer walks from below a running conv's input into
-        # it: the block commits the passes and the instructions before the
-        # load of the first guarded word, and the handlers close the window
-        # there
+        # it, so its span over the passes left holds a guarded word and the
+        # block runs one checked pass a call; it commits the instructions
+        # before the load of the first guarded word, and the handlers close
+        # the window there
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("addi", rd=8, rs1=8, imm=1), I("lw", rd=5, rs1=9),
                      I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4)], 12,
@@ -1546,20 +1546,29 @@ class TestBlocks:
         # the handlers run the first pass; the block runs the five passes
         # that load the words below the input, then the addi of the next
         head = 4 * 3
-        assert runs[0] == (head, 6, 5 * 6 + 1, False)
-        assert runs[1:] and all(run == (head, 6, 1, False) for run in runs[1:])
+        assert runs[:5] == [(head, 6, 6, True)] * 5
+        assert runs[5:] and all(run == (head, 6, 1, False) for run in runs[5:])
 
     def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, monkeypatch):
         # every register the loop writes is written after its load, so a
         # pass that exits at the guarded load writes none; the registers
-        # the earlier passes wrote are still written back
+        # the earlier passes wrote are still written back.  The block enters
+        # at cycle 11 with 8-cycle passes, and the seventh pass, from cycle
+        # 51, loads the first guarded word and issues its branch in cycle
+        # 57: a budget from 58 to 65 fits that branch and not the next one,
+        # so the hoisted loop runs the five passes before it, clear of the
+        # guard, and the block's checked pass leaves at that load
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 6)
-        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
-                                                        _conv_start(64, 8))]),
-                                      SimConfig().max_cycles)
-        assert runs[0] == (4 * 3, 5, 5 * 5, False)
+        cut = []
+        for max_cycles in range(40, 80):
+            runs.clear()
+            assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                            _conv_start(64, 8))]),
+                                          max_cycles)
+            cut += [max_cycles] * runs.count((4 * 3, 5, 5 * 5, False))
+        assert cut == list(range(58, 66))
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
@@ -1628,26 +1637,28 @@ class TestBlocks:
 
     def test_benchmark_tap_loop_takes_the_hoisted_path(self, monkeypatch):
         # each call of the tap loop at 0x24 enters with 11 passes left: its
-        # prefix checks the input's and the kernel's span over the 10 whose
-        # branch is taken and runs them unchecked, and the loop runs the
-        # last; the call that the first window's end cuts runs fewer
+        # hoisted loop checks the input's and the kernel's span over all 11
+        # and runs them unchecked, the last one, which falls through, too;
+        # the call after the first window's end, whose first pass the
+        # handlers ran, runs 10
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         report, world = run_sw_conv_benchmark(384, 24)
         passes = [(hi - lo + 4) // 8 for lo, hi, held in spans[::2]]
         assert all(held for *_, held in spans) and len(spans) == 2 * 361
-        assert passes.count(10) == 360 and sum(passes) == 3_609
+        assert passes.count(11) == 360 and sum(passes) == 3_970
         taps = [n for start, _, n, _ in runs if start == 0x24]
         assert taps.count(11 * 12) == 360 and sum(taps) == 47_640
 
-    @pytest.mark.parametrize("count, passes, held", [(20, 5, False), (12, 10, True)],
+    @pytest.mark.parametrize("count, passes, held", [(20, 5, False), (12, 11, True)],
                              ids=["inside", "after"])
     def test_guarded_word_and_a_hoisted_span(self, count, passes, held, monkeypatch):
         # a running conv's first input word lies inside the pointer's span
-        # over the passes the prefix would run, so it runs none and the loop
-        # checks each load; or the last pass, which the loop runs after the
-        # prefix, loads it; either way the block leaves before that load,
-        # and each window's log holds just the cycles the CPU took DataMem
+        # over the passes the hoisted loop would run, so it runs none and
+        # the block runs one checked pass a call, up to that load; or it
+        # lies just past the span, and the hoisted loop runs every pass;
+        # either way each window's log holds just the cycles the CPU took
+        # DataMem
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         windows = _count_marks(monkeypatch)
@@ -1657,19 +1668,22 @@ class TestBlocks:
         assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
                                                         _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        # the handlers run the first pass, and the prefix would run all
-        # but the last of the others
+        # the handlers run the first pass, and the hoisted loop would run
+        # the others
         lo = _CONV_X - 8 * passes
-        assert spans[0] == (lo, lo + 8 * (count - 2) - 4, held)
-        assert runs[0] == (4 * 3, 6, passes * 6, False)
+        assert spans[0] == (lo, lo + 8 * (count - 1) - 4, held)
+        if held:
+            assert runs == [(4 * 3, 6, passes * 6, True)]
+        else:
+            assert runs[:passes + 1] == [(4 * 3, 6, 6, True)] * passes + [(4 * 3, 6, 0, False)]
         assert windows and all(marks == grants and kept for marks, grants, kept in windows)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
     def test_window_ends_inside_the_hoisted_passes(self, costs, monkeypatch):
         # beside a running conv, a budget that ends at each cycle of a long
-        # loop: the prefix runs only the passes that fit with the next one,
-        # and its log marks, stores and pointers stop with them
+        # loop: the hoisted loop runs only the passes that fit with the next
+        # one, and its log marks, stores and pointers stop with them
         spans = _count_spans(monkeypatch)
         asm = Assembler()
         asm.li(20, _SW_Y)
@@ -1691,9 +1705,9 @@ class TestBlocks:
         ("bge", 9, -1, 1, 9), ("bgeu", 20, -2, 8, 7)])
     def test_trip_count_ends_the_hoisted_passes(self, branch, start, step, bound, passes,
                                                 monkeypatch):
-        # the counter meets its bound on the pass after the prefix's last:
-        # the prefix runs every pass whose branch is taken but the block's
-        # first, and the loop after it the pass that falls through
+        # the counter meets its bound on the last pass, which falls
+        # through: the hoisted loop runs every pass but the first, which
+        # the handlers run, and leaves by its own exit
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         asm = Assembler()
@@ -1708,12 +1722,12 @@ class TestBlocks:
         assert _blocks_match_stepping(self._case(asm.words(), [("conv", CONV_BASE,
                                                                _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        assert [(hi - lo) // 4 + 1 for lo, hi, held in spans if held] == [passes - 2]
+        assert [(hi - lo) // 4 + 1 for lo, hi, held in spans if held] == [passes - 1]
         assert runs == [(4 * 3, 5, 5 * (passes - 1), True)]
 
     def test_bne_counter_that_never_reaches_zero(self, monkeypatch):
         # from an odd start in steps of 2 the counter skips zero, so only
-        # each window's end bounds the prefix; the loop loads one fixed word
+        # each window's end bounds the hoisted loop; it loads one fixed word
         # and runs until the budget
         spans = _count_spans(monkeypatch)
         asm = Assembler()
@@ -1732,16 +1746,85 @@ class TestBlocks:
 
     def test_negative_stride_runs_every_pass_checked(self, monkeypatch):
         # a pointer that walks down is an unsure shape: the block has no
-        # prefix, and its loop checks each load
+        # hoisted loop, so no span is checked, and it runs one checked pass
+        # a call, each but the last one taken
         spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("addi", rd=9, rs1=9, imm=-8)], 20, _SW_X + 8 * 20)
         case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
-        fast, _, _ = _lockstep_run(case, SimConfig().max_cycles, fast=True)
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
         assert not spans
-        assert all("range(k)" not in block[0].source
-                   for block in fast.rom.blocks.values() if block)
+        assert runs == [(4 * 3, 5, 5, True)] * 19
+
+    @pytest.mark.parametrize("zero", [1, 2, 9, 30])
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside conv"])
+    def test_sentinel_loop_tests_the_word_it_loads(self, zero, beside, monkeypatch):
+        # the branch tests the word each pass loads, which no trip count
+        # reads, so only the window bounds the hoisted passes; the loop ends
+        # at the zero, in the handlers' first pass, in the block's first,
+        # or in a later one, with the window ending on every cycle up to it
+        spans = _count_spans(monkeypatch)
+        asm = Assembler()
+        asm.li(9, _SW_X)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                 I("addi", rd=9, rs1=9, imm=4))
+        asm.branch("bne", 5, 0, "loop")
+        asm.emit(I("ebreak"))
+        words = [word | 1 for word in SplitMix64(7).words(40)]
+        words[zero - 1] = 0
+        case = self._case(asm.words(), [("conv", CONV_BASE, _conv_start(64, 8))] * beside)
+        case["preload"] = case["preload"] + [(_SW_X, words)]
+        for max_cycles in [*range(2, 7 * zero + 8), SimConfig().max_cycles]:
+            _blocks_match_stepping(case, max_cycles)
+        passes = {(hi - lo) // 4 + 1 for lo, hi, held in spans if held}
+        assert max(passes, default=0) >= zero - 1
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
+        alu=2, load=4, store=2, branch_taken=1, branch_not_taken=3)], ids=["default", "other"])
+    def test_hoisted_loop_runs_the_pass_that_falls_through(self, costs, monkeypatch):
+        # the kernel's tap loop beside a running conv, whose block enters
+        # with two passes left, under budgets that end the window on each
+        # cycle of its first outputs: every pass that falls through and
+        # every pass after one; the hoisted loop runs both passes, the one
+        # that falls through too, where the window fits a pass after them,
+        # and only the first where it does not
+        spans = _count_spans(monkeypatch)
+        case = self._case(conv_sw_kernel(12, 6, _SW_X, _SW_H, _SW_Y),
+                          [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        passes = set()
+        for max_cycles in range(1, 260):
+            spans.clear()
+            _blocks_match_stepping(case, max_cycles)
+            passes |= {(hi - lo + 4) // 8 for lo, hi, held in spans[::2] if held}
+        assert passes == {1, 2}
+
+    @pytest.mark.parametrize("step, tested, bound", [
+        (I("slt", rd=14, rs1=13, rs2=15), (14, 0), 30),
+        (I("addi", rd=15, rs1=15, imm=-1), (13, 15), 60)], ids=["slt", "meet"])
+    def test_branch_on_a_counter_no_trip_count_reads(self, step, tested, bound, monkeypatch):
+        # the branch tests a flag that slt writes from an affine counter
+        # each pass, or two counters that step toward each other, 30 passes
+        # either way: no trip count bounds the hoisted passes, so the
+        # window does; with room for every pass, one call runs them all
+        spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
+        asm = Assembler()
+        asm.li(9, _SW_X)
+        asm.li(15, bound)
+        asm.label("loop")
+        asm.emit(I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                 I("addi", rd=9, rs1=9, imm=4), I("addi", rd=13, rs1=13, imm=1), step)
+        asm.branch("bne", *tested, "loop")
+        asm.emit(I("ebreak"))
+        case = self._case(asm.words(), [("conv", CONV_BASE, _conv_start(64, 8))])
+        for max_cycles in range(20, 300, 3):
+            _blocks_match_stepping(case, max_cycles)
+        assert any(held for *_, held in spans)
+        runs.clear()
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        assert runs == [(4 * 2, 6, 29 * 6, True)]
 
     @pytest.mark.parametrize("stop, outcome, retired", [
         (0x0000_0000, "SimulationFault: illegal fault at pc=0x0000000c: "
