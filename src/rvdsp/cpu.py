@@ -294,10 +294,10 @@ class Cpu:
                     body.append(f"x{rd} = {v}")
                     written.add(rd)
             elif h is _branch:
+                cond = _expr(ns, e[5], x(e[2]), x(e[3]))
                 if e[4] == start and grants:  # a loop, which _hoisted may run inside
                     period = off + 1 + e[6]
-                body.append(f"if {_expr(ns, e[5], x(e[2]), x(e[3]))}: "
-                            f"{leave(off + 1 + e[6], n + 1, e[4])}")
+                body.append(f"if {cond}: {leave(off + 1 + e[6], n + 1, e[4])}")
             elif h is _jal or h is _jalr:
                 body.append(f"a = {e[4]}" if h is _jal else
                             f"a = ({x(e[2])} + {e[4]}) & {_MASK - 1}")
@@ -310,9 +310,9 @@ class Cpu:
         head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
         tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)]
         tail.append("c.pc = pc" if end is not None else "c.pc = a if pc is None else pc")
-        hoisted = (_hoisted(entries, period, ns, lambda: leave(off - period, 0, end))
-                   if period else [])
-        if hoisted:
+        hoisted = _hoisted(entries, period, ns) if period else []
+        if hoisted:  # the pass that falls through leaves by its own exit
+            hoisted.append(f"    if not {cond}: {leave(off - period, 0, end)}")
             tail += [f"k = (t - s) // {period}",
                      f"return t - s + dt, k * {n} + n, k * {grants} + grants, through"]
         else:
@@ -527,20 +527,20 @@ def _plus(expr, c):
     return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
 
 
-def _hoisted(entries, period, ns, out):
+def _hoisted(entries, period, ns):
     """Source lines of the hoisted loop of a looping block whose `entries`
     make one pass of `period` cycles, or none if the pass has an unsure
-    shape; `out` gives the exit of a pass that falls through.  The loop
-    takes `k`, the passes that fit before the window's `lim` with the next
-    one, bounded by the trip count (``_passes``), and checks the whole span
-    of their DataMem accesses once (``_clear``).  If that holds, it runs up
-    to `k` passes in program order with no per-access checks, testing the
-    branch after each pass, where the pass does.  It then marks the log for
-    the passes that ran, in one slice, since nothing marks it past `t`
-    before the block, and advances `t` and the pointers by them.  If the
-    last of them fell through, the block leaves by `out`, and the passes,
-    that one too, are counted as whole ones; otherwise the block's checked
-    pass runs next, which fits.
+    shape.  The loop takes `k`, the passes that fit before the window's
+    `lim` with the next one, bounded by the trip count (``_passes``), and
+    checks the whole span of their DataMem accesses once (``_clear``).  If
+    that holds, it runs up to `k` passes in program order with no
+    per-access checks, testing the branch after each pass, where the pass
+    does.  It then marks the log for the passes that ran, in one slice,
+    since nothing marks it past `t` before the block, and advances `t` and
+    the pointers by them.  If the last of them fell through, the block
+    leaves by an exit that ``_translate`` appends, and the passes, that one
+    too, are counted as whole ones; otherwise the block's checked pass runs
+    next, which fits.
 
     A register is affine if its only write in the pass is ``addi r, r,
     c``.  Every access must be a word access through a register the pass
@@ -601,15 +601,15 @@ def _hoisted(entries, period, ns, out):
             b = _reg(e[3]) if e[0] is _op_reg else e[4]
             body.append(f"x{e[1]} = {_value(ns, e[5], _reg(e[2]), b)}")
     moving = [(r, step) for r, (step, *_) in spans.items() if step]
-    test = _expr(ns, branch[5], *map(_reg, tested))
-    body += [*(f"y{r} += {step >> 2}" for r, step in moving), f"if not {test}: break"]
+    body += [*(f"y{r} += {step >> 2}" for r, step in moving),
+             f"if not {_expr(ns, branch[5], *map(_reg, tested))}: break"]
     return ["s = t", f"k = {most}", f"if k > 0 and {' and '.join(checks)}:",
             *(f"    y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
               for r, (_, *offs) in spans.items()),
             "    for m in range(1, k + 1):", *("        " + line for line in body),
             *(f"    x{r} += {step} * m" for r, step in moving),
             f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
-            "    t = u", f"    if not {test}: {out()}"]
+            "    t = u"]
 
 
 def _reg(r):

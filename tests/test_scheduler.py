@@ -1561,21 +1561,22 @@ class TestBlocks:
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 6)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
         cut = []
         for max_cycles in range(40, 80):
             runs.clear()
-            assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
-                                                            _conv_start(64, 8))]),
-                                          max_cycles)
+            assert _blocks_match_stepping(case, max_cycles)
             cut += [max_cycles] * runs.count((4 * 3, 5, 5 * 5, False))
         assert cut == list(range(58, 66))
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
     def test_window_ends_inside_a_looping_block(self, costs, monkeypatch):
-        # a budget that ends at each cycle of several passes: the block
-        # leaves at its head with the whole passes that issue their branch
-        # within the window counted, and the handlers run the rest
+        # a budget that ends at each cycle of several passes: the loop
+        # stores through its moving pointer, so it has no hoisted loop and
+        # its block runs one checked pass per call, each run ending through
+        # after a whole pass; the handlers run the rest
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("sw", rs1=9, rs2=6, imm=4), I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
