@@ -231,13 +231,14 @@ class Cpu:
         names in a local, and its source in its ``source`` attribute.  A
         block that accesses DataMem and whose branch targets `start` may
         run the loop inside (one without an access is a spin loop, which
-        ``run_alone`` jumps): ``_hoisted`` gives it a loop that runs passes
-        with no per-access checks before its one checked pass, whose taken
-        branch is an exit like any other.  The words are read into a list
-        before any source is written.  Each exit picks its pass's (cycles,
-        instructions, DataMem accesses, pc, through) from a table and breaks
-        to one epilogue, which writes back every register the block writes
-        and adds the hoisted passes, counted from the cycles.  The function
+        ``run_alone`` jumps): ``_hoisted`` gives it a loop that runs the
+        passes its pointers have room for (``_room``) with no per-access
+        checks before its one checked pass, whose taken branch is an exit
+        like any other.  The words are read into a list before any source
+        is written.  Each exit picks its pass's (cycles, instructions,
+        DataMem accesses, pc, through) from a table and breaks to one
+        epilogue, which writes back every register the block writes and
+        adds the hoisted passes, counted from the cycles.  The function
         returns those, all but the pc, up to where it ends, or up to a load
         or store that is misaligned, outside DataMem or on a guarded word,
         which it leaves to the handlers, with what came before committed;
@@ -531,13 +532,14 @@ def _hoisted(entries, period, ns):
     """Source lines of the hoisted loop of a looping block whose `entries`
     make one pass of `period` cycles, or none if the pass has an unsure
     shape.  The loop takes `k`, the passes that fit before the window's
-    `lim` with the next one, bounded by the trip count (``_passes``), and
-    checks the whole span of their DataMem accesses once (``_clear``).  If
-    that holds, it runs up to `k` passes in program order with no
+    `lim` with the next one, and narrows it to the passes over which each
+    pointer's span of DataMem accesses stays in DataMem and off the guard
+    (``_room``).  It runs up to `k` passes in program order with no
     per-access checks, testing the branch after each pass, where the pass
-    does.  It then marks the log for the passes that ran, in one slice,
-    since nothing marks it past `t` before the block, and advances `t` and
-    the pointers by them.  If the last of them fell through, the block
+    does, so a `k` past the loop's last pass changes nothing.  It then
+    marks the log for the passes that ran, in one slice, since nothing
+    marks it past `t` before the block, and advances `t` and the pointers
+    by them.  If the last of them fell through, the block
     leaves by an exit that ``_translate`` appends, and the passes, that one
     too, are counted as whole ones; otherwise the block's checked pass runs
     next, which fits.
@@ -579,16 +581,6 @@ def _hoisted(entries, period, ns):
             marks[off] = 1
     if any(len({d & 3 for d in offs}) > 1 for _, *offs in spans.values()):
         return []
-    most = f"(lim - {last + 1} - t) // {period}"
-    counted = [r for r in tested if r in affine]
-    if len(counted) == 1 and all(r in affine or r not in writes for r in tested):
-        r, swap = counted[0], counted[0] == tested[1]
-        most = (f"{_name(ns, _passes)}({_name(ns, branch[5])}, x{r}, {s32(affine[r][4])}, "
-                f"{_reg(tested[not swap])}, {swap}, {most})")
-    clear = _name(ns, _clear)
-    checks = [f"{clear}(g, {_plus(f'x{r}', min(offs))}, "
-              f"{_plus(f'x{r} + {step} * k' if step else f'x{r}', max(offs) - step)})"
-              for r, (step, *offs) in spans.items()]
     body = []
     for i, (_, e, _) in enumerate(straight):
         if i in offsets:
@@ -603,7 +595,11 @@ def _hoisted(entries, period, ns):
     moving = [(r, step) for r, (step, *_) in spans.items() if step]
     body += [*(f"y{r} += {step >> 2}" for r, step in moving),
              f"if not {_expr(ns, branch[5], *map(_reg, tested))}: break"]
-    return ["s = t", f"k = {most}", f"if k > 0 and {' and '.join(checks)}:",
+    room = _name(ns, _room)
+    return ["s = t", f"k = (lim - {last + 1} - t) // {period}",
+            *(f"k = {room}(g, {_plus(f'x{r}', min(offs))}, {_plus(f'x{r}', max(offs))}, "
+              f"{step}, k)" for r, (step, *offs) in spans.items()),
+            "if k > 0:",
             *(f"    y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
               for r, (_, *offs) in spans.items()),
             "    for m in range(1, k + 1):", *("        " + line for line in body),
@@ -616,30 +612,19 @@ def _reg(r):
     return f"x{r}" if r else 0
 
 
-def _passes(cond, a, step, b, swap, most):
-    """How many passes, at most `most`, a loop runs through the one whose
-    branch `cond` falls through, where the branch compares the register
-    that steps by `step` each pass from `a` with the fixed value `b` (`b`
-    first if `swap`), as if the register never wrapped.  A guess that
-    bounds a hoisted loop's passes: the loop tests the branch after each
-    one."""
-    if not step or cond is eq:
-        return most
-    size = abs(step)
-    if cond is ne:  # until it meets b
-        gap = (b - a if step > 0 else a - b) & _MASK
-        return min(most, gap // size) if gap and not gap % size else most
-    if cond is not lt and cond is not ge:  # blt and bge compare signed values
-        a, b = s32(a), s32(b)
-    strict = cond is lt or cond is _BRANCHES["blt"]
-    below = strict != swap  # taken while the register is below b
-    if step < 0:
-        a, b, below = -a, -b, not below
-    return min(most, max(0, (b - a - strict) // size) + 1) if below else most
-
-
-def _clear(g, lo, hi):
-    """True if the words from byte address `lo`, word-aligned, through `hi`
-    are in DataMem and none is marked in the guard `g`."""
-    return (not lo & 3 and DATA_BASE <= lo and hi <= DATA_END - 3
-            and g.find(1, lo - DATA_BASE >> 2, (hi - DATA_BASE >> 2) + 1) < 0)
+def _room(g, lo, hi, step, k):
+    """How many passes, at most `k`, keep the words from byte address
+    `lo`, word-aligned, through `hi`, moved up by `step` bytes each pass
+    after the first, in DataMem and before the first word marked in the
+    guard `g`."""
+    top = hi + step * (k - 1)
+    if top > DATA_END - 3:
+        top = DATA_END - 3
+    if lo & 3 or lo < DATA_BASE or top < hi:
+        return 0
+    i = g.find(1, lo - DATA_BASE >> 2, (top - DATA_BASE >> 2) + 1)
+    if i >= 0:
+        top = DATA_BASE + 4 * i - 4
+        if top < hi:
+            return 0
+    return (top - hi) // step + 1 if step else k

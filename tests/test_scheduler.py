@@ -1394,16 +1394,18 @@ def _count_blocks(monkeypatch):
 
 
 def _count_spans(monkeypatch):
-    """A list that gets (lo, hi, held) for each access span that a hoisted
-    loop checks (``rvdsp.cpu._clear``) in a block translated from here on."""
+    """A list that gets (lo, hi, step, k, passes) for each pointer's span
+    by which a hoisted loop bounds its passes (``rvdsp.cpu._room``) in a
+    block translated from here on: the span's first pass, its step, the
+    bound before and the bound after."""
     spans = []
-    clear = cpu_module._clear
+    room = cpu_module._room
 
-    def counted(g, lo, hi):
-        held = clear(g, lo, hi)
-        spans.append((lo, hi, held))
-        return held
-    monkeypatch.setattr(cpu_module, "_clear", counted)
+    def counted(g, lo, hi, step, k):
+        passes = room(g, lo, hi, step, k)
+        spans.append((lo, hi, step, k, passes))
+        return passes
+    monkeypatch.setattr(cpu_module, "_room", counted)
     return spans
 
 
@@ -1532,10 +1534,10 @@ class TestBlocks:
 
     def test_block_exits_before_a_guarded_load(self, monkeypatch):
         # the loop's pointer walks from below a running conv's input into
-        # it, so its span over the passes left holds a guarded word and the
-        # block runs one checked pass a call; it commits the instructions
-        # before the load of the first guarded word, and the handlers close
-        # the window there
+        # it, so the room bound stops the hoisted passes before the first
+        # guarded word; the checked pass after them commits the
+        # instructions before its load, and the handlers close the window
+        # there
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("addi", rd=8, rs1=8, imm=1), I("lw", rd=5, rs1=9),
                      I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4)], 12,
@@ -1543,11 +1545,12 @@ class TestBlocks:
         assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
                                                         _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        # the handlers run the first pass; the block runs the five passes
-        # that load the words below the input, then the addi of the next
+        # the handlers run the first pass; one block call hoists the five
+        # passes that load the words below the input, then runs the addi of
+        # the next, and later calls stop at the same load while it is guarded
         head = 4 * 3
-        assert runs[:5] == [(head, 6, 6, True)] * 5
-        assert runs[5:] and all(run == (head, 6, 1, False) for run in runs[5:])
+        assert runs[0] == (head, 6, 5 * 6 + 1, False)
+        assert runs[1:] and all(run == (head, 6, 1, False) for run in runs[1:])
 
     def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, monkeypatch):
         # every register the loop writes is written after its load, so a
@@ -1555,10 +1558,11 @@ class TestBlocks:
         # the earlier passes wrote are still written back.  The block enters
         # at cycle 11 with 8-cycle passes, and the seventh pass, from cycle
         # 51, loads the first guarded word and issues its branch in cycle
-        # 57: a budget from 58 to 65 fits that branch and not the next one,
-        # so the hoisted loop runs the five passes before it, clear of the
-        # guard, and the block's checked pass leaves at that load
+        # 57: every budget from 58 fits that branch, and the room bound keeps
+        # the hoisted loop to the five passes before it, clear of the guard,
+        # so the block's checked pass leaves at that load
         runs = _count_blocks(monkeypatch)
+        spans = _count_spans(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 6)
         case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
@@ -1566,9 +1570,10 @@ class TestBlocks:
         cut = []
         for max_cycles in range(40, 80):
             runs.clear()
+            spans.clear()
             assert _blocks_match_stepping(case, max_cycles)
-            cut += [max_cycles] * runs.count((4 * 3, 5, 5 * 5, False))
-        assert cut == list(range(58, 66))
+            cut += [(max_cycles, spans[0][4])] * runs.count((4 * 3, 5, 5 * 5, False))
+        assert cut == [(max_cycles, 5) for max_cycles in range(58, 80)]
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
@@ -1637,46 +1642,48 @@ class TestBlocks:
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
 
     def test_benchmark_tap_loop_takes_the_hoisted_path(self, monkeypatch):
-        # each call of the tap loop at 0x24 enters with 11 passes left: its
-        # hoisted loop checks the input's and the kernel's span over all 11
-        # and runs them unchecked, the last one, which falls through, too;
-        # the call after the first window's end, whose first pass the
-        # handlers ran, runs 10
+        # each call of the tap loop at 0x24 enters with 11 passes left: the
+        # input's and the kernel's span leave room for every pass the
+        # window holds, at least those 11, so its hoisted loop runs them
+        # unchecked, the last one, which falls through, too; the call after
+        # the first window's end, whose first pass the handlers ran, runs 10
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         report, world = run_sw_conv_benchmark(384, 24)
-        passes = [(hi - lo + 4) // 8 for lo, hi, held in spans[::2]]
-        assert all(held for *_, held in spans) and len(spans) == 2 * 361
-        assert passes.count(11) == 360 and sum(passes) == 3_970
         taps = [n for start, _, n, _ in runs if start == 0x24]
         assert taps.count(11 * 12) == 360 and sum(taps) == 47_640
+        assert len(spans) == 2 * 361 and all(k == passes for *_, k, passes in spans)
+        assert all(passes >= n // 12 for (*_, passes), n in zip(spans[::2], taps))
+        assert sum(n // 12 for n in taps) == 3_970
 
-    @pytest.mark.parametrize("count, passes, held", [(20, 5, False), (12, 11, True)],
-                             ids=["inside", "after"])
-    def test_guarded_word_and_a_hoisted_span(self, count, passes, held, monkeypatch):
+    @pytest.mark.parametrize("count, x9, passes, ran", [
+        (20, _CONV_X - 8 * 6, 5, 5 * 6), (12, _CONV_X - 8 * 12, 11, 11 * 6),
+        (20, DATA_END + 1 - 4 - 8 * 6, 5, 5 * 6 + 1)], ids=["inside", "after", "datamem end"])
+    def test_guarded_word_and_a_hoisted_span(self, count, x9, passes, ran, monkeypatch):
         # a running conv's first input word lies inside the pointer's span
-        # over the passes the hoisted loop would run, so it runs none and
-        # the block runs one checked pass a call, up to that load; or it
-        # lies just past the span, and the hoisted loop runs every pass;
-        # either way each window's log holds just the cycles the CPU took
-        # DataMem
+        # over the passes left, so the hoisted loop runs the five before it
+        # and the block's checked pass stops at its load; or it lies just
+        # past the span, and the hoisted loop runs every pass; or the span
+        # runs past DataMem's end, so the hoisted loop runs the five passes
+        # inside it and the checked pass stops at the load of the word past
+        # the last one; each window's log holds just the cycles the CPU
+        # took DataMem
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         windows = _count_marks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("lw", rd=6, rs1=9, imm=4),
                      I("add", rd=7, rs1=5, rs2=6), I("addi", rd=9, rs1=9, imm=8)], count,
-                    _CONV_X - 8 * (passes + 1))
+                    x9)
         assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
                                                         _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        # the handlers run the first pass, and the hoisted loop would run
-        # the others
-        lo = _CONV_X - 8 * passes
-        assert spans[0] == (lo, lo + 8 * (count - 1) - 4, held)
-        if held:
-            assert runs == [(4 * 3, 6, passes * 6, True)]
-        else:
-            assert runs[:passes + 1] == [(4 * 3, 6, 6, True)] * passes + [(4 * 3, 6, 0, False)]
+        # the handlers run the first pass, and the hoisted loop the passes
+        # before the guarded word or DataMem's end
+        assert spans[0][:3] + spans[0][4:] == (x9 + 8, x9 + 12, 8, passes)
+        through = passes + 1 == count
+        assert runs[0] == (4 * 3, 6, ran, through)
+        if through:
+            assert len(runs) == 1
         assert windows and all(marks == grants and kept for marks, grants, kept in windows)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
@@ -1696,19 +1703,20 @@ class TestBlocks:
             spans.clear()
             _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))],
                                               costs), max_cycles)
-            cut |= {(hi - lo) // 4 + 1 for lo, hi, held in spans[::2] if held}
+            cut |= {passes for *_, passes in spans[::2] if passes}
         # every count of passes that the budgets leave room for, each fewer
-        # than the 38 that the trip count allows
+        # than the 38 that the loop has left
         assert cut == set(range(1, max(cut) + 1)) and 14 <= max(cut) < 38
 
     @pytest.mark.parametrize("branch, start, step, bound, passes", [
         ("bne", 14, -2, 0, 7), ("blt", -3, 1, 5, 8), ("bltu", 0, 2, 12, 6),
         ("bge", 9, -1, 1, 9), ("bgeu", 20, -2, 8, 7)])
-    def test_trip_count_ends_the_hoisted_passes(self, branch, start, step, bound, passes,
-                                                monkeypatch):
+    def test_branch_ends_the_hoisted_passes(self, branch, start, step, bound, passes,
+                                            monkeypatch):
         # the counter meets its bound on the last pass, which falls
-        # through: the hoisted loop runs every pass but the first, which
-        # the handlers run, and leaves by its own exit
+        # through: the room bound leaves every pass the window holds, and
+        # the hoisted loop runs every pass but the first, which the
+        # handlers run, and leaves by its own exit at the branch
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         asm = Assembler()
@@ -1723,7 +1731,7 @@ class TestBlocks:
         assert _blocks_match_stepping(self._case(asm.words(), [("conv", CONV_BASE,
                                                                _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
-        assert [(hi - lo) // 4 + 1 for lo, hi, held in spans if held] == [passes - 1]
+        assert len(spans) == 1 and spans[0][3] == spans[0][4] > passes - 1
         assert runs == [(4 * 3, 5, 5 * (passes - 1), True)]
 
     def test_bne_counter_that_never_reaches_zero(self, monkeypatch):
@@ -1743,7 +1751,8 @@ class TestBlocks:
         _, _, outcome = _lockstep_run(case, 5_000, fast=True)
         assert outcome == "SimulationTimeout: exceeded 5000 cycles"
         assert _blocks_match_stepping(case, 5_000)
-        assert spans and all(held and lo == hi == _SW_Y for lo, hi, held in spans)
+        assert spans and all(lo == hi == _SW_Y and not step and k == passes
+                             for lo, hi, step, k, passes in spans)
 
     def test_negative_stride_runs_every_pass_checked(self, monkeypatch):
         # a pointer that walks down is an unsure shape: the block has no
@@ -1761,11 +1770,14 @@ class TestBlocks:
     @pytest.mark.parametrize("zero", [1, 2, 9, 30])
     @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside conv"])
     def test_sentinel_loop_tests_the_word_it_loads(self, zero, beside, monkeypatch):
-        # the branch tests the word each pass loads, which no trip count
-        # reads, so only the window bounds the hoisted passes; the loop ends
+        # the branch tests the word each pass loads, so only the window and
+        # the pointer's room in DataMem bound the hoisted passes; the loop ends
         # at the zero, in the handlers' first pass, in the block's first,
-        # or in a later one, with the window ending on every cycle up to it
+        # or in a later one, with the window ending on every cycle up to it;
+        # with the default budget one block call runs every pass after the
+        # handlers' first
         spans = _count_spans(monkeypatch)
+        runs = _count_blocks(monkeypatch)
         asm = Assembler()
         asm.li(9, _SW_X)
         asm.label("loop")
@@ -1777,10 +1789,12 @@ class TestBlocks:
         words[zero - 1] = 0
         case = self._case(asm.words(), [("conv", CONV_BASE, _conv_start(64, 8))] * beside)
         case["preload"] = case["preload"] + [(_SW_X, words)]
-        for max_cycles in [*range(2, 7 * zero + 8), SimConfig().max_cycles]:
+        for max_cycles in range(2, 7 * zero + 8):
             _blocks_match_stepping(case, max_cycles)
-        passes = {(hi - lo) // 4 + 1 for lo, hi, held in spans if held}
-        assert max(passes, default=0) >= zero - 1
+        assert max((passes for *_, passes in spans), default=0) >= zero - 1
+        runs.clear()
+        _blocks_match_stepping(case, SimConfig().max_cycles)
+        assert runs == [(4, 4, 4 * (zero - 1), True)] * (zero > 1)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=1, branch_not_taken=3)], ids=["default", "other"])
@@ -1788,18 +1802,20 @@ class TestBlocks:
         # the kernel's tap loop beside a running conv, whose block enters
         # with two passes left, under budgets that end the window on each
         # cycle of its first outputs: every pass that falls through and
-        # every pass after one; the hoisted loop runs both passes, the one
-        # that falls through too, where the window fits a pass after them,
-        # and only the first where it does not
+        # every pass after one; the hoisted loop may run both passes, the
+        # one that falls through too, where the window fits a pass after
+        # them, and only the first where it fits just one: the bound that
+        # the room leaves it is 1 under some budgets and 2 or more under
+        # others
         spans = _count_spans(monkeypatch)
         case = self._case(conv_sw_kernel(12, 6, _SW_X, _SW_H, _SW_Y),
                           [("conv", CONV_BASE, _conv_start(64, 8))], costs)
-        passes = set()
+        bounds = set()
         for max_cycles in range(1, 260):
             spans.clear()
             _blocks_match_stepping(case, max_cycles)
-            passes |= {(hi - lo + 4) // 8 for lo, hi, held in spans[::2] if held}
-        assert passes == {1, 2}
+            bounds |= {min(k, 2) for *_, k in spans[::2] if k}
+        assert bounds == {1, 2}
 
     @pytest.mark.parametrize("step, tested, bound", [
         (I("slt", rd=14, rs1=13, rs2=15), (14, 0), 30),
@@ -1807,8 +1823,9 @@ class TestBlocks:
     def test_branch_on_a_counter_no_trip_count_reads(self, step, tested, bound, monkeypatch):
         # the branch tests a flag that slt writes from an affine counter
         # each pass, or two counters that step toward each other, 30 passes
-        # either way: no trip count bounds the hoisted passes, so the
-        # window does; with room for every pass, one call runs them all
+        # either way: only the window and the pointer's room bound the
+        # hoisted passes; one call runs them all, beside a running conv and
+        # alone, where the window's bound runs past DataMem's end
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         asm = Assembler()
@@ -1822,10 +1839,12 @@ class TestBlocks:
         case = self._case(asm.words(), [("conv", CONV_BASE, _conv_start(64, 8))])
         for max_cycles in range(20, 300, 3):
             _blocks_match_stepping(case, max_cycles)
-        assert any(held for *_, held in spans)
-        runs.clear()
-        assert _blocks_match_stepping(case, SimConfig().max_cycles)
-        assert runs == [(4 * 2, 6, 29 * 6, True)]
+        assert any(passes for *_, passes in spans)
+        for starts in case["starts"], []:
+            runs.clear()
+            assert _blocks_match_stepping(self._case(asm.words(), starts),
+                                          SimConfig().max_cycles)
+            assert runs == [(4 * 2, 6, 29 * 6, True)]
 
     @pytest.mark.parametrize("stop, outcome, retired", [
         (0x0000_0000, "SimulationFault: illegal fault at pc=0x0000000c: "
