@@ -10,12 +10,14 @@ other address at once (``Bus._route``), the blocking transport of
 SystemC TLM-2.0.  ``step`` and ``run_alone`` serve an access through the
 same handler.  ``run_alone`` runs hot loops as blocks: Python
 functions generated from the predecoded entries and kept in
-``Rom.blocks``, which do what the handlers do for a straight run of
-words, with the issue cycle of each fixed when the block is generated
-(after QEMU's TCG and Shade); a block that closes a loop on its own start
-may run the loop inside, in a hoisted loop that checks the whole span of
-its passes once where the pointers step by a fixed stride, and the block a
-loop falls through to is chained.
+``Rom.blocks``, which do what the handlers do for a straight run of ALU
+operations and word accesses up to a branch, with the issue cycle of each
+fixed when the block is generated (after QEMU's TCG and Shade); the
+handlers run every other word, as a tracing JIT leaves what a trace does
+not support to its interpreter.  A block that closes a loop on its own
+start may run the loop inside, in a hoisted loop that checks the whole
+span of its passes once where the pointers step by a fixed stride, and
+the block a loop falls through to is chained.
 ``step`` and the handlers stay the single-cycle reference.
 """
 
@@ -147,7 +149,9 @@ class Cpu:
         `cycles`; a block that loops on its own start runs its passes that
         fit in its hoisted loop, if it has one, and otherwise one pass a
         call.  A block exits before an access the handlers must serve, and
-        the handlers go on from there.  Returns the cycles run."""
+        the handlers go on from there; they also run every word no block
+        holds, ``jal``, ``jalr`` and sub-word accesses among them.  Returns
+        the cycles run."""
         regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
         t, retired = min(self._wait, cycles), 0
         self._wait -= t
@@ -226,17 +230,19 @@ class Cpu:
         """The block at `start`: (function, issue offset of its last
         instruction, instructions), or None if the first word may not run
         in one.  The function, generated from the predecoded entries,
-        runs the words from `start` through the first branch or jump, or
-        up to a word that stops a window; it keeps each register the block
-        names in a local, and its source in its ``source`` attribute.  A
-        block that accesses DataMem and whose branch targets `start` may
+        runs the words from `start` through the first branch, or up to a
+        ``jal``, ``jalr``, ``ecall``, ``ebreak``, sub-word access or word
+        that faults on its fetch or decode; it keeps each register the
+        block names in a local, and its source in its ``source`` attribute.
+        A block that accesses DataMem and whose branch targets `start` may
         run the loop inside (one without an access is a spin loop, which
         ``run_alone`` jumps): ``_hoisted`` gives it a loop that runs the
         passes its pointers have room for (``_room``) with no per-access
         checks before its one checked pass, whose taken branch is an exit
-        like any other.  The words are read into a list before any source
-        is written.  Each exit picks its pass's (cycles, instructions,
-        DataMem accesses, pc, through) from a table and breaks to one
+        like any other; it writes the statements written here for the
+        words.  The words are read into a list before any source is
+        written.  Each exit picks its pass's (cycles, instructions, DataMem
+        accesses, pc, through) from a table and breaks to one
         epilogue, which writes back every register the block writes and
         adds the hoisted passes, counted from the cycles.  The function
         returns those, all but the pc, up to where it ends, or up to a load
@@ -246,16 +252,17 @@ class Cpu:
         entries, pc, off = [], start, 0  # (pc, entry, issue offset)
         while True:
             e = self._fetch(pc)
-            if isinstance(e, Fault) or e[0] is _ecall or e[0] is _ebreak:
+            if (isinstance(e, Fault) or e[0] in _UNBLOCKED
+                    or (e[0] is _load or e[0] is _store) and e[5] != 4):
                 break
             entries.append((pc, e, off))
             off += 1 + e[6]
             pc += 4
-            if e[0] in _JUMPS:
+            if e[0] is _branch:
                 break
         if not entries:
             return None
-        body, ns, regs, written, exits = [], {}, set(), set(), []
+        body, ns, regs, written, exits, stmts = [], {}, set(), set(), [], []
         grants = period = 0
 
         def x(reg):
@@ -271,47 +278,35 @@ class Cpu:
 
         end = pc
         for n, (pc, e, off) in enumerate(entries):
-            h, rd = e[0], e[1]
+            h, rd, stmt = e[0], e[1], None
             if h is _op_reg or h is _op_imm:
                 b = x(e[3]) if h is _op_reg else e[4]
-                body.append(f"x{rd} = {_value(ns, e[5], x(e[2]), b)}")
+                stmt = f"x{rd} = {_value(ns, e[5], x(e[2]), b)}"
                 written.add(rd)
             elif h is _load or h is _store:
                 body += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
-                         f"if a & {e[5] - 1} or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
+                         f"if a & 3 or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
                          f" or g[i]: {leave(off, n, pc, False)}",
                          f"tk[{_plus('t', off)}] = 1"]
                 grants += 1
-                lane = (1 << 8 * e[5]) - 1
-                if h is _store and e[5] == 4:
-                    body.append(f"w[i] = {x(e[3])}")
-                elif h is _store:
-                    body.append(f"l = (a & 3) << 3; z = {lane} << l; "
-                                f"w[i] = w[i] & ~z | {x(e[3])} << l & z")
+                if h is _store:
+                    stmt = f"w[i] = {x(e[3])}"
                 elif rd:
-                    v = "w[i]" if e[5] == 4 else f"(w[i] >> ((a & 3) << 3) & {lane})"
-                    if e[8]:
-                        v = f"({v} ^ {lane + 1 >> 1}) - {lane + 1 >> 1} & {_MASK}"
-                    body.append(f"x{rd} = {v}")
+                    stmt = f"x{rd} = w[i]"
                     written.add(rd)
             elif h is _branch:
                 cond = _expr(ns, e[5], x(e[2]), x(e[3]))
                 if e[4] == start and grants:  # a loop, which _hoisted may run inside
                     period = off + 1 + e[6]
                 body.append(f"if {cond}: {leave(off + 1 + e[6], n + 1, e[4])}")
-            elif h is _jal or h is _jalr:
-                body.append(f"a = {e[4]}" if h is _jal else
-                            f"a = ({x(e[2])} + {e[4]}) & {_MASK - 1}")
-                if rd:
-                    body.append(f"x{rd} = {pc + 4}")
-                    written.add(rd)
-                end = None  # the pc in `a`
+            stmts.append(stmt)
+            if stmt:
+                body.append(stmt)
         n, last = len(entries), off
         off += 1 + (e[7] if h is _branch else e[6])
         head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
-        tail = [f"r[{reg}] = x{reg}" for reg in sorted(written)]
-        tail.append("c.pc = pc" if end is not None else "c.pc = a if pc is None else pc")
-        hoisted = _hoisted(entries, period, ns) if period else []
+        tail = [*(f"r[{reg}] = x{reg}" for reg in sorted(written)), "c.pc = pc"]
+        hoisted = _hoisted(entries, stmts, cond, period, ns) if period else []
         if hoisted:  # the pass that falls through leaves by its own exit
             hoisted.append(f"    if not {cond}: {leave(off - period, 0, end)}")
             tail += [f"k = (t - s) // {period}",
@@ -486,6 +481,9 @@ _OTHERS = {"jal": _jal, "jalr": _jalr, "fence": _next, "ecall": _ecall,
 # the accesses, those it checks before they issue
 _JUMPS = frozenset((_branch, _jal, _jalr))
 _SCREENED = _JUMPS | {_load, _store, _ecall, _ebreak}
+# the handlers a block stops before, as it does before a load or store
+# narrower than a word: the handler loop runs them
+_UNBLOCKED = frozenset((_jal, _jalr, _ecall, _ebreak))
 
 
 def _jump(times, head, *now):
@@ -528,27 +526,30 @@ def _plus(expr, c):
     return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
 
 
-def _hoisted(entries, period, ns):
+def _hoisted(entries, stmts, cond, period, ns):
     """Source lines of the hoisted loop of a looping block whose `entries`
     make one pass of `period` cycles, or none if the pass has an unsure
     shape.  The loop takes `k`, the passes that fit before the window's
     `lim` with the next one, and narrows it to the passes over which each
     pointer's span of DataMem accesses stays in DataMem and off the guard
     (``_room``).  It runs up to `k` passes in program order with no
-    per-access checks, testing the branch after each pass, where the pass
-    does, so a `k` past the loop's last pass changes nothing.  It then
-    marks the log for the passes that ran, in one slice, since nothing
-    marks it past `t` before the block, and advances `t` and the pointers
-    by them.  If the last of them fell through, the block
-    leaves by an exit that ``_translate`` appends, and the passes, that one
-    too, are counted as whole ones; otherwise the block's checked pass runs
+    per-access checks: each writes `stmts`, the entries' statements from
+    ``_translate`` (or None), with an access's strided word in place of
+    ``w[i]`` and without the pointer updates it defers, and then tests the
+    branch's `cond`, so a `k` past the loop's last pass changes nothing.
+    It then marks the log for the passes that ran, in one slice, since
+    nothing marks it past `t` before the block, and advances `t` and the
+    pointers by them.  If the last of them fell through, the block leaves
+    by an exit that ``_translate`` appends, and the passes, that one too,
+    are counted as whole ones; otherwise the block's checked pass runs
     next, which fits.
 
     A register is affine if its only write in the pass is ``addi r, r,
-    c``.  Every access must be a word access through a register the pass
-    does not write, or a load through an affine register with c >= 0, a
-    multiple of 4, that nothing else reads, the branch included; the loop
-    indexes such a pointer's words and advances it after its passes."""
+    c``.  Every access (a word access, as in any block) must be through a
+    register the pass does not write, or a load through an affine register
+    with c >= 0, a multiple of 4, that nothing else reads, the branch
+    included; the loop indexes such a pointer's words and advances it after
+    its passes."""
     *straight, (_, branch, last) = entries
     writes = {}
     for _, e, _ in straight:
@@ -556,8 +557,7 @@ def _hoisted(entries, period, ns):
             writes[e[1]] = None if e[1] in writes else e
     affine = {r: e for r, e in writes.items()
               if e and e[0] is _op_imm and e[5] is add and e[2] == r}
-    tested = branch[2:4]
-    other = set(tested)  # read other than as a load's base or by their own addi
+    other = set(branch[2:4])  # read other than as a load's base or by their own addi
     for _, e, _ in straight:
         if e[0] is _op_reg or e[0] is _store:
             other |= {e[2], e[3]}
@@ -571,7 +571,7 @@ def _hoisted(entries, period, ns):
             moved.add(e[1])
         elif e[0] is _load or e[0] is _store:
             base = e[2]
-            if e[5] != 4 or not base or base in writes and (base not in affine or base in other):
+            if not base or base in writes and (base not in affine or base in other):
                 return []
             step = s32(affine[base][4]) if base in affine else 0
             if step < 0 or step & 3:
@@ -582,19 +582,14 @@ def _hoisted(entries, period, ns):
     if any(len({d & 3 for d in offs}) > 1 for _, *offs in spans.values()):
         return []
     body = []
-    for i, (_, e, _) in enumerate(straight):
-        if i in offsets:
-            word = f"w[{_plus(f'y{e[2]}', offsets[i] - min(spans[e[2]][1:]) >> 2)}]"
-            if e[0] is _store:
-                body.append(f"{word} = {_reg(e[3])}")
-            elif e[1]:
-                body.append(f"x{e[1]} = {word}")
-        elif e[0] in (_op_reg, _op_imm) and not (affine.get(e[1]) is e and e[1] in spans):
-            b = _reg(e[3]) if e[0] is _op_reg else e[4]
-            body.append(f"x{e[1]} = {_value(ns, e[5], _reg(e[2]), b)}")
+    for i, ((_, e, _), stmt) in enumerate(zip(straight, stmts)):
+        if i in offsets and stmt:  # the access's word, strided from its pointer's first
+            word = _plus(f"y{e[2]}", offsets[i] - min(spans[e[2]][1:]) >> 2)
+            body.append(stmt.replace("w[i]", f"w[{word}]"))
+        elif stmt and not (affine.get(e[1]) is e and e[1] in spans):  # not deferred
+            body.append(stmt)
     moving = [(r, step) for r, (step, *_) in spans.items() if step]
-    body += [*(f"y{r} += {step >> 2}" for r, step in moving),
-             f"if not {_expr(ns, branch[5], *map(_reg, tested))}: break"]
+    body += [*(f"y{r} += {step >> 2}" for r, step in moving), f"if not {cond}: break"]
     room = _name(ns, _room)
     return ["s = t", f"k = (lim - {last + 1} - t) // {period}",
             *(f"k = {room}(g, {_plus(f'x{r}', min(offs))}, {_plus(f'x{r}', max(offs))}, "
@@ -606,10 +601,6 @@ def _hoisted(entries, period, ns):
             *(f"    x{r} += {step} * m" for r, step in moving),
             f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
             "    t = u"]
-
-
-def _reg(r):
-    return f"x{r}" if r else 0
 
 
 def _room(g, lo, hi, step, k):

@@ -57,9 +57,10 @@ def test_import_cost_script_times_every_module():
 def test_show_blocks_script_prints_the_kernels_blocks():
     script = SRC.parent.parent / "scripts" / "show_blocks.py"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, str(script), "384", "24"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    headers = [line for line in done.stdout.splitlines() if line.startswith("<block")]
-    assert headers == ["<block 0x00000018>", "<block 0x00000024>", "<block 0x00000054>"]
-    assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 3
+    for shape in (["384", "24"], ["256", "16"]):  # the sw_kernel and contended kernels
+        done = subprocess.run([sys.executable, str(script), *shape], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        headers = [line for line in done.stdout.splitlines() if line.startswith("<block")]
+        assert headers == ["<block 0x00000018>", "<block 0x00000024>", "<block 0x00000054>"]
+        assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 3

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from rvdsp.accel import DspState, MmioAccelerator
 from rvdsp.bits import s32, s64, u32, u64
 from rvdsp.bus import Bus, Requester
 from rvdsp.cpu import SYSCALL_ADDR, Cpu, CycleCostTable
-from rvdsp.isa import MNEMONICS, encode
+from rvdsp.isa import MNEMONICS, decode, encode
 from rvdsp.mac import Truncation
 from rvdsp.memmap import CONV_BASE, DATA_BASE, DATA_END, DOT_BASE, RESERVED_BASE
 from rvdsp.prng import SplitMix64
@@ -1552,7 +1553,9 @@ class TestBlocks:
         assert runs[0] == (head, 6, 5 * 6 + 1, False)
         assert runs[1:] and all(run == (head, 6, 1, False) for run in runs[1:])
 
-    def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, monkeypatch):
+    @pytest.mark.parametrize("x9", [_CONV_X - 4 * 6, DATA_BASE + 0x1800 - 4 * 6],
+                             ids=["conv input", "conv output"])
+    def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, x9, monkeypatch):
         # every register the loop writes is written after its load, so a
         # pass that exits at the guarded load writes none; the registers
         # the earlier passes wrote are still written back.  The block enters
@@ -1560,11 +1563,14 @@ class TestBlocks:
         # 51, loads the first guarded word and issues its branch in cycle
         # 57: every budget from 58 fits that branch, and the room bound keeps
         # the hoisted loop to the five passes before it, clear of the guard,
-        # so the block's checked pass leaves at that load
+        # so the block's checked pass leaves at that load.  The conv only
+        # reads its first input word, but writes its first output word
+        # before the seventh pass loads it, so there a load hoisted onto
+        # the guarded word reads what stepping does not
         runs = _count_blocks(monkeypatch)
         spans = _count_spans(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
-                     I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 6)
+                     I("addi", rd=9, rs1=9, imm=4)], 12, x9)
         case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
         cut = []
@@ -1878,6 +1884,51 @@ class TestBlocks:
         assert (fast.cycle, fast.cpu.retired, fast.cpu.regs[6]) == (10, retired, 1)
         head = 4 * asm.labels["head"]
         assert runs == [(head, 1, 1, True)]
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
+        alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2, jump=3)],
+        ids=["default", "other"])
+    @pytest.mark.parametrize("loop, blocks", [
+        ("lbu", {(8, 1, 1, True): 29}), ("sh", {(8, 2, 2, True): 29}),
+        ("call", {(8, 1, 1, True): 29, (16, 3, 3, True): 30})], ids=["lbu", "sh", "call"])
+    def test_jumps_and_sub_word_accesses_run_in_the_handlers(self, loop, blocks, costs,
+                                                             monkeypatch):
+        # a hot loop with a byte load or a halfword store, or whose pass
+        # calls a function by jal that returns by jalr, beside a running
+        # conv: the loop's blocks stop before each such word, which the
+        # handlers run.  The handlers run the first pass, and the block at
+        # the loop's head each later one, up to the lbu or the sh; in the
+        # call loop the word load after the return makes the return's
+        # target a block, which chains the head's, with only its lw
+        runs = _count_blocks(monkeypatch)
+        load = I("lw", rd=5, rs1=9)
+        if loop == "lbu":
+            rom = _loop([load, I("lbu", rd=7, rs1=9, imm=1), I("add", rd=6, rs1=6, rs2=7),
+                         I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
+        elif loop == "sh":
+            rom = _loop([load, I("addi", rd=5, rs1=5, imm=1), I("sh", rs1=9, rs2=5, imm=2),
+                         I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
+        else:
+            asm = Assembler()
+            asm.li(9, _SW_X)
+            asm.li(13, 30)
+            asm.label("loop")
+            asm.emit(load, I("jal", rd=1, imm=4 * 5), I("lw", rd=7, rs1=9),
+                     I("addi", rd=13, rs1=13, imm=-1))
+            asm.branch("bne", 13, 0, "loop")
+            asm.emit(I("ebreak"))
+            # the function, five words past the jal
+            asm.emit(I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4),
+                     I("jalr", rs1=1))
+            rom = asm.words()
+        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
+                                                        _conv_start(64, 8))], costs),
+                                      SimConfig().max_cycles)
+        left = {4 * i for i, word in enumerate(rom)
+                if decode(word).mnemonic in ("lbu", "sh", "jal", "jalr")}
+        held = {start + 4 * i for start, size, _, _ in runs for i in range(size)}
+        assert len(left) == 1 + (loop == "call") and not held & left
+        assert Counter(runs) == blocks
 
     def test_reloaded_rom_runs_its_new_loop(self):
         # Rom.load drops every block, so the second program's loop, at the
