@@ -5,7 +5,10 @@
 
 Runs ``run_sw_conv_benchmark(N, K)`` and prints, for each ROM pc that got
 a block (``Cpu._translate``), the block's name, as tracebacks show it, and
-the Python source generated for it.
+the Python source generated for it.  The kernel's loop nest runs as one
+block, at its tap loop's head; where a window ends in the output tail, the
+output head may get a block of its own too, and so it does where the tap
+loop never branches back (K of 2 or 3), which forms no nest.
 """
 
 import argparse

@@ -16,13 +16,15 @@ fixed when the block is generated (after QEMU's TCG and Shade); the
 handlers run every other word, as a tracing JIT leaves what a trace does
 not support to its interpreter.  A block that closes a loop on its own
 start may run the loop inside, in a hoisted loop that checks the whole
-span of its passes once where the pointers step by a fixed stride, and
-the block a loop falls through to is chained.
+span of its passes once where the pointers step by a fixed stride, and a
+loop nest runs as one block, which goes round its outer loop without
+returning (a region, after Dynamo).
 ``step`` and the handlers stay the single-cycle reference.
 """
 
 from __future__ import annotations
 
+import re
 from operator import add, and_, eq, ge, lt, mul, ne, or_, sub, xor
 
 from .bits import Record, s32, sext, u32
@@ -142,14 +144,14 @@ class Cpu:
 
         A hot loop runs as a block (``_translate``), kept in
         ``Rom.blocks``: the target of a backward jump reached after a
-        DataMem access gets one, and so does the pc that a block which
-        accessed DataMem runs through to, so that the blocks of a loop
-        nest chain.  At the window's start and wherever a jump or a block
-        lands, the block there runs if its last instruction issues before
-        `cycles`; a block that loops on its own start runs its passes that
-        fit in its hoisted loop, if it has one, and otherwise one pass a
-        call.  A block exits before an access the handlers must serve, and
-        the handlers go on from there; they also run every word no block
+        DataMem access gets one.  At the window's start and wherever a jump
+        or a block lands, the block there runs if its last instruction
+        issues before `cycles`; a block that loops runs its passes that fit
+        in its hoisted loop, if it has one, and otherwise one pass a call,
+        and a loop nest's block goes on round the outer loop while each
+        part of it fits.  A block exits before an access the handlers must
+        serve, or before a part of a nest that does not fit, and the
+        handlers go on from there; they also run every word no block
         holds, ``jal``, ``jalr`` and sub-word accesses among them.  Returns
         the cycles run."""
         regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
@@ -173,17 +175,13 @@ class Cpu:
                     head = (target, regs[:], t, retired, bus.register_accesses)
             block = blocks.get(target)
             if block is not None and t + block[1] < cycles:
-                dt, n, grants, through = block[0](self, regs, words, taken, guard, t,
-                                                  cycles)
-                t += dt
+                t, n, grants, last = block[0](self, regs, words, taken, guard, t, cycles)
                 retired += n
                 if grants:
                     bus._grants[0] += grants
                     clean = False
-                if through:  # its last instruction, the last jump if any, ran
-                    pc = target + 4 * block[2] - 4
-                    if grants and self.pc not in blocks:  # chain the block it lands on
-                        blocks[self.pc] = self._translate(self.pc)
+                if last is not None:  # its last instruction, the last jump if any, ran
+                    pc = last
                     continue
             while t < cycles:  # the handlers, up to the next jump
                 pc = self.pc
@@ -227,43 +225,50 @@ class Cpu:
         return t
 
     def _translate(self, start):
-        """The block at `start`: (function, issue offset of its last
-        instruction, instructions), or None if the first word may not run
-        in one.  The function, generated from the predecoded entries,
-        runs the words from `start` through the first branch, or up to a
-        ``jal``, ``jalr``, ``ecall``, ``ebreak``, sub-word access or word
-        that faults on its fetch or decode; it keeps each register the
-        block names in a local, and its source in its ``source`` attribute.
-        A block that accesses DataMem and whose branch targets `start` may
-        run the loop inside (one without an access is a spin loop, which
-        ``run_alone`` jumps): ``_hoisted`` gives it a loop that runs the
-        passes its pointers have room for (``_room``) with no per-access
-        checks before its one checked pass, whose taken branch is an exit
-        like any other; it writes the statements written here for the
-        words.  The words are read into a list before any source is
-        written.  Each exit picks its pass's (cycles, instructions, DataMem
-        accesses, pc, through) from a table and breaks to one
-        epilogue, which writes back every register the block writes and
-        adds the hoisted passes, counted from the cycles.  The function
-        returns those, all but the pc, up to where it ends, or up to a load
-        or store that is misaligned, outside DataMem or on a guarded word,
-        which it leaves to the handlers, with what came before committed;
-        `through` tells whether its last instruction ran."""
-        entries, pc, off = [], start, 0  # (pc, entry, issue offset)
-        while True:
-            e = self._fetch(pc)
-            if (isinstance(e, Fault) or e[0] in _UNBLOCKED
-                    or (e[0] is _load or e[0] is _store) and e[5] != 4):
-                break
-            entries.append((pc, e, off))
-            off += 1 + e[6]
-            pc += 4
-            if e[0] is _branch:
-                break
-        if not entries:
+        """The block at `start`: (function, issue offset of the last
+        instruction up to its first branch, instructions), or None if the
+        first word may not run in one.  The function, generated from the
+        predecoded entries, runs the words from `start` through the first
+        branch (``_read``); it keeps each register the block names in a
+        local, and its source in its ``source`` attribute.  A block that
+        accesses DataMem and whose branch targets `start` may run the loop
+        inside (one without an access is a spin loop, which ``run_alone``
+        jumps): ``_hoisted`` gives it a loop that runs the passes its
+        pointers have room for (``_room``) with no per-access checks
+        before its one checked pass, whose taken branch is an exit like
+        any other; it writes the statements written here for the words.
+        Such a block is a loop nest where the words from its fall-through
+        run to a branch back to a pc h before `start`, its tail, and the
+        words from h, its head, run straight into the loop: the function
+        runs the loop, then the tail, whose branch falls through to an
+        exit, then the head, and goes round into the loop.  The tail, the
+        head and the loop when the function goes round each first test
+        that their last instruction issues before `lim`, and otherwise
+        the block leaves at their first word.  The words are read into
+        lists before any source is written.  Each exit picks its path's
+        (cycles, instructions, DataMem accesses, pc, pc of its last
+        instruction if it ran) from a table, adds them to the counts kept
+        along the edges it took, and breaks to one epilogue, which writes
+        back every register the block writes.  The function returns the
+        cycle it ends at, the instructions and DataMem accesses it ran,
+        and that last pc, or None where it leaves before a word it holds:
+        a part that does not fit, or a load or store that is misaligned,
+        outside DataMem or on a guarded word, which it leaves to the
+        handlers, each with what came before committed."""
+        run = self._read(start)
+        if not run:
             return None
-        body, ns, regs, written, exits, stmts = [], {}, set(), set(), [], []
-        grants = period = 0
+        end, b, _ = run[-1]
+        sections, loop = [run], None  # the block's loop, tail and head, or its run
+        if b[0] is _branch and b[4] == start and any(
+                e[0] is _load or e[0] is _store for _, e, _ in run):
+            loop = run
+            tail = self._read(end + 4)
+            h = tail[-1][1][4] if tail and tail[-1][1][0] is _branch else start
+            head = self._read(h) if h < start else ()
+            if head and head[-1][0] == end:  # the words from h run into the loop
+                sections += [tail, head[:start - h >> 2]]
+        ns, regs, written, exits = {}, set(), set(), []
 
         def x(reg):
             if reg:
@@ -271,56 +276,102 @@ class Cpu:
                 return f"x{reg}"
             return 0
 
-        def leave(cycles, count, pc, through=True):
-            """An exit: (cycles, instructions, DataMem accesses, pc, through)."""
-            exits.append((cycles, count, grants if count else 0, pc, through))
+        def leave(cycles, count, grants, pc, last=None):
+            """An exit: (cycles, instructions, DataMem accesses, pc, pc of
+            the last instruction if it ran)."""
+            exits.append((cycles, count, grants, pc, last))
             return f"e = {len(exits) - 1}; break"
 
-        end = pc
-        for n, (pc, e, off) in enumerate(entries):
-            h, rd, stmt = e[0], e[1], None
-            if h is _op_reg or h is _op_imm:
-                b = x(e[3]) if h is _op_reg else e[4]
-                stmt = f"x{rd} = {_value(ns, e[5], x(e[2]), b)}"
-                written.add(rd)
-            elif h is _load or h is _store:
-                body += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
-                         f"if a & 3 or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
-                         f" or g[i]: {leave(off, n, pc, False)}",
-                         f"tk[{_plus('t', off)}] = 1"]
-                grants += 1
-                if h is _store:
-                    stmt = f"w[i] = {x(e[3])}"
-                elif rd:
-                    stmt = f"x{rd} = w[i]"
+        def straight(entries, off, count, grants):
+            """The lines of `entries`, none a branch, from issue offset `off`
+            after `count` instructions and `grants` DataMem accesses: (lines,
+            the statement of each entry or None, accesses after them)."""
+            lines, stmts = [], []
+            for pc, e, o in entries:
+                h, rd, stmt = e[0], e[1], None
+                if h is _op_reg or h is _op_imm:
+                    b = x(e[3]) if h is _op_reg else e[4]
+                    stmt = f"x{rd} = {_value(ns, e[5], x(e[2]), b)}"
                     written.add(rd)
-            elif h is _branch:
+                elif h is _load or h is _store:
+                    lines += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
+                              f"if a & 3 or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
+                              f" or g[i]: {leave(off + o, count, grants, pc)}",
+                              f"tk[{_plus('t', off + o)}] = 1"]
+                    grants += 1
+                    if h is _store:
+                        stmt = f"w[i] = {x(e[3])}"
+                    elif rd:
+                        stmt = f"x{rd} = w[i]"
+                        written.add(rd)
+                count += 1
+                stmts.append(stmt)
+                if stmt:
+                    lines.append(stmt)
+            return lines, stmts, grants
+
+        body, nest = [], len(sections) > 1
+        off = count = grants = 0  # cycles, instructions and DataMem accesses past t
+        for i, words in enumerate(sections):
+            pc, e, o = words[-1]
+            branch = e[0] is _branch
+            if i:  # the tail or the head; run_alone tests the first
+                body.append(f"if {_plus('t', off + o)} >= lim: "
+                            f"{leave(off, count, grants, words[0][0])}")
+            lines, stmts, after = straight(words[:-1] if branch else words, off, count, grants)
+            count += len(words)
+            if branch:
                 cond = _expr(ns, e[5], x(e[2]), x(e[3]))
-                if e[4] == start and grants:  # a loop, which _hoisted may run inside
-                    period = off + 1 + e[6]
-                body.append(f"if {cond}: {leave(off + 1 + e[6], n + 1, e[4])}")
-            stmts.append(stmt)
-            if stmt:
-                body.append(stmt)
-        n, last = len(entries), off
-        off += 1 + (e[7] if h is _branch else e[6])
-        head = [f"x{reg} = r[{reg}]" for reg in sorted(regs | written)]
-        tail = [*(f"r[{reg}] = x{reg}" for reg in sorted(written)), "c.pc = pc"]
-        hoisted = _hoisted(entries, stmts, cond, period, ns) if period else []
-        if hoisted:  # the pass that falls through leaves by its own exit
-            hoisted.append(f"    if not {cond}: {leave(off - period, 0, end)}")
-            tail += [f"k = (t - s) // {period}",
-                     f"return t - s + dt, k * {n} + n, k * {grants} + grants, through"]
+            if words is loop:
+                period = o + 1 + e[6]
+                lines.append(f"if {cond}: {leave(period, count, after, e[4], pc)}")
+                hoisted = _hoisted(loop, stmts, cond, period, ns)
+                if hoisted:  # the checked pass, unless the hoisted loop's last fell through
+                    lines = [*hoisted, f"if k <= 0 or {cond}:", *("    " + line for line in lines),
+                             "    " + _advance(period, count, after)]
+                    off, count, after = -period, 0, 0
+                off += o + 1 + e[7]
+            elif branch and nest:  # the tail, which goes on where its branch is taken
+                lines.append(f"if not {cond}: {leave(off + o + 1 + e[7], count, after, pc + 4, pc)}")
+                off += o + 1 + e[6]
+            elif branch:
+                lines.append(f"if {cond}: {leave(off + o + 1 + e[6], count, after, e[4], pc)}")
+                off += o + 1 + e[7]
+            else:
+                off += o + 1 + e[6]
+            body += lines
+            grants = after
+        if nest:  # round into the loop again
+            body += [_advance(off, count, grants),
+                     f"if {_plus('t', run[-1][2])} >= lim: {leave(0, 0, 0, start)}"]
         else:
-            tail.append("return dt, n, grants, through")
-        code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):", *head, "while True:",
-                               *("    " + line for line in hoisted + body),
-                               "    " + leave(off, n, end),
-                               f"dt, n, grants, pc, through = {_name(ns, tuple(exits))}[e]",
-                               *tail])
+            body.append(leave(off, count, grants, end + 4, end))
+        code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):",
+                               *(f"x{reg} = r[{reg}]" for reg in sorted(regs | written)),
+                               "n = q = 0", "while True:", *("    " + line for line in body),
+                               f"dt, dn, dq, pc, last = {_name(ns, tuple(exits))}[e]",
+                               *(f"r[{reg}] = x{reg}" for reg in sorted(written)),
+                               "c.pc = pc", "return t + dt, n + dn, q + dq, last"])
         exec(compile(code, f"<block 0x{start:08x}>", "exec"), ns)
         ns["block"].source = code
-        return ns["block"], last, n
+        return ns["block"], run[-1][2], sum(map(len, sections))
+
+    def _read(self, pc):
+        """The predecoded entries (pc, entry, issue offset from `pc`) of
+        the words from `pc` through the first branch, or up to a ``jal``,
+        ``jalr``, ``ecall``, ``ebreak``, sub-word access or word that
+        faults on its fetch or decode."""
+        entries, off = [], 0
+        while True:
+            e = self._fetch(pc)
+            if (isinstance(e, Fault) or e[0] in _UNBLOCKED
+                    or (e[0] is _load or e[0] is _store) and e[5] != 4):
+                return entries
+            entries.append((pc, e, off))
+            if e[0] is _branch:
+                return entries
+            off += 1 + e[6]
+            pc += 4
 
     def _predecode(self, pc):
         """The handler-table entry of the ROM word at `pc`; pc-relative
@@ -484,6 +535,8 @@ _SCREENED = _JUMPS | {_load, _store, _ecall, _ebreak}
 # the handlers a block stops before, as it does before a load or store
 # narrower than a word: the handler loop runs them
 _UNBLOCKED = frozenset((_jal, _jalr, _ecall, _ebreak))
+# the register locals a block's statement names
+_NAMES = re.compile(r"\bx\d+\b")
 
 
 def _jump(times, head, *now):
@@ -526,6 +579,12 @@ def _plus(expr, c):
     return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
 
 
+def _advance(cycles, count, grants):
+    """Source that adds a path's cycles, instructions and DataMem accesses
+    to a block's counts."""
+    return "; ".join(f"{v} += {c}" for v, c in zip("tnq", (cycles, count, grants)) if c)
+
+
 def _hoisted(entries, stmts, cond, period, ns):
     """Source lines of the hoisted loop of a looping block whose `entries`
     make one pass of `period` cycles, or none if the pass has an unsure
@@ -535,14 +594,14 @@ def _hoisted(entries, stmts, cond, period, ns):
     (``_room``).  It runs up to `k` passes in program order with no
     per-access checks: each writes `stmts`, the entries' statements from
     ``_translate`` (or None), with an access's strided word in place of
-    ``w[i]`` and without the pointer updates it defers, and then tests the
-    branch's `cond`, so a `k` past the loop's last pass changes nothing.
-    It then marks the log for the passes that ran, in one slice, since
-    nothing marks it past `t` before the block, and advances `t` and the
-    pointers by them.  If the last of them fell through, the block leaves
-    by an exit that ``_translate`` appends, and the passes, that one too,
-    are counted as whole ones; otherwise the block's checked pass runs
-    next, which fits.
+    ``w[i]``, without the pointer updates it defers and with the writes
+    that ``_forward`` drops, and then tests the branch's `cond`, so a `k`
+    past the loop's last pass changes nothing.  It then marks the log for
+    the passes that ran, in one slice, since nothing marks it past `t`
+    before the block, and advances `t`, the block's counts and the
+    pointers by them, all as whole passes, that which fell through too;
+    unless that one fell through, the block's checked pass runs next,
+    which fits.
 
     A register is affine if its only write in the pass is ``addi r, r,
     c``.  Every access (a word access, as in any block) must be through a
@@ -585,13 +644,14 @@ def _hoisted(entries, stmts, cond, period, ns):
     for i, ((_, e, _), stmt) in enumerate(zip(straight, stmts)):
         if i in offsets and stmt:  # the access's word, strided from its pointer's first
             word = _plus(f"y{e[2]}", offsets[i] - min(spans[e[2]][1:]) >> 2)
-            body.append(stmt.replace("w[i]", f"w[{word}]"))
+            body.append((e, stmt.replace("w[i]", f"w[{word}]")))
         elif stmt and not (affine.get(e[1]) is e and e[1] in spans):  # not deferred
-            body.append(stmt)
+            body.append((e, stmt))
     moving = [(r, step) for r, (step, *_) in spans.items() if step]
-    body += [*(f"y{r} += {step >> 2}" for r, step in moving), f"if not {cond}: break"]
+    body = [*_forward(body), *(f"y{r} += {step >> 2}" for r, step in moving),
+            f"if not {cond}: break"]
     room = _name(ns, _room)
-    return ["s = t", f"k = (lim - {last + 1} - t) // {period}",
+    return [f"k = (lim - {last + 1} - t) // {period}",
             *(f"k = {room}(g, {_plus(f'x{r}', min(offs))}, {_plus(f'x{r}', max(offs))}, "
               f"{step}, k)" for r, (step, *offs) in spans.items()),
             "if k > 0:",
@@ -600,7 +660,52 @@ def _hoisted(entries, stmts, cond, period, ns):
             "    for m in range(1, k + 1):", *("        " + line for line in body),
             *(f"    x{r} += {step} * m" for r, step in moving),
             f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
-            "    t = u"]
+            f"    t = u; n += {len(entries)} * m; q += {len(offsets)} * m"]
+
+
+def _forward(body):
+    """The statements of a hoisted pass, given as (entry, statement), with
+    each register write that the pass writes again forwarded where one
+    later statement, an ``add``, ``sub`` or ``mul``, reads it before that
+    and nothing between changes what it reads: the value is put into that
+    reader without its mask, since the low 32 bits of ``+``, ``-`` and
+    ``*`` depend only on those of their operands, and the write is
+    dropped."""
+    body = [(e, *stmt.split(" = ", 1)) for e, stmt in body]
+    i = 0
+    while i < len(body):
+        k = _reader(body, i)
+        if k is None:
+            i += 1
+            continue
+        _, reg, value = body.pop(i)
+        if value.startswith("(") and value.endswith(f") & {_MASK}"):
+            value = value[1:-len(f") & {_MASK}")]
+        if not re.fullmatch(r"\w+(\[[^]]*\])?", value):
+            value = f"({value})"
+        e, dst, src = body[k - 1]
+        body[k - 1] = e, dst, re.sub(rf"\b{reg}\b", value, src)
+    return [f"{dst} = {src}" for _, dst, src in body]
+
+
+def _reader(body, i):
+    """The index in `body`, as ``_forward`` holds it, of the statement that
+    ``_forward`` puts the value written by statement `i` into, or None."""
+    _, reg, value = body[i]
+    reads, k = _NAMES.findall(value), None
+    for j in range(i + 1, len(body)):
+        e, dst, src = body[j]
+        uses = _NAMES.findall(src).count(reg)
+        if uses:
+            if (k is not None or uses > 1 or e[0] not in (_op_reg, _op_imm)
+                    or e[5] not in (add, sub, mul) or not src.endswith(f") & {_MASK}")):
+                return None
+            k = j
+        if dst == reg:
+            return k
+        if k is None and (dst in reads or dst[0] == "w" and "w[" in value):
+            return None
+    return None
 
 
 def _room(g, lo, hi, step, k):

@@ -186,8 +186,9 @@ def strided_loops(draw, anchors):
     to three pointers, each starting near one of the byte addresses
     `anchors` (an end of DataMem, a guarded word), by its own stride each
     pass, and loads and stores through them; a store may write a word that
-    a later pass loads. The nest ends in ebreak, unless an access faults
-    or the counter never meets its bound."""
+    a later pass loads. An outer loop runs up to 8 passes, and its head may
+    load a word through one of the pointers. The nest ends in ebreak,
+    unless an access faults or the counter never meets its bound."""
     asm = Assembler()
     body = []
     # word loads through pointers that move up, and word stores through a
@@ -197,7 +198,8 @@ def strided_loops(draw, anchors):
     def start(width):
         return draw(st.sampled_from(anchors), label="anchor") + width * draw(
             st.integers(-12, 12), label="start")
-    for reg in POINTERS[:draw(st.integers(1, 3), label="pointers")]:
+    pointers = POINTERS[:draw(st.integers(1, 3), label="pointers")]
+    for reg in pointers:
         width = 4 if plain else draw(st.sampled_from([4, 4, 2, 1]), label="width")
         stride = draw(st.sampled_from((4, 8) if plain else _STRIDES[width]), label="stride")
         first = start(width)
@@ -229,10 +231,15 @@ def strided_loops(draw, anchors):
     setup, step, (branch, rs1, rs2) = _counter(draw)
     body.insert(draw(st.integers(0, len(body)), label="counter position"),
                 I("addi", rd=_COUNTER, rs1=_COUNTER, imm=step))
-    outer = draw(st.integers(0, 3), label="outer passes")
+    outer = draw(st.integers(0, 8), label="outer passes")
     if outer:
         asm.li(_OUTER, outer)
         asm.label("outer")
+        if draw(st.booleans(), label="head load"):
+            # a word load in the outer loop's head, whose check a block keeps
+            asm.emit(I("lw", rd=draw(st.sampled_from(_DATA), label="head rd"),
+                       rs1=draw(st.sampled_from(pointers), label="head base"),
+                       imm=4 * draw(st.integers(-2, 2), label="head offset")))
     asm.emit(*setup)
     asm.label("inner")
     asm.emit(*body)

@@ -62,5 +62,5 @@ def test_show_blocks_script_prints_the_kernels_blocks():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         headers = [line for line in done.stdout.splitlines() if line.startswith("<block")]
-        assert headers == ["<block 0x00000018>", "<block 0x00000024>", "<block 0x00000054>"]
-        assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 3
+        assert headers == ["<block 0x00000024>"]  # the loop nest, at the tap loop's head
+        assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 1

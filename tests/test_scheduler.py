@@ -1387,11 +1387,40 @@ def _count_blocks(monkeypatch):
 
         def run(*args):
             out = fn(*args)
-            runs.append((start, size, out[1], out[3]))
+            runs.append((start, size, out[1], out[3] is not None))
             return out
         return run, last, size
     monkeypatch.setattr(Cpu, "_translate", counted)
     return runs
+
+
+def _count_exits(monkeypatch):
+    """A list that gets (start, pc, through) for each run of a block
+    translated from here on: the pc it leaves at, and whether its last
+    instruction ran."""
+    exits = []
+    translate = Cpu._translate
+
+    def counted(cpu, start):
+        block = translate(cpu, start)
+        if block is None:
+            return None
+
+        def run(c, *args):
+            out = block[0](c, *args)
+            exits.append((start, c.pc, out[3] is not None))
+            return out
+        return (run, *block[1:])
+    monkeypatch.setattr(Cpu, "_translate", counted)
+    return exits
+
+
+def _nest_pcs(rom):
+    """The pcs of a conv_sw_kernel's tap loop, output tail and output head."""
+    branches = [(4 * i, decode(word).imm) for i, word in enumerate(rom)
+                if decode(word).mnemonic == "bne"]
+    (inner, back), (outer, up) = branches[-2:] if len(branches) > 1 else (branches * 2)
+    return inner + back, inner + 4, outer + up
 
 
 def _count_spans(monkeypatch):
@@ -1523,15 +1552,17 @@ class TestBlocks:
 
     def test_kernel_with_other_costs_runs_in_blocks(self, monkeypatch):
         # the cost table fixes each block's issue offsets and exit cycles;
-        # the tap loop at 0x24 runs its second and third passes in one
-        # call, the block it falls through to, the output tail at 0x54, is
-        # chained, and the output head at 0x18 runs from the second output
+        # the handlers run the set-up and the first output up to its tap
+        # loop's branch, and one call of the nest at 0x24, the tap loop's
+        # 12 words, the output tail's 5 and the output head's 3, runs the
+        # rest: the first output's second and third tap passes and its
+        # tail, then the other 34 outputs' heads, 3 tap passes and tails,
+        # up to the tail's branch that falls through to the ebreak
         runs = _count_blocks(monkeypatch)
         costs = CycleCostTable(load=5, mul=3, branch_taken=4)
         assert _blocks_match_stepping(self._case(conv_sw_kernel(40, 6, _SW_X, _SW_H, _SW_Y),
                                                  costs=costs), SimConfig().max_cycles)
-        taps, tail, head = (0x24, 12, 2 * 12, True), (0x54, 5, 5, True), (0x18, 15, 15, True)
-        assert runs == [taps, tail] + [head, taps, tail] * 34
+        assert runs == [(0x24, 20, 2 * 12 + 5 + 34 * (3 + 3 * 12 + 5), True)]
 
     def test_block_exits_before_a_guarded_load(self, monkeypatch):
         # the loop's pointer walks from below a running conv's input into
@@ -1623,19 +1654,21 @@ class TestBlocks:
         assert runs == [(4 * 2, 5, 2 * 5, True), (4 * 2, 5, 25 * 5, True)]
         assert ends[0] == (4 * 2 + 4 * 4, 1)
 
-    def test_benchmark_kernel_runs_its_loop_nest_in_three_blocks(self, monkeypatch):
-        # the N=384 K=24 kernel of run_sw_conv_benchmark: its output head
-        # at 0x18, its tap loop at 0x24, called once per output for the
-        # last 11 of its 12 passes, and its output tail at 0x54, chained
-        # where the tap loop falls through; only the set-up, the first
-        # output's head and tap pass, the tap pass where the first
-        # 65,536-cycle window ends and the ebreak run in the handlers
+    def test_benchmark_kernel_runs_its_loop_nest_in_one_block(self, monkeypatch):
+        # the N=384 K=24 kernel of run_sw_conv_benchmark runs its loop nest
+        # in the one block translated, at its tap loop's head 0x24, with
+        # the output tail at 0x54 and the output head at 0x18 inside, in
+        # two calls: the first goes round the outputs up to the checked
+        # tap pass before the first 65,536-cycle window's end, whose taken
+        # branch leaves the block, and the second, from the next window's
+        # first tap branch, to the last output's tail, whose branch falls
+        # through to the ebreak; only the set-up, the first output's head
+        # and tap pass, the tap pass where the first window ends and the
+        # ebreak run in the handlers
         runs = _count_blocks(monkeypatch)
         report, world = run_sw_conv_benchmark(384, 24)
-        starts = [start for start, *_ in runs]
-        assert starts.count(0x24) == 361 and set(starts) == {0x18, 0x24, 0x54}
-        assert sorted(pc for pc, block in world.rom.blocks.items() if block) == [
-            0x18, 0x24, 0x54]
+        assert [pc for pc, block in world.rom.blocks.items() if block] == [0x24]
+        assert runs == [(0x24, 20, 38_000, True), (0x24, 20, 16_845, True)]
         assert (report["cpu_cycles"], report["retired"], world.bus.grants[Requester.CPU]) == (
             94_588, 54_879, 17_689)
         assert report["retired"] - sum(n for _, _, n, _ in runs) == 6 + 15 + 12 + 1
@@ -1648,19 +1681,123 @@ class TestBlocks:
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
 
     def test_benchmark_tap_loop_takes_the_hoisted_path(self, monkeypatch):
-        # each call of the tap loop at 0x24 enters with 11 passes left: the
-        # input's and the kernel's span leave room for every pass the
-        # window holds, at least those 11, so its hoisted loop runs them
-        # unchecked, the last one, which falls through, too; the call after
-        # the first window's end, whose first pass the handlers ran, runs 10
+        # the nest enters its tap loop 362 times: from each of the 360
+        # output heads, with all 12 passes left, and at its two calls'
+        # starts; the input's and the kernel's span leave room for every
+        # pass the window holds, so the hoisted loop runs every pass left
+        # unchecked, the last one, which falls through, too, but on the
+        # entry where the first window's end leaves room for no pass but
+        # the checked one.  Of the 361 outputs' 12 tap passes the handlers
+        # run two and the block the other 4,330 (its instructions less the
+        # tails' and the heads'), all hoisted but that checked one
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
-        report, world = run_sw_conv_benchmark(384, 24)
-        taps = [n for start, _, n, _ in runs if start == 0x24]
-        assert taps.count(11 * 12) == 360 and sum(taps) == 47_640
-        assert len(spans) == 2 * 361 and all(k == passes for *_, k, passes in spans)
-        assert all(passes >= n // 12 for (*_, passes), n in zip(spans[::2], taps))
-        assert sum(n // 12 for n in taps) == 3_970
+        run_sw_conv_benchmark(384, 24)
+        assert len(spans) == 2 * 362 and all(k == passes for *_, k, passes in spans)
+        assert [passes for *_, passes in spans[::2] if passes < 12] == [0]
+        taps = sum(n for _, _, n, _ in runs) - 5 * 361 - 3 * 360
+        assert taps == 12 * (4_329 + 1) == 12 * (361 * 12 - 2)
+
+    _OTHER = CycleCostTable(alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    @pytest.mark.parametrize("to, ran", [("input", 24 + 5 + 2 * 44 + 3 + 24 + 4),
+                                         ("output", 24 + 5 + 2 * 44 + 3 + 36 + 1)])
+    def test_nest_stops_at_a_guarded_word_in_a_later_outer_pass(self, to, ran, costs,
+                                                                monkeypatch):
+        # the K=6 kernel's input runs into a running conv's input 8 words
+        # in, so the fourth output's tap loop reaches it, on its last pass;
+        # or its output does 3 words in, so the fourth output's tail
+        # stores to it.  The handlers run the first output's first tap
+        # pass, and the nest's first call goes round three outputs and
+        # leaves before the access to the guarded word, with every earlier
+        # instruction committed: its second load there, where the room
+        # bound keeps the hoisted loop to the two passes before it, or
+        # before the sw in the tail
+        runs = _count_blocks(monkeypatch)
+        exits = _count_exits(monkeypatch)
+        x, y = (_CONV_X - 4 * 8, _SW_Y) if to == "input" else (_SW_X, _CONV_X - 4 * 3)
+        rom = conv_sw_kernel(12, 6, x, _SW_H, y)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        case["preload"] = case["preload"] + [(_CONV_X - 4 * 8, SplitMix64(8).words(8))]
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        inner, tail, _ = _nest_pcs(rom)
+        stop = inner + 4 * 4 if to == "input" else tail + 4
+        assert runs[0] == (inner, 20, ran, False) and exits[0] == (inner, stop, False)
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    def test_window_ends_on_each_cycle_of_an_outer_pass(self, costs, monkeypatch):
+        # budgets that end the window on each cycle of the kernel's second
+        # and third outputs: where the next part of the nest does not fit,
+        # the block leaves at its first word, the tap loop's head after an
+        # output head, the output tail after the tap loop falls through,
+        # or the output head after the tail's branch, and the handlers run
+        # up to the window's end; each of the three is left at by some budget
+        exits = _count_exits(monkeypatch)
+        rom = conv_sw_kernel(12, 6, _SW_X, _SW_H, _SW_Y)
+        case = self._case(rom, costs=costs)
+        left = set()
+        for max_cycles in range(80, 200):
+            exits.clear()
+            assert _blocks_match_stepping(case, max_cycles)
+            left |= {pc for _, pc, through in exits if not through}
+        assert left == set(_nest_pcs(rom))
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    @pytest.mark.parametrize("k", [7, 2], ids=["odd K", "K=2"])
+    def test_odd_and_two_tap_kernels(self, k, costs, monkeypatch):
+        # the odd-K kernel's output head has a scalar tap, whose loads are
+        # checked in the nest; its coefficients start on the last word of
+        # a running conv's input, so only that tap's load of the first one
+        # is guarded, and the nest leaves there from the second output on
+        # while the conv runs.  The K=2 kernel's tap loop runs one pass an
+        # output and never branches back, so it forms no nest: the output
+        # head gets a block through the tap pass, called once an output
+        # from the second, and the handlers run each tail.  Each runs in
+        # lockstep alone, beside the conv, and under budgets that end the
+        # window anywhere in its first outputs
+        runs = _count_blocks(monkeypatch)
+        exits = _count_exits(monkeypatch)
+        h = _CONV_X + 4 * 63
+        rom = conv_sw_kernel(16, k, _SW_X, h, _SW_Y)
+        inner, _, head = _nest_pcs(rom)
+        alone = self._case(rom, costs=costs)
+        alone["preload"] = alone["preload"] + [(h + 4, SplitMix64(9).words(k))]
+        beside = {**alone, "starts": [("conv", CONV_BASE, _conv_start(64, 8))]}
+        assert _blocks_match_stepping(alone, SimConfig().max_cycles)
+        if k % 2:
+            assert runs == [(inner, 12 + 5 + 9, runs[0][2], True)]
+        else:
+            assert runs == [(head, 3 + 12, 3 + 12, True)] * 14
+        exits.clear()
+        assert _blocks_match_stepping(beside, SimConfig().max_cycles)
+        if k % 2:
+            assert exits[0] == (inner, head + 4 * 3, False)
+        for max_cycles in range(1, 160, 4):
+            for case in alone, beside:
+                _blocks_match_stepping(case, max_cycles)
+
+    @pytest.mark.parametrize("reader, forwarded", [("add", True), ("srl", False),
+                                                   ("sltu", False)])
+    def test_hoisted_pass_forwards_a_temporary_only_into_add_sub_and_mul(self, reader,
+                                                                         forwarded):
+        # each pass multiplies two loaded words into x7, which one later
+        # statement reads before the pass sets x7 again.  Forwarded, the
+        # product is put into its reader without its mask, which the low
+        # 32 bits of an add cannot see, but an srl, whose shift brings the
+        # product's high bits down, and an sltu, which compares the whole
+        # product, would; so only the add's hoisted pass drops the write
+        asm = Assembler()
+        asm.li(15, 0x8000_0003)
+        rom = asm.words() + _loop([I("lw", rd=5, rs1=9), I("lw", rd=6, rs1=9, imm=4),
+                                   I("mul", rd=7, rs1=5, rs2=6), I(reader, rd=14, rs1=7, rs2=15),
+                                   I("add", rd=8, rs1=8, rs2=14), I("addi", rd=7, imm=1),
+                                   I("addi", rd=9, rs1=9, imm=8)], 19, _SW_X)
+        case = self._case(rom)
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        fast, _, _ = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        source, = (block[0].source for block in fast.rom.blocks.values() if block)
+        assert source.count("x7 = (x5 * x6) & 4294967295") == 2 - forwarded
 
     @pytest.mark.parametrize("count, x9, passes, ran", [
         (20, _CONV_X - 8 * 6, 5, 5 * 6), (12, _CONV_X - 8 * 12, 11, 11 * 6),
