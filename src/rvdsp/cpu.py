@@ -679,9 +679,9 @@ def _forward(body):
             i += 1
             continue
         _, reg, value = body.pop(i)
-        if value.startswith("(") and value.endswith(f") & {_MASK}"):
-            value = value[1:-len(f") & {_MASK}")]
-        if not re.fullmatch(r"\w+(\[[^]]*\])?", value):
+        if value.endswith(f") & {_MASK}"):  # (expression) & mask
+            value = value[:-len(f" & {_MASK}")]
+        elif not value.startswith("w["):
             value = f"({value})"
         e, dst, src = body[k - 1]
         body[k - 1] = e, dst, re.sub(rf"\b{reg}\b", value, src)
@@ -695,10 +695,8 @@ def _reader(body, i):
     reads, k = _NAMES.findall(value), None
     for j in range(i + 1, len(body)):
         e, dst, src = body[j]
-        uses = _NAMES.findall(src).count(reg)
-        if uses:
-            if (k is not None or uses > 1 or e[0] not in (_op_reg, _op_imm)
-                    or e[5] not in (add, sub, mul) or not src.endswith(f") & {_MASK}")):
+        if reg in _NAMES.findall(src):
+            if k is not None or e[5] not in (add, sub, mul) or not src.endswith(f") & {_MASK}"):
                 return None
             k = j
         if dst == reg:

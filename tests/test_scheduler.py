@@ -1419,7 +1419,7 @@ def _nest_pcs(rom):
     """The pcs of a conv_sw_kernel's tap loop, output tail and output head."""
     branches = [(4 * i, decode(word).imm) for i, word in enumerate(rom)
                 if decode(word).mnemonic == "bne"]
-    (inner, back), (outer, up) = branches[-2:] if len(branches) > 1 else (branches * 2)
+    (inner, back), (outer, up) = branches
     return inner + back, inner + 4, outer + up
 
 
@@ -1727,12 +1727,12 @@ class TestBlocks:
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
     def test_window_ends_on_each_cycle_of_an_outer_pass(self, costs, monkeypatch):
-        # budgets that end the window on each cycle of the kernel's second
-        # and third outputs: where the next part of the nest does not fit,
-        # the block leaves at its first word, the tap loop's head after an
-        # output head, the output tail after the tap loop falls through,
-        # or the output head after the tail's branch, and the handlers run
-        # up to the window's end; each of the three is left at by some budget
+        # budgets that end the window on each cycle from 80 to 199, over
+        # more than one whole output: where the next part of the nest does
+        # not fit, the block leaves at its first word, the tap loop's head
+        # after an output head, the output tail after the tap loop falls
+        # through, or the output head after the tail's branch, and the
+        # handlers run up to the window's end; some budget leaves at each
         exits = _count_exits(monkeypatch)
         rom = conv_sw_kernel(12, 6, _SW_X, _SW_H, _SW_Y)
         case = self._case(rom, costs=costs)
@@ -2036,7 +2036,8 @@ class TestBlocks:
         # handlers run.  The handlers run the first pass, and the block at
         # the loop's head each later one, up to the lbu or the sh; in the
         # call loop the word load after the return makes the return's
-        # target a block, which chains the head's, with only its lw
+        # target a block, whose branch back to the head makes the head's,
+        # with only its lw
         runs = _count_blocks(monkeypatch)
         load = I("lw", rd=5, rs1=9)
         if loop == "lbu":
