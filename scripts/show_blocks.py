@@ -5,13 +5,14 @@
 
 Runs ``run_sw_conv_benchmark(N, K)`` and prints, for each ROM pc that got
 a block (``Cpu._translate``), the block's name, as tracebacks show it, and
-the Python source generated for it.  The kernel's loop nest runs as one
-block, at its tap loop's head; where a window ends in the output tail, the
-output head may get a block of its own too, and so it does where the tap
-loop never branches back (K of 2 or 3), which forms no nest.
+the Python source generated for it.  Only a loop gets a block: the
+kernel's loop nest runs as one, at its tap loop's head.  A kernel whose
+tap loop never branches back (K of 2 or 3) has no loop that gets one, and
+prints no block.
 """
 
 import argparse
+import os
 import sys
 
 from rvdsp.scheduler import run_sw_conv_benchmark
@@ -27,9 +28,15 @@ def main():
     except ValueError as exc:  # a shape the kernel or DataMem cannot take
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for pc, block in sorted(world.rom.blocks.items()):
-        if block is not None:
-            print(f"<block 0x{pc:08x}>\n{block[0].source}\n")
+    try:
+        for pc, block in sorted(world.rom.blocks.items()):
+            if block is not None:
+                print(f"<block 0x{pc:08x}>\n{block[0].source}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # point stdout at devnull, so the interpreter's flush at exit does
+        # not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

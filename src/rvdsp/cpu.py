@@ -10,15 +10,15 @@ other address at once (``Bus._route``), the blocking transport of
 SystemC TLM-2.0.  ``step`` and ``run_alone`` serve an access through the
 same handler.  ``run_alone`` runs hot loops as blocks: Python
 functions generated from the predecoded entries and kept in
-``Rom.blocks``, which do what the handlers do for a straight run of ALU
-operations and word accesses up to a branch, with the issue cycle of each
-fixed when the block is generated (after QEMU's TCG and Shade); the
-handlers run every other word, as a tracing JIT leaves what a trace does
-not support to its interpreter.  A block that closes a loop on its own
-start may run the loop inside, in a hoisted loop that checks the whole
-span of its passes once where the pointers step by a fixed stride, and a
-loop nest runs as one block, which goes round its outer loop without
-returning (a region, after Dynamo).
+``Rom.blocks``, which do what the handlers do, with the issue cycle of
+each instruction fixed when the block is generated (after QEMU's TCG and
+Shade).  Only a loop gets one: a run of ALU operations and word accesses
+that branches back to its start, with pointers that step by a fixed
+stride, which the block runs in a hoisted loop that checks the whole span
+of its passes once.  A loop nest runs as one block, which goes round its
+outer loop without returning (a region, after Dynamo).  The handlers run
+every other word, and each pass a block leaves to them, as a tracing JIT
+leaves what a trace does not support to its interpreter.
 ``step`` and the handlers stay the single-cycle reference.
 """
 
@@ -144,16 +144,17 @@ class Cpu:
 
         A hot loop runs as a block (``_translate``), kept in
         ``Rom.blocks``: the target of a backward jump reached after a
-        DataMem access gets one.  At the window's start and wherever a jump
-        or a block lands, the block there runs if its last instruction
-        issues before `cycles`; a block that loops runs its passes that fit
-        in its hoisted loop, if it has one, and otherwise one pass a call,
-        and a loop nest's block goes on round the outer loop while each
-        part of it fits.  A block exits before an access the handlers must
-        serve, or before a part of a nest that does not fit, and the
-        handlers go on from there; they also run every word no block
-        holds, ``jal``, ``jalr`` and sub-word accesses among them.  Returns
-        the cycles run."""
+        DataMem access gets one if a loop with a hoisted form starts there,
+        and None otherwise.  At the window's start and wherever a jump or a
+        block lands, the block there runs if its loop's branch issues
+        before `cycles`: it runs the passes whose branch does and that its
+        pointers have room for, and a loop nest's block goes on round the
+        outer loop while each part of it fits.  A block leaves at its
+        loop's start where it runs no more passes, before an access in its
+        outer loop that the handlers must serve, or before a part of a nest
+        that does not fit, and the handlers go on from there as ``step``
+        would; they also run every word no block holds.  Returns the cycles
+        run."""
         regs, words, blocks, bus = self.regs, self.sram.words, self.rom.blocks, self.bus
         t, retired = min(self._wait, cycles), 0
         self._wait -= t
@@ -225,49 +226,41 @@ class Cpu:
         return t
 
     def _translate(self, start):
-        """The block at `start`: (function, issue offset of the last
-        instruction up to its first branch, instructions), or None if the
-        first word may not run in one.  The function, generated from the
-        predecoded entries, runs the words from `start` through the first
-        branch (``_read``); it keeps each register the block names in a
-        local, and its source in its ``source`` attribute.  A block that
-        accesses DataMem and whose branch targets `start` may run the loop
-        inside (one without an access is a spin loop, which ``run_alone``
-        jumps): ``_hoisted`` gives it a loop that runs the passes its
-        pointers have room for (``_room``) with no per-access checks
-        before its one checked pass, whose taken branch is an exit like
-        any other; it writes the statements written here for the words.
-        Such a block is a loop nest where the words from its fall-through
+        """The block at `start`: (function, issue offset of the loop's
+        branch, instructions), or None where the words from `start`
+        through the first branch (``_read``) are not a loop that accesses
+        DataMem, branches back to `start` and has a hoisted form
+        (``_hoisted``); the handlers run every other backward-jump target.
+        The function, generated from the predecoded entries, keeps each
+        register the block names in a local, and its source in its
+        ``source`` attribute.  It runs the loop's passes in its hoisted
+        loop, and leaves at `start` where that runs none, or where the last
+        it ran took the branch, for the handlers to run the next pass.  The
+        block is a loop nest where the words from the loop's fall-through
         run to a branch back to a pc h before `start`, its tail, and the
         words from h, its head, run straight into the loop: the function
         runs the loop, then the tail, whose branch falls through to an
-        exit, then the head, and goes round into the loop.  The tail, the
-        head and the loop when the function goes round each first test
-        that their last instruction issues before `lim`, and otherwise
-        the block leaves at their first word.  The words are read into
-        lists before any source is written.  Each exit picks its path's
-        (cycles, instructions, DataMem accesses, pc, pc of its last
-        instruction if it ran) from a table, adds them to the counts kept
-        along the edges it took, and breaks to one epilogue, which writes
-        back every register the block writes.  The function returns the
-        cycle it ends at, the instructions and DataMem accesses it ran,
-        and that last pc, or None where it leaves before a word it holds:
-        a part that does not fit, or a load or store that is misaligned,
-        outside DataMem or on a guarded word, which it leaves to the
-        handlers, each with what came before committed."""
+        exit, then the head, and goes round into the loop.  The tail and
+        the head each first test that their last instruction issues before
+        `lim`, and otherwise the block leaves at their first word; each of
+        their loads and stores is checked, and the block leaves before one
+        that is misaligned, outside DataMem or on a guarded word, for the
+        handlers to serve.  The words are read into lists before any source
+        is written.  Each exit picks its path's (cycles, instructions,
+        DataMem accesses, pc, pc of its last instruction if it ran) from a
+        table, adds them to the counts kept along the edges it took, and
+        breaks to one epilogue, which writes back every register the block
+        writes.  The function returns the cycle it ends at, the
+        instructions and DataMem accesses it ran, and that last pc, or None
+        where it leaves before a word it holds, with what came before
+        committed."""
         run = self._read(start)
         if not run:
             return None
-        end, b, _ = run[-1]
-        sections, loop = [run], None  # the block's loop, tail and head, or its run
-        if b[0] is _branch and b[4] == start and any(
+        end, b, last = run[-1]
+        if b[0] is not _branch or b[4] != start or not any(
                 e[0] is _load or e[0] is _store for _, e, _ in run):
-            loop = run
-            tail = self._read(end + 4)
-            h = tail[-1][1][4] if tail and tail[-1][1][0] is _branch else start
-            head = self._read(h) if h < start else ()
-            if head and head[-1][0] == end:  # the words from h run into the loop
-                sections += [tail, head[:start - h >> 2]]
+            return None
         ns, regs, written, exits = {}, set(), set(), []
 
         def x(reg):
@@ -282,68 +275,56 @@ class Cpu:
             exits.append((cycles, count, grants, pc, last))
             return f"e = {len(exits) - 1}; break"
 
-        def straight(entries, off, count, grants):
-            """The lines of `entries`, none a branch, from issue offset `off`
-            after `count` instructions and `grants` DataMem accesses: (lines,
-            the statement of each entry or None, accesses after them)."""
-            lines, stmts = [], []
-            for pc, e, o in entries:
-                h, rd, stmt = e[0], e[1], None
-                if h is _op_reg or h is _op_imm:
-                    b = x(e[3]) if h is _op_reg else e[4]
-                    stmt = f"x{rd} = {_value(ns, e[5], x(e[2]), b)}"
-                    written.add(rd)
-                elif h is _load or h is _store:
-                    lines += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
-                              f"if a & 3 or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
-                              f" or g[i]: {leave(off + o, count, grants, pc)}",
-                              f"tk[{_plus('t', off + o)}] = 1"]
-                    grants += 1
-                    if h is _store:
-                        stmt = f"w[i] = {x(e[3])}"
-                    elif rd:
-                        stmt = f"x{rd} = w[i]"
-                        written.add(rd)
-                count += 1
-                stmts.append(stmt)
-                if stmt:
-                    lines.append(stmt)
-            return lines, stmts, grants
+        def stmt(e):
+            """The statement of entry `e`, not a branch, with ``w[i]`` for
+            an access's word, or None."""
+            h, rd = e[0], e[1]
+            if h is _load or h is _store:
+                x(e[2])  # the pointer
+                if h is _store:
+                    return f"w[i] = {x(e[3])}"
+            if not rd:
+                return None
+            written.add(rd)
+            if h is _load:
+                return f"x{rd} = w[i]"
+            return f"x{rd} = {_value(ns, e[5], x(e[2]), x(e[3]) if h is _op_reg else e[4])}"
 
-        body, nest = [], len(sections) > 1
-        off = count = grants = 0  # cycles, instructions and DataMem accesses past t
-        for i, words in enumerate(sections):
-            pc, e, o = words[-1]
-            branch = e[0] is _branch
-            if i:  # the tail or the head; run_alone tests the first
-                body.append(f"if {_plus('t', off + o)} >= lim: "
-                            f"{leave(off, count, grants, words[0][0])}")
-            lines, stmts, after = straight(words[:-1] if branch else words, off, count, grants)
-            count += len(words)
-            if branch:
-                cond = _expr(ns, e[5], x(e[2]), x(e[3]))
-            if words is loop:
-                period = o + 1 + e[6]
-                lines.append(f"if {cond}: {leave(period, count, after, e[4], pc)}")
-                hoisted = _hoisted(loop, stmts, cond, period, ns)
-                if hoisted:  # the checked pass, unless the hoisted loop's last fell through
-                    lines = [*hoisted, f"if k <= 0 or {cond}:", *("    " + line for line in lines),
-                             "    " + _advance(period, count, after)]
-                    off, count, after = -period, 0, 0
-                off += o + 1 + e[7]
-            elif branch and nest:  # the tail, which goes on where its branch is taken
-                lines.append(f"if not {cond}: {leave(off + o + 1 + e[7], count, after, pc + 4, pc)}")
-                off += o + 1 + e[6]
-            elif branch:
-                lines.append(f"if {cond}: {leave(off + o + 1 + e[6], count, after, e[4], pc)}")
-                off += o + 1 + e[7]
-            else:
-                off += o + 1 + e[6]
-            body += lines
-            grants = after
-        if nest:  # round into the loop again
-            body += [_advance(off, count, grants),
-                     f"if {_plus('t', run[-1][2])} >= lim: {leave(0, 0, 0, start)}"]
+        cond = _expr(ns, b[5], x(b[2]), x(b[3]))
+        body = _hoisted(run, [stmt(e) for _, e, _ in run[:-1]], cond, ns,
+                        leave(0, 0, 0, start))
+        if not body:
+            return None
+        body.append(f"if {cond}: {leave(0, 0, 0, start, end)}")
+        # cycles, instructions and DataMem accesses past t, where the
+        # hoisted loop counted the pass that fell through as a taken one
+        off, count, grants = b[7] - b[6], 0, 0
+        tail = self._read(end + 4)
+        h = tail[-1][1][4] if tail and tail[-1][1][0] is _branch else start
+        head = self._read(h) if h < start else ()
+        # a nest's tail and head, where the words from h run into the loop
+        outer = [tail, head[:start - h >> 2]] if head and head[-1][0] == end else []
+        for words in outer:
+            body.append(f"if {_plus('t', off + words[-1][2])} >= lim: "
+                        f"{leave(off, count, grants, words[0][0])}")
+            for pc, e, o in words:
+                if e[0] is _load or e[0] is _store:  # checked first
+                    body += [f"a = {_value(ns, add, x(e[2]), e[4])}; i = (a - {DATA_BASE}) >> 2",
+                             f"if a & 3 or not 0 <= i < {DATA_END + 1 - DATA_BASE >> 2}"
+                             f" or g[i]: {leave(off + o, count, grants, pc)}",
+                             f"tk[{_plus('t', off + o)}] = 1"]
+                    grants += 1
+                count += 1
+                if e[0] is _branch:  # the tail's, which goes on where it is taken
+                    line = (f"if not {_expr(ns, e[5], x(e[2]), x(e[3]))}: "
+                            f"{leave(off + o + 1 + e[7], count, grants, pc + 4, pc)}")
+                else:
+                    line = stmt(e)
+                if line:
+                    body.append(line)
+            off += o + 1 + e[6]  # past the last word, the tail's branch taken
+        if outer:  # round into the loop again, with the counts kept along the way
+            body.append("; ".join(f"{v} += {c}" for v, c in zip("tnq", (off, count, grants)) if c))
         else:
             body.append(leave(off, count, grants, end + 4, end))
         code = "\n    ".join(["def block(c, r, w, tk, g, t, lim):",
@@ -354,7 +335,7 @@ class Cpu:
                                "c.pc = pc", "return t + dt, n + dn, q + dq, last"])
         exec(compile(code, f"<block 0x{start:08x}>", "exec"), ns)
         ns["block"].source = code
-        return ns["block"], run[-1][2], sum(map(len, sections))
+        return ns["block"], last, len(run) + sum(map(len, outer))
 
     def _read(self, pc):
         """The predecoded entries (pc, entry, issue offset from `pc`) of
@@ -579,29 +560,23 @@ def _plus(expr, c):
     return expr if not c else f"{expr} + {c}" if c > 0 else f"{expr} - {-c}"
 
 
-def _advance(cycles, count, grants):
-    """Source that adds a path's cycles, instructions and DataMem accesses
-    to a block's counts."""
-    return "; ".join(f"{v} += {c}" for v, c in zip("tnq", (cycles, count, grants)) if c)
-
-
-def _hoisted(entries, stmts, cond, period, ns):
+def _hoisted(entries, stmts, cond, ns, stop):
     """Source lines of the hoisted loop of a looping block whose `entries`
-    make one pass of `period` cycles, or none if the pass has an unsure
-    shape.  The loop takes `k`, the passes that fit before the window's
-    `lim` with the next one, and narrows it to the passes over which each
-    pointer's span of DataMem accesses stays in DataMem and off the guard
-    (``_room``).  It runs up to `k` passes in program order with no
-    per-access checks: each writes `stmts`, the entries' statements from
-    ``_translate`` (or None), with an access's strided word in place of
-    ``w[i]``, without the pointer updates it defers and with the writes
-    that ``_forward`` drops, and then tests the branch's `cond`, so a `k`
-    past the loop's last pass changes nothing.  It then marks the log for
-    the passes that ran, in one slice, since nothing marks it past `t`
-    before the block, and advances `t`, the block's counts and the
-    pointers by them, all as whole passes, that which fell through too;
-    unless that one fell through, the block's checked pass runs next,
-    which fits.
+    make one pass, or none if the pass has an unsure shape.  The loop
+    takes `k`, the passes whose last instruction issues before the
+    window's `lim`, and narrows it to the passes over which each pointer's
+    span of DataMem accesses stays in DataMem and off the guard
+    (``_room``); where that leaves none, it runs `stop`.  It runs up to `k`
+    passes in program order with no per-access checks: each writes
+    `stmts`, the entries' statements from ``_translate`` (or None), with
+    an access's strided word in place of ``w[i]``, without the pointer
+    updates it defers and with the writes that ``_forward`` drops, and
+    then tests the branch's `cond`, so a `k` past the loop's last pass
+    changes nothing.  It then marks the log for the passes that ran, in
+    one slice that ends with the last one's branch, since nothing marks
+    it past `t` before the block, and advances `t`, the block's counts and
+    the pointers by them, all as whole taken passes, that which fell
+    through too.
 
     A register is affine if its only write in the pass is ``addi r, r,
     c``.  Every access (a word access, as in any block) must be through a
@@ -610,6 +585,7 @@ def _hoisted(entries, stmts, cond, period, ns):
     included; the loop indexes such a pointer's words and advances it after
     its passes."""
     *straight, (_, branch, last) = entries
+    period, wait = last + 1 + branch[6], branch[6]
     writes = {}
     for _, e, _ in straight:
         if e[0] in (_op_reg, _op_imm, _load) and e[1]:
@@ -651,16 +627,18 @@ def _hoisted(entries, stmts, cond, period, ns):
     body = [*_forward(body), *(f"y{r} += {step >> 2}" for r, step in moving),
             f"if not {cond}: break"]
     room = _name(ns, _room)
-    return [f"k = (lim - {last + 1} - t) // {period}",
+    log = f"{_name(ns, bytes(marks))} * m"
+    return [f"k = ({_plus('lim', wait)} - t) // {period}",
             *(f"k = {room}(g, {_plus(f'x{r}', min(offs))}, {_plus(f'x{r}', max(offs))}, "
               f"{step}, k)" for r, (step, *offs) in spans.items()),
-            "if k > 0:",
-            *(f"    y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
+            f"if k <= 0: {stop}",
+            *(f"y{r} = {_plus(f'x{r}', min(offs) - DATA_BASE)} >> 2"
               for r, (_, *offs) in spans.items()),
-            "    for m in range(1, k + 1):", *("        " + line for line in body),
-            *(f"    x{r} += {step} * m" for r, step in moving),
-            f"    u = t + {period} * m", f"    tk[t:u] = {_name(ns, bytes(marks))} * m",
-            f"    t = u; n += {len(entries)} * m; q += {len(offsets)} * m"]
+            "for m in range(1, k + 1):", *("    " + line for line in body),
+            *(f"x{r} += {step} * m" for r, step in moving),
+            f"u = t + {period} * m",
+            f"tk[t:u - {wait}] = ({log})[:-{wait}]" if wait else f"tk[t:u] = {log}",
+            f"t = u; n += {len(entries)} * m; q += {len(offsets)} * m"]
 
 
 def _forward(body):

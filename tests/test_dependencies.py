@@ -64,3 +64,19 @@ def test_show_blocks_script_prints_the_kernels_blocks():
         headers = [line for line in done.stdout.splitlines() if line.startswith("<block")]
         assert headers == ["<block 0x00000024>"]  # the loop nest, at the tap loop's head
         assert done.stdout.count("def block(c, r, w, tk, g, t, lim):") == 1
+        # the tap pass is written once, in the hoisted loop
+        assert done.stdout.count("x7 = (x5 * x6)") == 1
+    # a K=2 kernel's tap loop never branches back, so no loop gets a block
+    done = subprocess.run([sys.executable, str(script), "16", "2"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and "<block" not in done.stdout, done.stderr
+    # a reader that has closed the pipe, as `head` does after its lines, with
+    # stdout buffered or not
+    for unbuffered in ("", "1"):
+        read, write = os.pipe()
+        os.close(read)
+        done = subprocess.run([sys.executable, str(script), "16", "6"],
+                              env={**env, "PYTHONUNBUFFERED": unbuffered}, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -1394,25 +1393,26 @@ def _count_blocks(monkeypatch):
     return runs
 
 
-def _count_exits(monkeypatch):
-    """A list that gets (start, pc, through) for each run of a block
-    translated from here on: the pc it leaves at, and whether its last
-    instruction ran."""
-    exits = []
+def _record_calls(monkeypatch):
+    """A list that gets (start, t, lim, pc, out) for each run of a block
+    translated from here on: the cycle it starts at and its limit, the pc
+    it leaves at, and what it returns, (t, instructions, DataMem accesses,
+    pc of its last instruction or None)."""
+    calls = []
     translate = Cpu._translate
 
-    def counted(cpu, start):
+    def recorded(cpu, start):
         block = translate(cpu, start)
         if block is None:
             return None
 
-        def run(c, *args):
-            out = block[0](c, *args)
-            exits.append((start, c.pc, out[3] is not None))
+        def run(c, r, w, tk, g, t, lim):
+            out = block[0](c, r, w, tk, g, t, lim)
+            calls.append((start, t, lim, c.pc, out))
             return out
         return (run, *block[1:])
-    monkeypatch.setattr(Cpu, "_translate", counted)
-    return exits
+    monkeypatch.setattr(Cpu, "_translate", recorded)
+    return calls
 
 
 def _nest_pcs(rom):
@@ -1567,9 +1567,9 @@ class TestBlocks:
     def test_block_exits_before_a_guarded_load(self, monkeypatch):
         # the loop's pointer walks from below a running conv's input into
         # it, so the room bound stops the hoisted passes before the first
-        # guarded word; the checked pass after them commits the
-        # instructions before its load, and the handlers close the window
-        # there
+        # guarded word; the block leaves at the loop's start with their
+        # branch taken, and the handlers run the next pass and close the
+        # window at its load
         runs = _count_blocks(monkeypatch)
         rom = _loop([I("addi", rd=8, rs1=8, imm=1), I("lw", rd=5, rs1=9),
                      I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4)], 12,
@@ -1578,23 +1578,23 @@ class TestBlocks:
                                                         _conv_start(64, 8))]),
                                       SimConfig().max_cycles)
         # the handlers run the first pass; one block call hoists the five
-        # passes that load the words below the input, then runs the addi of
-        # the next, and later calls stop at the same load while it is guarded
+        # passes that load the words below the input, and later calls,
+        # whose room bound leaves no pass while that load is guarded, leave
+        # at once
         head = 4 * 3
-        assert runs[0] == (head, 6, 5 * 6 + 1, False)
-        assert runs[1:] and all(run == (head, 6, 1, False) for run in runs[1:])
+        assert runs[0] == (head, 6, 5 * 6, True)
+        assert runs[1:] and all(run == (head, 6, 0, False) for run in runs[1:])
 
     @pytest.mark.parametrize("x9", [_CONV_X - 4 * 6, DATA_BASE + 0x1800 - 4 * 6],
                              ids=["conv input", "conv output"])
     def test_guarded_load_in_a_later_pass_keeps_the_passes_before(self, x9, monkeypatch):
-        # every register the loop writes is written after its load, so a
-        # pass that exits at the guarded load writes none; the registers
-        # the earlier passes wrote are still written back.  The block enters
-        # at cycle 11 with 8-cycle passes, and the seventh pass, from cycle
-        # 51, loads the first guarded word and issues its branch in cycle
-        # 57: every budget from 58 fits that branch, and the room bound keeps
-        # the hoisted loop to the five passes before it, clear of the guard,
-        # so the block's checked pass leaves at that load.  The conv only
+        # the registers the hoisted passes wrote are written back, and the
+        # handlers run the pass that loads the guarded word up to that load.
+        # The block enters at cycle 11 with 8-cycle passes, and the seventh
+        # pass, from cycle 51, loads the first guarded word: every budget
+        # from 50 fits the sixth pass's branch, in cycle 49, and the room
+        # bound keeps the hoisted loop to the five passes before the
+        # seventh, clear of the guard.  The conv only
         # reads its first input word, but writes its first output word
         # before the seventh pass loads it, so there a load hoisted onto
         # the guarded word reads what stepping does not
@@ -1609,25 +1609,19 @@ class TestBlocks:
             runs.clear()
             spans.clear()
             assert _blocks_match_stepping(case, max_cycles)
-            cut += [(max_cycles, spans[0][4])] * runs.count((4 * 3, 5, 5 * 5, False))
-        assert cut == [(max_cycles, 5) for max_cycles in range(58, 80)]
+            cut += [(max_cycles, spans[0][4])] * runs.count((4 * 3, 5, 5 * 5, True))
+        assert cut == [(max_cycles, 5) for max_cycles in range(50, 80)]
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)], ids=["default", "other"])
-    def test_window_ends_inside_a_looping_block(self, costs, monkeypatch):
+    def test_window_ends_inside_a_loop_that_stores_through_its_pointer(self, costs):
         # a budget that ends at each cycle of several passes: the loop
-        # stores through its moving pointer, so it has no hoisted loop and
-        # its block runs one checked pass per call, each run ending through
-        # after a whole pass; the handlers run the rest
-        runs = _count_blocks(monkeypatch)
+        # stores through its moving pointer, so it has no hoisted form and
+        # gets no block, and the handlers run every pass
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("sw", rs1=9, rs2=6, imm=4), I("addi", rd=9, rs1=9, imm=4)], 30, _SW_X)
         for max_cycles in range(40, 100):
-            runs.clear()
-            _blocks_match_stepping(self._case(rom, costs=costs), max_cycles)
-            # the handlers run the first pass before the block is translated
-            assert runs and runs[0][:2] == (8, 6)
-            assert all(n % 6 == 0 and n and through for _, _, n, through in runs)
+            assert not _blocks_match_stepping(self._case(rom, costs=costs), max_cycles)
 
     def test_block_that_does_not_fit_runs_in_handlers(self, monkeypatch):
         # the window beside a conv ends at the conv's uncontended finish;
@@ -1646,11 +1640,12 @@ class TestBlocks:
                                       SimConfig().max_cycles)
         # the loop's head, after lui and li, is reached in cycle 2 and its
         # first 8-cycle iteration runs in the handlers; one block call runs
-        # the iterations from cycles 10 and 18, but the one from 26 would
-        # issue its last instruction in cycle 32, where the window ends at
-        # the conv's finish, so the block leaves at the head and the
-        # handlers run that iteration up to its bne; a later window's block
-        # call runs the last 25 iterations, the last not taken
+        # the iterations from cycles 10 and 18 in its hoisted loop, but the
+        # one from 26 would issue its last instruction in cycle 32, where
+        # the window ends at the conv's finish, so the hoisted loop stops
+        # there with its branch taken, the block is not called again, and
+        # the handlers run that iteration up to its bne; a later window's
+        # block call runs the last 25 iterations, the last not taken
         assert runs == [(4 * 2, 5, 2 * 5, True), (4 * 2, 5, 25 * 5, True)]
         assert ends[0] == (4 * 2 + 4 * 4, 1)
 
@@ -1658,13 +1653,13 @@ class TestBlocks:
         # the N=384 K=24 kernel of run_sw_conv_benchmark runs its loop nest
         # in the one block translated, at its tap loop's head 0x24, with
         # the output tail at 0x54 and the output head at 0x18 inside, in
-        # two calls: the first goes round the outputs up to the checked
-        # tap pass before the first 65,536-cycle window's end, whose taken
-        # branch leaves the block, and the second, from the next window's
-        # first tap branch, to the last output's tail, whose branch falls
-        # through to the ebreak; only the set-up, the first output's head
-        # and tap pass, the tap pass where the first window ends and the
-        # ebreak run in the handlers
+        # two calls: the first goes round the outputs up to the last tap
+        # pass whose branch issues before the first 65,536-cycle window's
+        # end, where it leaves with that branch taken, and the second, from
+        # the next window's first tap branch, to the last output's tail,
+        # whose branch falls through to the ebreak; only the set-up, the
+        # first output's head and tap pass, the tap pass where the first
+        # window ends and the ebreak run in the handlers
         runs = _count_blocks(monkeypatch)
         report, world = run_sw_conv_benchmark(384, 24)
         assert [pc for pc, block in world.rom.blocks.items() if block] == [0x24]
@@ -1684,24 +1679,24 @@ class TestBlocks:
         # the nest enters its tap loop 362 times: from each of the 360
         # output heads, with all 12 passes left, and at its two calls'
         # starts; the input's and the kernel's span leave room for every
-        # pass the window holds, so the hoisted loop runs every pass left
-        # unchecked, the last one, which falls through, too, but on the
-        # entry where the first window's end leaves room for no pass but
-        # the checked one.  Of the 361 outputs' 12 tap passes the handlers
-        # run two and the block the other 4,330 (its instructions less the
-        # tails' and the heads'), all hoisted but that checked one
+        # pass the window holds, so the hoisted loop runs every pass left,
+        # the last one, which falls through, too, but on the entry where
+        # the first window's end leaves room for one pass.  Of the 361
+        # outputs' 12 tap passes the handlers run two and the block the
+        # other 4,330 (its instructions less the tails' and the heads'),
+        # all hoisted
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         run_sw_conv_benchmark(384, 24)
         assert len(spans) == 2 * 362 and all(k == passes for *_, k, passes in spans)
-        assert [passes for *_, passes in spans[::2] if passes < 12] == [0]
+        assert [passes for *_, passes in spans[::2] if passes < 12] == [1]
         taps = sum(n for _, _, n, _ in runs) - 5 * 361 - 3 * 360
-        assert taps == 12 * (4_329 + 1) == 12 * (361 * 12 - 2)
+        assert taps == 12 * 4_330 == 12 * (361 * 12 - 2)
 
     _OTHER = CycleCostTable(alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
-    @pytest.mark.parametrize("to, ran", [("input", 24 + 5 + 2 * 44 + 3 + 24 + 4),
+    @pytest.mark.parametrize("to, ran", [("input", 24 + 5 + 2 * 44 + 3 + 24),
                                          ("output", 24 + 5 + 2 * 44 + 3 + 36 + 1)])
     def test_nest_stops_at_a_guarded_word_in_a_later_outer_pass(self, to, ran, costs,
                                                                 monkeypatch):
@@ -1709,21 +1704,27 @@ class TestBlocks:
         # in, so the fourth output's tap loop reaches it, on its last pass;
         # or its output does 3 words in, so the fourth output's tail
         # stores to it.  The handlers run the first output's first tap
-        # pass, and the nest's first call goes round three outputs and
-        # leaves before the access to the guarded word, with every earlier
-        # instruction committed: its second load there, where the room
-        # bound keeps the hoisted loop to the two passes before it, or
-        # before the sw in the tail
+        # pass, and the nest's first call goes round three outputs, with
+        # every instruction it runs committed: in the fourth, the room
+        # bound keeps the hoisted loop to the two passes before the one
+        # that loads the guarded word, and the block leaves with their
+        # branch taken, to be called again and leave at once, so that the
+        # handlers run that pass up to the load; or it leaves before the sw
+        # in the tail
         runs = _count_blocks(monkeypatch)
-        exits = _count_exits(monkeypatch)
+        calls = _record_calls(monkeypatch)
         x, y = (_CONV_X - 4 * 8, _SW_Y) if to == "input" else (_SW_X, _CONV_X - 4 * 3)
         rom = conv_sw_kernel(12, 6, x, _SW_H, y)
         case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
         case["preload"] = case["preload"] + [(_CONV_X - 4 * 8, SplitMix64(8).words(8))]
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
         inner, tail, _ = _nest_pcs(rom)
-        stop = inner + 4 * 4 if to == "input" else tail + 4
-        assert runs[0] == (inner, 20, ran, False) and exits[0] == (inner, stop, False)
+        exits = [(start, pc, out[3]) for start, _, _, pc, out in calls]
+        if to == "input":  # the tap loop's branch, just before the tail, ran last
+            assert runs[0] == (inner, 20, ran, True) and exits[:2] == [(inner, inner, tail - 4),
+                                                                       (inner, inner, None)]
+        else:
+            assert runs[0] == (inner, 20, ran, False) and exits[0] == (inner, tail + 4, None)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
     def test_window_ends_on_each_cycle_of_an_outer_pass(self, costs, monkeypatch):
@@ -1733,14 +1734,14 @@ class TestBlocks:
         # after an output head, the output tail after the tap loop falls
         # through, or the output head after the tail's branch, and the
         # handlers run up to the window's end; some budget leaves at each
-        exits = _count_exits(monkeypatch)
+        calls = _record_calls(monkeypatch)
         rom = conv_sw_kernel(12, 6, _SW_X, _SW_H, _SW_Y)
         case = self._case(rom, costs=costs)
         left = set()
         for max_cycles in range(80, 200):
-            exits.clear()
+            calls.clear()
             assert _blocks_match_stepping(case, max_cycles)
-            left |= {pc for _, pc, through in exits if not through}
+            left |= {pc for *_, pc, out in calls if out[3] is None}
         assert left == set(_nest_pcs(rom))
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
@@ -1751,28 +1752,28 @@ class TestBlocks:
         # a running conv's input, so only that tap's load of the first one
         # is guarded, and the nest leaves there from the second output on
         # while the conv runs.  The K=2 kernel's tap loop runs one pass an
-        # output and never branches back, so it forms no nest: the output
-        # head gets a block through the tap pass, called once an output
-        # from the second, and the handlers run each tail.  Each runs in
+        # output and never branches back, so it forms no loop and gets no
+        # block: the handlers run it all.  Each runs in
         # lockstep alone, beside the conv, and under budgets that end the
         # window anywhere in its first outputs
         runs = _count_blocks(monkeypatch)
-        exits = _count_exits(monkeypatch)
+        calls = _record_calls(monkeypatch)
         h = _CONV_X + 4 * 63
         rom = conv_sw_kernel(16, k, _SW_X, h, _SW_Y)
         inner, _, head = _nest_pcs(rom)
         alone = self._case(rom, costs=costs)
         alone["preload"] = alone["preload"] + [(h + 4, SplitMix64(9).words(k))]
         beside = {**alone, "starts": [("conv", CONV_BASE, _conv_start(64, 8))]}
-        assert _blocks_match_stepping(alone, SimConfig().max_cycles)
+        assert _blocks_match_stepping(alone, SimConfig().max_cycles) == bool(k % 2)
         if k % 2:
             assert runs == [(inner, 12 + 5 + 9, runs[0][2], True)]
         else:
-            assert runs == [(head, 3 + 12, 3 + 12, True)] * 14
-        exits.clear()
-        assert _blocks_match_stepping(beside, SimConfig().max_cycles)
+            assert runs == []
+        calls.clear()
+        assert _blocks_match_stepping(beside, SimConfig().max_cycles) == bool(k % 2)
         if k % 2:
-            assert exits[0] == (inner, head + 4 * 3, False)
+            start, _, _, pc, out = calls[0]
+            assert (start, pc, out[3]) == (inner, head + 4 * 3, None)
         for max_cycles in range(1, 160, 4):
             for case in alone, beside:
                 _blocks_match_stepping(case, max_cycles)
@@ -1786,7 +1787,8 @@ class TestBlocks:
         # product is put into its reader without its mask, which the low
         # 32 bits of an add cannot see, but an srl, whose shift brings the
         # product's high bits down, and an sltu, which compares the whole
-        # product, would; so only the add's hoisted pass drops the write
+        # product, would; so only the add's hoisted pass drops the write,
+        # and the block writes no other copy of the pass
         asm = Assembler()
         asm.li(15, 0x8000_0003)
         rom = asm.words() + _loop([I("lw", rd=5, rs1=9), I("lw", rd=6, rs1=9, imm=4),
@@ -1797,20 +1799,21 @@ class TestBlocks:
         assert _blocks_match_stepping(case, SimConfig().max_cycles)
         fast, _, _ = _lockstep_run(case, SimConfig().max_cycles, fast=True)
         source, = (block[0].source for block in fast.rom.blocks.values() if block)
-        assert source.count("x7 = (x5 * x6) & 4294967295") == 2 - forwarded
+        assert source.count("x7 = (x5 * x6) & 4294967295") == 1 - forwarded
 
     @pytest.mark.parametrize("count, x9, passes, ran", [
         (20, _CONV_X - 8 * 6, 5, 5 * 6), (12, _CONV_X - 8 * 12, 11, 11 * 6),
-        (20, DATA_END + 1 - 4 - 8 * 6, 5, 5 * 6 + 1)], ids=["inside", "after", "datamem end"])
+        (20, DATA_END + 1 - 4 - 8 * 6, 5, 5 * 6)], ids=["inside", "after", "datamem end"])
     def test_guarded_word_and_a_hoisted_span(self, count, x9, passes, ran, monkeypatch):
         # a running conv's first input word lies inside the pointer's span
         # over the passes left, so the hoisted loop runs the five before it
-        # and the block's checked pass stops at its load; or it lies just
-        # past the span, and the hoisted loop runs every pass; or the span
-        # runs past DataMem's end, so the hoisted loop runs the five passes
-        # inside it and the checked pass stops at the load of the word past
-        # the last one; each window's log holds just the cycles the CPU
-        # took DataMem
+        # and the block leaves with their branch taken, for the handlers to
+        # run the next pass up to its load; or it lies just past the span,
+        # and the hoisted loop runs every pass; or the span runs past
+        # DataMem's end, so the hoisted loop runs the five passes inside it
+        # and the block leaves for the handlers to run the pass that loads
+        # the word past the last one; each window's log holds just the
+        # cycles the CPU took DataMem
         spans = _count_spans(monkeypatch)
         runs = _count_blocks(monkeypatch)
         windows = _count_marks(monkeypatch)
@@ -1823,10 +1826,11 @@ class TestBlocks:
         # the handlers run the first pass, and the hoisted loop the passes
         # before the guarded word or DataMem's end
         assert spans[0][:3] + spans[0][4:] == (x9 + 8, x9 + 12, 8, passes)
-        through = passes + 1 == count
-        assert runs[0] == (4 * 3, 6, ran, through)
-        if through:
+        assert runs[0] == (4 * 3, 6, ran, True)
+        if passes + 1 == count:
             assert len(runs) == 1
+        else:  # called again where the room bound leaves no pass
+            assert runs[1] == (4 * 3, 6, 0, False)
         assert windows and all(marks == grants and kept for marks, grants, kept in windows)
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
@@ -1850,6 +1854,70 @@ class TestBlocks:
         # every count of passes that the budgets leave room for, each fewer
         # than the 38 that the loop has left
         assert cut == set(range(1, max(cut) + 1)) and 14 <= max(cut) < 38
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    def test_block_leaves_at_once_where_no_pass_has_room(self, costs, monkeypatch):
+        # the handlers run the first pass, and the pointer then stands on a
+        # running conv's first input word: the room bound leaves no pass,
+        # so each block call leaves at the loop's start having run nothing,
+        # with no last instruction, and the handlers run the pass up to its
+        # load, where the window closes.  The loop's first word is that
+        # load, so the block is called twice a pass: where the branch lands,
+        # and at the start of the next window, which closes there at once
+        # for step() to run the load
+        calls = _record_calls(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        assert [(start, pc, out[1:]) for start, _, _, pc, out in calls] == [
+            (4 * 3, 4 * 3, (0, 0, None))] * 2 * 11
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    def test_block_leaves_with_its_branch_taken_before_a_guarded_word(self, costs,
+                                                                      monkeypatch):
+        # a running conv's first input word lies three passes ahead of the
+        # block's first call: its hoisted loop runs those three and leaves
+        # at the loop's start with the last one's branch, taken, as its last
+        # instruction; the window calls it there again, where the room
+        # bound leaves no pass, and the handlers close the window at the
+        # load of the guarded word
+        calls = _record_calls(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=4)], 12, _CONV_X - 4 * 4)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        branch = 4 * 3 + 4 * 4
+        assert [(start, pc, out[1:]) for start, _, _, pc, out in calls[:2]] == [
+            (4 * 3, 4 * 3, (3 * 5, 3, branch)), (4 * 3, 4 * 3, (0, 0, None))]
+
+    @pytest.mark.parametrize("costs", [CycleCostTable(), _OTHER], ids=["default", "other"])
+    def test_window_ends_within_a_pass_of_the_last_that_fits(self, costs, monkeypatch):
+        # budgets that end the only window, beside a running conv whose
+        # words the loop does not touch, on each cycle of two passes: the
+        # block's one call runs every pass whose branch issues before the
+        # window's end, and no more, and leaves with the last one's branch,
+        # taken, as its last instruction; the handlers run the rest.  The
+        # last pass's wait may run past the window, but its log keeps its
+        # length and holds just the cycles the CPU took DataMem
+        calls = _record_calls(monkeypatch)
+        windows = _count_marks(monkeypatch)
+        rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
+                     I("addi", rd=9, rs1=9, imm=4)], 40, _SW_X)
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        last = costs.load + 3 * costs.alu  # the branch's issue offset in a pass
+        period = last + costs.branch_taken
+        passes = set()
+        for max_cycles in range(60, 60 + 2 * period):
+            calls.clear()
+            windows.clear()
+            assert _blocks_match_stepping(case, max_cycles)
+            (start, _, lim, pc, (t, n, _, branch)), = calls
+            assert (start, lim, pc, branch) == (4 * 2, max_cycles, 4 * 2, 4 * 2 + 4 * 4)
+            assert t - period + last < lim <= t + last
+            passes.add(n // 5)
+            assert windows and all(marks == grants and kept for marks, grants, kept in windows)
+        assert len(passes) == 3
 
     @pytest.mark.parametrize("branch, start, step, bound, passes", [
         ("bne", 14, -2, 0, 7), ("blt", -3, 1, 5, 8), ("bltu", 0, 2, 12, 6),
@@ -1897,18 +1965,16 @@ class TestBlocks:
         assert spans and all(lo == hi == _SW_Y and not step and k == passes
                              for lo, hi, step, k, passes in spans)
 
-    def test_negative_stride_runs_every_pass_checked(self, monkeypatch):
-        # a pointer that walks down is an unsure shape: the block has no
-        # hoisted loop, so no span is checked, and it runs one checked pass
-        # a call, each but the last one taken
+    def test_negative_stride_runs_in_the_handlers(self, monkeypatch):
+        # a pointer that walks down is an unsure shape: the loop has no
+        # hoisted form, so it gets no block, no span is checked, and the
+        # handlers run every pass
         spans = _count_spans(monkeypatch)
-        runs = _count_blocks(monkeypatch)
         rom = _loop([I("lw", rd=5, rs1=9), I("add", rd=6, rs1=6, rs2=5),
                      I("addi", rd=9, rs1=9, imm=-8)], 20, _SW_X + 8 * 20)
         case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))])
-        assert _blocks_match_stepping(case, SimConfig().max_cycles)
+        assert not _blocks_match_stepping(case, SimConfig().max_cycles)
         assert not spans
-        assert runs == [(4 * 3, 5, 5, True)] * 19
 
     @pytest.mark.parametrize("zero", [1, 2, 9, 30])
     @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside conv"])
@@ -1996,10 +2062,9 @@ class TestBlocks:
     def test_block_ends_before_a_word_that_stops_a_window(self, stop, outcome, retired,
                                                           monkeypatch):
         # a backward jal after a load lands on a loop head whose second word,
-        # never fetched before, is illegal or ebreak: the block translated
-        # there holds only the addi before it, and the handlers stop the
+        # never fetched before, is illegal or ebreak: the words from there
+        # form no loop, so the head gets no block, and the handlers stop the
         # window at that word, which step() then runs in cycle 10
-        runs = _count_blocks(monkeypatch)
         asm = Assembler()
         asm.li(9, _SW_X)
         asm.branch("jal", 0, 0, "load")
@@ -2019,26 +2084,20 @@ class TestBlocks:
         assert fast_lines == lines
         assert _observable(fast) == _observable(stepped)
         assert (fast.cycle, fast.cpu.retired, fast.cpu.regs[6]) == (10, retired, 1)
-        head = 4 * asm.labels["head"]
-        assert runs == [(head, 1, 1, True)]
+        assert fast.rom.blocks == {4 * asm.labels["head"]: None}
 
     @pytest.mark.parametrize("costs", [CycleCostTable(), CycleCostTable(
         alu=2, load=4, store=2, branch_taken=3, branch_not_taken=2, jump=3)],
         ids=["default", "other"])
-    @pytest.mark.parametrize("loop, blocks", [
-        ("lbu", {(8, 1, 1, True): 29}), ("sh", {(8, 2, 2, True): 29}),
-        ("call", {(8, 1, 1, True): 29, (16, 3, 3, True): 30})], ids=["lbu", "sh", "call"])
-    def test_jumps_and_sub_word_accesses_run_in_the_handlers(self, loop, blocks, costs,
-                                                             monkeypatch):
+    @pytest.mark.parametrize("loop, starts", [("lbu", [8]), ("sh", [8]), ("call", [8, 16])],
+                             ids=["lbu", "sh", "call"])
+    def test_jumps_and_sub_word_accesses_run_in_the_handlers(self, loop, starts, costs):
         # a hot loop with a byte load or a halfword store, or whose pass
         # calls a function by jal that returns by jalr, beside a running
-        # conv: the loop's blocks stop before each such word, which the
-        # handlers run.  The handlers run the first pass, and the block at
-        # the loop's head each later one, up to the lbu or the sh; in the
-        # call loop the word load after the return makes the return's
-        # target a block, whose branch back to the head makes the head's,
-        # with only its lw
-        runs = _count_blocks(monkeypatch)
+        # conv: the words from the loop's head stop before each such word,
+        # and so do not loop and get no block; the handlers run them all.
+        # In the call loop the return's target, after which the word load
+        # runs to the branch back to the head, gets none either
         load = I("lw", rd=5, rs1=9)
         if loop == "lbu":
             rom = _loop([load, I("lbu", rd=7, rs1=9, imm=1), I("add", rd=6, rs1=6, rs2=7),
@@ -2059,14 +2118,10 @@ class TestBlocks:
             asm.emit(I("add", rd=6, rs1=6, rs2=5), I("addi", rd=9, rs1=9, imm=4),
                      I("jalr", rs1=1))
             rom = asm.words()
-        assert _blocks_match_stepping(self._case(rom, [("conv", CONV_BASE,
-                                                        _conv_start(64, 8))], costs),
-                                      SimConfig().max_cycles)
-        left = {4 * i for i, word in enumerate(rom)
-                if decode(word).mnemonic in ("lbu", "sh", "jal", "jalr")}
-        held = {start + 4 * i for start, size, _, _ in runs for i in range(size)}
-        assert len(left) == 1 + (loop == "call") and not held & left
-        assert Counter(runs) == blocks
+        case = self._case(rom, [("conv", CONV_BASE, _conv_start(64, 8))], costs)
+        assert not _blocks_match_stepping(case, SimConfig().max_cycles)
+        fast, _, _ = _lockstep_run(case, SimConfig().max_cycles, fast=True)
+        assert fast.rom.blocks == dict.fromkeys(starts)
 
     def test_reloaded_rom_runs_its_new_loop(self):
         # Rom.load drops every block, so the second program's loop, at the
