@@ -283,6 +283,8 @@ class Cpu:
                 x(e[2])  # the pointer
                 if h is _store:
                     return f"w[i] = {x(e[3])}"
+            elif h is not _op_reg and h is not _op_imm:  # fence, whose rd is ignored
+                return None
             if not rd:
                 return None
             written.add(rd)
